@@ -34,8 +34,9 @@ def feature_names_for(tree: ObliqueTree) -> tuple:
 def _folded_params(node: DecisionNode, scaler):
     if scaler is None:
         return node.w.copy(), node.w0
-    a = node.w / scaler.std
-    a0 = node.w0 - float(np.sum(node.w * scaler.mean / scaler.std))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
+        a = node.w / scaler.std
+        a0 = node.w0 - float(np.sum(node.w * scaler.mean / scaler.std))
     return a, a0
 
 
@@ -87,6 +88,9 @@ def codegen(tree: ObliqueTree) -> DecisionProgram:
             lines.append(f"{pad}return {_LABEL_TEXT[node.label]};")
             return
         a, a0 = _folded_params(node, tree.scaler)
+        if not (np.all(np.isfinite(a)) and np.isfinite(a0)):
+            raise DataError(f"node {nid}: folding the scaler into the weights gives "
+                            "non-finite coefficients")
         lines.append(f"{pad}if ({_condition_text(a, a0, names)}) {{")
         emit(node.left, depth + 1)
         lines.append(f"{pad}}} else {{")

@@ -9,6 +9,7 @@ is what the tree trainer's accept test leans on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 def smooth_loss(problem: WeightedBinaryProblem, model: LinearModel) -> float:
     """Weighted logistic loss, the differentiable part of the objective."""
     margins = problem.y * (problem.X @ model.w + model.w0)
-    return float(np.sum(problem.omega * np.logaddexp(0.0, -margins)))
+    return float((problem.omega * np.logaddexp(0.0, -margins)).sum())
 
 
 def smooth_gradient(problem: WeightedBinaryProblem, model: LinearModel):
@@ -89,7 +90,7 @@ def smooth_gradient(problem: WeightedBinaryProblem, model: LinearModel):
     # sigma(-m) = exp(-log(1 + e^m)), overflow-free for any m
     sig = np.exp(-np.logaddexp(0.0, margins))
     coeff = -problem.omega * problem.y * sig
-    return problem.X.T @ coeff, float(np.sum(coeff))
+    return problem.X.T @ coeff, float(coeff.sum())
 
 
 def objective(problem: WeightedBinaryProblem, model: LinearModel) -> float:
@@ -101,7 +102,8 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
     """Proximal-gradient descent with backtracking, warm-started at init.
 
     Deterministic; F(result) <= F(init); stops on relative objective
-    decrease < cfg.tol or after cfg.max_iter iterations.
+    decrease < cfg.tol or after cfg.max_iter iterations. Calls smooth_loss
+    once per loss evaluation and smooth_gradient once per iteration.
     """
     cfg = cfg or SolverConfig()
     if init is None:
@@ -110,40 +112,40 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
     if w.shape != (problem.dim,):
         raise DataError(f"init has {w.shape} weights, problem wants ({problem.dim},)")
     w0 = float(init.w0)
+    lam = problem.lam
 
     cur = LinearModel(w, w0)
     f_cur = smooth_loss(problem, cur)
-    F_cur = f_cur + problem.lam * float(np.sum(np.abs(w)))
-    if not np.isfinite(F_cur):
+    F_cur = f_cur + lam * float(np.abs(w).sum())
+    if not math.isfinite(F_cur):
         raise NumericError("non-finite objective at init: rescale the problem")
     step = cfg.init_step
 
     for _ in range(cfg.max_iter):
         gw, gw0 = smooth_gradient(problem, cur)
-        if not (np.all(np.isfinite(gw)) and np.isfinite(gw0)):
+        if not (np.isfinite(gw).all() and math.isfinite(gw0)):
             raise NumericError("non-finite gradient: rescale the problem")
-        accepted = False
         while step >= cfg.min_step:
-            w_new = soft_threshold(cur.w - step * gw, step * problem.lam)
-            w0_new = cur.w0 - step * gw0
+            v = w - step * gw
+            w_new = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)  # soft_threshold
+            w0_new = w0 - step * gw0
             cand = LinearModel(w_new, w0_new)
             f_new = smooth_loss(problem, cand)
-            dw = w_new - cur.w
-            dw0 = w0_new - cur.w0
+            dw = w_new - w
+            dw0 = w0_new - w0
             quad = f_cur + float(gw @ dw) + gw0 * dw0 \
                 + (float(dw @ dw) + dw0 * dw0) / (2.0 * step)
-            if np.isfinite(f_new) and f_new <= quad:
-                accepted = True
+            if math.isfinite(f_new) and f_new <= quad:
                 break
             step *= cfg.step_shrink
-        if not accepted:
+        else:  # line search exhausted
             break
-        F_new = f_new + problem.lam * float(np.sum(np.abs(w_new)))
+        F_new = f_new + lam * float(np.abs(w_new).sum())
         if F_new > F_cur:
             # sufficient-decrease passed but rounding nudged F up: stop, keep cur
             break
         rel_drop = (F_cur - F_new) / max(abs(F_cur), 1.0)
-        cur, f_cur, F_cur = cand, f_new, F_new
+        cur, w, w0, f_cur, F_cur = cand, w_new, cand.w0, f_new, F_new
         if rel_drop < cfg.tol:
             break
         step *= cfg.step_grow

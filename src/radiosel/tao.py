@@ -2,20 +2,27 @@
 
 Each pass sweeps depth levels deepest-to-root. Nodes on one level have
 disjoint reach sets (they are non-descendants of each other), so their
-updates are independent: proposals for a level are computed from the same
-tree state and applied afterwards, which makes sequential and threaded
-schedules bit-identical.
+updates are independent, and the reach sets computed at the start of a pass
+stay valid: a node's reach set depends only on its ancestors, which are
+visited after it.
 
 Decision nodes delegate to the weighted L1 logistic surrogate and accept
 the candidate only if it strictly improves weighted 0/1 loss plus the L1
 penalty; leaves take the cost-weighted majority label. Acceptance uses a
 tiny relative margin so that rounding-level "improvements" never make the
 independently recomputed objective tick upward.
+
+Solve reuse: within one optimize_tree call each decision node remembers the
+solver inputs of its last rejected proposal (care-set X, side, omega and the
+node's w, w0, compared by bytes so that -0.0/0.0 stay distinct). When a
+later visit finds the same inputs, the node is left unchanged without
+solving. This is exact: the solve and the accept test are pure functions of
+those inputs, lambda and the solver config, which are fixed within the call,
+so a repeated solve would be rejected again.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +48,6 @@ class TaoConfig:
     # histories exactly nonincreasing and converged trees exact fixed points
     accept_margin: float = 1e-9
     min_leaf_weight: float = 0.0  # forwarded to the greedy init
-    n_jobs: int = 1
     debug_checks: bool = False    # recompute+assert objective after every node
 
     def __post_init__(self):
@@ -85,7 +91,7 @@ class TaoResult:
                 "depth": cfg.depth, "lambda": cfg.lam,
                 "max_passes": cfg.max_passes, "pass_tol": cfg.pass_tol,
                 "init_policy": cfg.init_policy, "seed": cfg.seed,
-                "accept_margin": cfg.accept_margin, "n_jobs": cfg.n_jobs,
+                "accept_margin": cfg.accept_margin,
             },
             "objective_history": [float(v) for v in self.history],
             "init_used": self.init_used,
@@ -154,20 +160,19 @@ def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset,
     return None
 
 
-def _proposals_for_level(t, level_ids, reach, ds, cfg):
-    def compute(nid):
-        node = t.nodes[nid]
-        if isinstance(node, LeafNode):
-            return nid, optimize_leaf(t, nid, reach[nid], ds, cfg)
-        care = build_care_set(t, nid, reach[nid], ds)
-        return nid, optimize_decision_node(t, nid, care, cfg.lam, cfg)
-
-    if cfg.n_jobs > 1 and len(level_ids) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_jobs) as pool:
-            results = list(pool.map(compute, level_ids))
-    else:
-        results = [compute(nid) for nid in level_ids]
-    return dict(results)
+def _decision_proposal(t, nid, reach_idx, ds, cfg, rejected: dict):
+    """optimize_decision_node, skipped when the node's solver inputs are
+    byte-identical to those of its last rejected proposal (see module doc)."""
+    node = t.nodes[nid]
+    care = build_care_set(t, nid, reach_idx, ds)
+    key = (care.X.tobytes(), care.side.tobytes(), care.omega.tobytes(),
+           node.w.tobytes(), np.float64(node.w0).tobytes())
+    if rejected.get(nid) == key:
+        return None
+    prop = optimize_decision_node(t, nid, care, cfg.lam, cfg)
+    if prop is None:
+        rejected[nid] = key
+    return prop
 
 
 def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
@@ -180,32 +185,33 @@ def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
     history = [objective(work, ds, cfg.lam)]
     stop_reason = "max_passes"
     n_passes = 0
+    rejected = {}   # decision node id -> solver inputs of its last rejection
     for _ in range(cfg.max_passes):
         n_passes += 1
         changed = False
         e_debug = history[-1]
-        reach = work.reach_sets(ds.X)  # valid per level: ancestors update later
+        reach = work.reach_sets(ds.X)
         depths = work.node_depths()
-        for level in sorted(set(depths.values()), reverse=True):
-            level_ids = sorted(nid for nid, d in depths.items() if d == level)
-            proposals = _proposals_for_level(work, level_ids, reach, ds, cfg)
-            for nid in level_ids:
-                prop = proposals[nid]
+        for nid in sorted(depths, key=lambda n: (-depths[n], n)):
+            node = work.nodes[nid]
+            if isinstance(node, LeafNode):
+                label = optimize_leaf(work, nid, reach[nid], ds, cfg)
+                if label is None:
+                    continue
+                node.label = label
+            else:
+                prop = _decision_proposal(work, nid, reach[nid], ds, cfg, rejected)
                 if prop is None:
                     continue
-                node = work.nodes[nid]
-                if isinstance(node, LeafNode):
-                    node.label = prop
-                else:
-                    node.w, node.w0 = prop
-                changed = True
-                if cfg.debug_checks:
-                    e_now = objective(work, ds, cfg.lam)
-                    if e_now > e_debug:
-                        raise NumericError(
-                            f"objective increased after updating node {nid}: "
-                            f"{e_debug} -> {e_now}")
-                    e_debug = e_now
+                node.w, node.w0 = prop
+            changed = True
+            if cfg.debug_checks:
+                e_now = objective(work, ds, cfg.lam)
+                if e_now > e_debug:
+                    raise NumericError(
+                        f"objective increased after updating node {nid}: "
+                        f"{e_debug} -> {e_now}")
+                e_debug = e_now
         e_pass = objective(work, ds, cfg.lam)
         if e_pass > history[-1]:
             raise NumericError(f"objective increased across a pass: "

@@ -109,6 +109,9 @@ class ObliqueTree:
         if seen != set(self.nodes):
             unreachable = sorted(set(self.nodes) - seen)
             raise ModelFormatError(f"unreachable nodes in arena: {unreachable}")
+        if self.scaler is not None and dim is not None and self.scaler.mean.shape[0] != dim:
+            raise ModelFormatError(f"scaler has {self.scaler.mean.shape[0]} features, "
+                                   f"hyperplanes have {dim}")
         self._dim = dim
 
     @property

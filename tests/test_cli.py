@@ -200,6 +200,35 @@ class TestExportCmd:
         assert report[0].endswith("l0,dominant")
 
 
+class TestMalformedModel:
+    @staticmethod
+    def edited_model(model_dir, tmp_path, edit):
+        doc = json.loads((model_dir / "model.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_scaler_length_mismatch_exit_3(self, tmp_path, data_csv, model_dir, capsys):
+        def drop_feature(doc):
+            doc["scaler"] = {k: v[:3] for k, v in doc["scaler"].items()}
+        model = self.edited_model(model_dir, tmp_path, drop_feature)
+        assert main(["eval", "--model", model, "--data", str(data_csv),
+                     "--out-dir", str(tmp_path / "ev")]) == 3
+        assert main(["export", "--model", model, "--out-dir", str(tmp_path / "ex")]) == 3
+        assert "scaler has 3 features, hyperplanes have 4" in capsys.readouterr().err
+
+    def test_huge_weights_export_exit_3(self, tmp_path, model_dir, capsys):
+        def inflate(doc):
+            for node in doc["nodes"]:
+                if node["kind"] == "decision":
+                    node["w"] = [1e308 if v != 0.0 else 0.0 for v in node["w"]]
+        model = self.edited_model(model_dir, tmp_path, inflate)
+        assert main(["export", "--model", model, "--out-dir", str(tmp_path / "ex")]) == 3
+        err = capsys.readouterr().err
+        assert "node 0: folding the scaler" in err and "non-finite" in err
+
+
 def test_console_entry_point(tmp_path):
     rc = subprocess.run([sys.executable, "-m", "radiosel.cli", "--version"],
                         capture_output=True, text=True)

@@ -1,10 +1,59 @@
 import numpy as np
 import pytest
 
+from radiosel import solver
 from radiosel.errors import DataError
 from radiosel.solver import (LinearModel, SolverConfig, WeightedBinaryProblem,
                              objective, smooth_gradient, smooth_loss,
                              soft_threshold, solve, weighted_01_loss)
+
+
+def reference_solve(problem, init, cfg):
+    """The proximal-gradient loop as first written (soft_threshold call,
+    LinearModel per iterate, np.sum wrappers); solve must match it bit for
+    bit."""
+    def loss(model):
+        margins = problem.y * (problem.X @ model.w + model.w0)
+        return float(np.sum(problem.omega * np.logaddexp(0.0, -margins)))
+
+    def gradient(model):
+        margins = problem.y * (problem.X @ model.w + model.w0)
+        sig = np.exp(-np.logaddexp(0.0, margins))
+        coeff = -problem.omega * problem.y * sig
+        return problem.X.T @ coeff, float(np.sum(coeff))
+
+    w = np.asarray(init.w, dtype=float).copy()
+    cur = LinearModel(w, float(init.w0))
+    f_cur = loss(cur)
+    F_cur = f_cur + problem.lam * float(np.sum(np.abs(w)))
+    step = cfg.init_step
+    for _ in range(cfg.max_iter):
+        gw, gw0 = gradient(cur)
+        accepted = False
+        while step >= cfg.min_step:
+            w_new = soft_threshold(cur.w - step * gw, step * problem.lam)
+            w0_new = cur.w0 - step * gw0
+            cand = LinearModel(w_new, w0_new)
+            f_new = loss(cand)
+            dw = w_new - cur.w
+            dw0 = w0_new - cur.w0
+            quad = f_cur + float(gw @ dw) + gw0 * dw0 \
+                + (float(dw @ dw) + dw0 * dw0) / (2.0 * step)
+            if np.isfinite(f_new) and f_new <= quad:
+                accepted = True
+                break
+            step *= cfg.step_shrink
+        if not accepted:
+            break
+        F_new = f_new + problem.lam * float(np.sum(np.abs(w_new)))
+        if F_new > F_cur:
+            break
+        rel_drop = (F_cur - F_new) / max(abs(F_cur), 1.0)
+        cur, f_cur, F_cur = cand, f_new, F_new
+        if rel_drop < cfg.tol:
+            break
+        step *= cfg.step_grow
+    return cur
 
 
 def random_problem(rng, n=30, dim=4, lam=0.0):
@@ -111,6 +160,55 @@ class TestSolve:
         problem = random_problem(rng)
         with pytest.raises(DataError):
             solve(problem, LinearModel(np.zeros(3), 0.0))
+
+
+class TestMatchesReference:
+    """solve is byte-identical to reference_solve, and makes one
+    smooth_gradient call per iteration (the benchmark counts them)."""
+
+    TAO_CFG = SolverConfig(max_iter=200, tol=1e-8)
+
+    def assert_same(self, problem, init, cfg):
+        got, ref = solve(problem, init, cfg), reference_solve(problem, init, cfg)
+        assert got.w.tobytes() == ref.w.tobytes()
+        assert np.float64(got.w0).tobytes() == np.float64(ref.w0).tobytes()
+
+    def test_random_problems(self, rng):
+        for _ in range(60):
+            problem = random_problem(rng, n=int(rng.integers(1, 150)),
+                                     lam=float(rng.choice([0.0, 0.01, 0.5, 20.0])))
+            init = LinearModel(rng.normal(0, 1, 4), float(rng.normal(0, 1)))
+            for cfg in (self.TAO_CFG, SolverConfig(max_iter=40, tol=1e-12)):
+                self.assert_same(problem, init, cfg)
+
+    def test_weights_spanning_twelve_decades(self, rng):
+        for lam in (0.0, 0.01, 3.0):
+            base = random_problem(rng, n=80)
+            omega = 10.0 ** rng.uniform(-6.0, 6.0, size=80)
+            problem = WeightedBinaryProblem(base.X, base.y, omega, lam)
+            self.assert_same(problem, LinearModel(rng.normal(0, 1, 4), 0.2), self.TAO_CFG)
+
+    def test_single_point(self):
+        problem = WeightedBinaryProblem(np.array([[0.3, -1.2, 2.0, 0.0]]),
+                                        np.array([-1.0]), np.array([7.0]), 0.01)
+        self.assert_same(problem, LinearModel(np.array([1.0, 0.0, -0.5, 2.0]), 0.0),
+                         self.TAO_CFG)
+
+    def test_separable_lambda_zero_hits_cap(self, rng, monkeypatch):
+        X = rng.normal(0, 1, size=(40, 4))
+        y = np.where(X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 >= 0, 1.0, -1.0)
+        problem = WeightedBinaryProblem(X, y, rng.uniform(1.0, 100.0, 40), 0.0)
+        init = LinearModel(np.array([0.5, -0.5, 0.0, 0.1]), 0.0)
+        iters = []
+        real_gradient = solver.smooth_gradient
+
+        def counting_gradient(problem, model):
+            iters.append(1)
+            return real_gradient(problem, model)
+
+        monkeypatch.setattr(solver, "smooth_gradient", counting_gradient)
+        self.assert_same(problem, init, self.TAO_CFG)
+        assert len(iters) == self.TAO_CFG.max_iter   # no minimizer: runs to the cap
 
 
 class TestWeighted01Loss:

@@ -1,14 +1,17 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import random_dataset, random_tree, stump
-from radiosel import metrics
+from radiosel import metrics, solver, tao
 from radiosel.dataset import Dataset
 from radiosel.errors import DataError
 from radiosel.tao import (CareSet, TaoConfig, build_care_set, objective,
                           optimize_decision_node, optimize_leaf,
                           optimize_tree, rerun_fixed_point, train)
-from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, route
+from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, route, to_json
 
 
 def manual_reach(tree, nid, X):
@@ -272,16 +275,13 @@ class TestFixedPointAndSeparability:
             assert again.history[-1] == res.history[-1]
             assert again.tree.structural_signature() == res.tree.structural_signature()
 
-    def test_parallel_equals_sequential(self, rng):
-        from radiosel.tree import to_json
+    def test_rerun_determinism(self, rng):
         for seed in (0, 1, 2):
             ds = random_dataset(rng, n=100, cost_scale=4000.0)
-            seq = train(ds, TaoConfig(depth=3, lam=0.01, init_policy="random",
-                                      seed=seed, n_jobs=1))
-            par = train(ds, TaoConfig(depth=3, lam=0.01, init_policy="random",
-                                      seed=seed, n_jobs=4))
-            assert seq.history == par.history
-            assert to_json(seq.tree) == to_json(par.tree)
+            cfg = TaoConfig(depth=3, lam=0.01, init_policy="random", seed=seed)
+            first, second = train(ds, cfg), train(ds, cfg)
+            assert first.history == second.history
+            assert to_json(first.tree) == to_json(second.tree)
 
     def test_debug_checks_pass(self, rng):
         ds = random_dataset(rng, n=70, cost_scale=3000.0)
@@ -305,3 +305,44 @@ class TestFixedPointAndSeparability:
             if warm.history[-1] <= cold.history[-1]:
                 wins += 1
         assert wins >= trials // 2
+
+
+class TestSolveReuse:
+    # sha256 of to_json(tree) for _train(lam), recorded before solve reuse
+    # existed: reuse must not change a byte of the trained model
+    GOLDEN = {
+        0.0: "b2eae11237b49e2641ee2a9ee81ad6054e8163647abed45a8a79c8a938bb0dae",
+        0.01: "cff0a354fd23cea201d3da5e73d7c25d0d0c62e0a289f6f7f72c0e3405537b85",
+    }
+
+    @staticmethod
+    def _train(lam):
+        ds = random_dataset(np.random.default_rng(2024), n=120, cost_scale=2000.0)
+        return train(ds, TaoConfig(depth=4, lam=lam, init_policy="best_of_both", seed=5))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_golden_digest(self, lam):
+        digest = hashlib.sha256(to_json(self._train(lam).tree).encode()).hexdigest()
+        assert digest == self.GOLDEN[lam]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_no_repeated_solve_within_optimize_tree(self, lam, monkeypatch):
+        per_call = []   # one Counter of solver inputs per optimize_tree call
+        real_solve, real_optimize_tree = solver.solve, tao.optimize_tree
+
+        def counting_solve(problem, init=None, cfg=None):
+            key = (problem.X.tobytes(), problem.y.tobytes(), problem.omega.tobytes(),
+                   init.w.tobytes(), np.float64(init.w0).tobytes())
+            per_call[-1][key] += 1
+            return real_solve(problem, init, cfg)
+
+        def tracking_optimize_tree(*args, **kwargs):
+            per_call.append(Counter())
+            return real_optimize_tree(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", counting_solve)
+        monkeypatch.setattr(tao, "optimize_tree", tracking_optimize_tree)
+        self._train(lam)
+        assert len(per_call) == 2   # best_of_both: random and greedy init
+        assert sum(sum(c.values()) for c in per_call) > 0
+        assert all(n == 1 for c in per_call for n in c.values())
