@@ -367,7 +367,10 @@ def cmd_export(args) -> int:
     # verify against the model through the reference interpreter before shipping
     interp = export.ProgramInterpreter(program.text)
     rng = np.random.default_rng(args.seed)
-    dim = model.dim if model.dim is not None else 4
+    if model.dim is not None:
+        dim = model.dim
+    else:  # leaf-only: the scaler, if any, fixes the feature count
+        dim = model.scaler.mean.shape[0] if model.scaler is not None else 4
     X = rng.uniform(-5.0, 5.0, size=(2000, dim))
     if model.scaler is not None:
         X = model.scaler.inverse(X)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,12 @@ FEATURE_NAMES = ("hn", "rssi", "prr", "rnp")
 
 DATASET_HEADER = ("hn", "rssi", "prr", "rnp", "label", "cost")
 TRACE_HEADER = ("node_id", "t", "tp_zigbee", "tp_lora", "hn", "rssi", "prr", "rnp")
+TRACE_COLUMNS = TRACE_HEADER[1:]
+
+# CSV rows at 17 significant digits: an exact float round trip
+_DATASET_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
+_TRACE_ROW = "%s" + ",%.17g" * len(TRACE_COLUMNS) + "\n"
+_LABEL_CODES = {"zigbee": 0, "lora": 1}
 
 
 class RadioClass(enum.IntEnum):
@@ -32,21 +39,10 @@ class RadioClass(enum.IntEnum):
 
     @classmethod
     def from_name(cls, name: str) -> "RadioClass":
-        key = name.strip().lower()
-        if key == "zigbee":
-            return cls.ZIGBEE
-        if key == "lora":
-            return cls.LORA
-        raise DataError(f"unknown radio label {name!r} (expected 'zigbee' or 'lora')")
-
-    @property
-    def short(self) -> str:
-        return "Z" if self is RadioClass.ZIGBEE else "L"
-
-
-def _fmt(x: float) -> str:
-    """Decimal rendering with 17 significant digits: exact float round trip."""
-    return f"{float(x):.17g}"
+        code = _LABEL_CODES.get(name.strip().lower())
+        if code is None:
+            raise DataError(f"unknown radio label {name!r} (expected 'zigbee' or 'lora')")
+        return cls(code)
 
 
 @dataclass(frozen=True)
@@ -123,22 +119,65 @@ class Dataset:
                        feature_names=self.feature_names, scaler=self.scaler)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One scheduled transmission: both radios' realized throughputs plus
-    the selector-visible features at send time."""
+@dataclass(eq=False)
+class Trace:
+    """Columnar dual-radio trace, one row per scheduled transmission.
 
-    node_id: str
-    t: float
-    tp_zigbee: float
-    tp_lora: float
-    hn: float
-    rssi: float
-    prr: float
-    rnp: float
+    ``node`` holds integer codes into the ``names`` table. Every other
+    column is a float64 array of the same length: send time, both radios'
+    realized throughputs, and the selector-visible features at send time.
+    Equality is exact and row by row: the same node name and ``==`` on
+    every float column, so 0.0 equals -0.0 and NaN equals nothing.
+    """
+
+    names: tuple
+    node: np.ndarray
+    t: np.ndarray
+    tp_zigbee: np.ndarray
+    tp_lora: np.ndarray
+    hn: np.ndarray
+    rssi: np.ndarray
+    prr: np.ndarray
+    rnp: np.ndarray
+
+    def __post_init__(self):
+        self.names = tuple(self.names)
+        self.node = np.asarray(self.node, dtype=np.intp)
+        if self.node.ndim != 1:
+            raise DataError("trace node codes must be 1-d")
+        for col in TRACE_COLUMNS:
+            values = np.asarray(getattr(self, col), dtype=float)
+            if values.shape != self.node.shape:
+                raise DataError(f"trace column {col} has shape {values.shape}, "
+                                f"node codes {self.node.shape}")
+            setattr(self, col, values)
+        if len(self) and (self.node.min() < 0 or self.node.max() >= len(self.names)):
+            raise DataError("trace node code outside the name table")
+
+    def __len__(self) -> int:
+        return self.node.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (len(self) == len(other)
+                and np.array_equal(self.node_ids(), other.node_ids())
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in TRACE_COLUMNS))
+
+    def node_ids(self) -> np.ndarray:
+        """Node name of every row."""
+        return np.asarray(self.names, dtype=object)[self.node]
 
     def features(self) -> np.ndarray:
-        return np.array([self.hn, self.rssi, self.prr, self.rnp], dtype=float)
+        """(N, 4) selector-visible feature matrix, columns in FEATURE_NAMES order."""
+        return np.column_stack((self.hn, self.rssi, self.prr, self.rnp))
+
+
+def _bad_features(hn, rssi, prr, rnp) -> np.ndarray:
+    """Row mask of the failures _check_feature_row reports."""
+    finite = np.isfinite(hn) & np.isfinite(rssi) & np.isfinite(prr) & np.isfinite(rnp)
+    return ~finite | (hn < 1) | ~((prr >= 0.0) & (prr <= 1.0)) | (rnp < 1)
 
 
 def _check_feature_row(hn: float, rssi: float, prr: float, rnp: float, row: int) -> None:
@@ -153,33 +192,40 @@ def _check_feature_row(hn: float, rssi: float, prr: float, rnp: float, row: int)
         raise DataError(f"row {row}: rnp must be >= 1, got {rnp}")
 
 
-def _read_csv_rows(path, expected_header) -> list[dict]:
+def _read_csv(path, expected_header) -> list[str]:
+    """Cells of the data records, row-major, of a CSV whose header must be
+    expected_header. Blank lines are skipped; a record of the wrong width is
+    reported by its index among all records after the header."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header {','.join(expected_header)}")
-        header = [h.strip() for h in header]
-        missing = [c for c in expected_header if c not in header]
-        extra = [c for c in header if c not in expected_header]
-        if missing:
-            raise DataError(f"{path}: missing column {missing[0]!r}")
-        if extra:
-            raise DataError(f"{path}: unexpected column {extra[0]!r}")
-        if tuple(header) != tuple(expected_header):
-            raise DataError(f"{path}: columns must be ordered {','.join(expected_header)}")
-        rows = []
-        for i, raw in enumerate(reader):
+            records = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"{path}: not a UTF-8 CSV file: {e}") from e
+    if not records:
+        raise DataError(f"{path}: empty file, expected header {','.join(expected_header)}")
+    header = [h.strip() for h in records[0]]
+    missing = [c for c in expected_header if c not in header]
+    extra = [c for c in header if c not in expected_header]
+    if missing:
+        raise DataError(f"{path}: missing column {missing[0]!r}")
+    if extra:
+        raise DataError(f"{path}: unexpected column {extra[0]!r}")
+    if tuple(header) != tuple(expected_header):
+        raise DataError(f"{path}: columns must be ordered {','.join(expected_header)}")
+    rows = records[1:]
+    if set(map(len, rows)) - {len(header)}:  # blank lines or records of the wrong width
+        kept = []
+        for i, raw in enumerate(rows):
             if not raw or (len(raw) == 1 and raw[0].strip() == ""):
                 continue
             if len(raw) != len(header):
                 raise DataError(f"{path}: row {i}: expected {len(header)} fields, got {len(raw)}")
-            rows.append(dict(zip(header, raw)))
-    return rows
+            kept.append(raw)
+        rows = kept
+    return list(itertools.chain.from_iterable(rows))
 
 
 def _parse_float(s: str, row: int, col: str) -> float:
@@ -189,31 +235,56 @@ def _parse_float(s: str, row: int, col: str) -> float:
         raise DataError(f"row {row}: cannot parse {col}={s!r} as number")
 
 
+def _parse_columns(cells_by_column) -> tuple[list[np.ndarray], np.ndarray]:
+    """float() of every cell of each column, and the mask of rows holding a
+    cell that float() rejects; rejected cells read as NaN."""
+    columns, bad = [], np.zeros(len(cells_by_column[0]), dtype=bool)
+    for cells in cells_by_column:
+        try:
+            columns.append(np.array(list(map(float, cells))))
+        except ValueError:
+            values = np.full(len(cells), np.nan)
+            for i, s in enumerate(cells):
+                try:
+                    values[i] = float(s)
+                except ValueError:
+                    bad[i] = True
+            columns.append(values)
+    return columns, bad
+
+
+def _check_dataset_row(raw, i: int) -> None:
+    """The checks of one dataset record, in the order they report errors."""
+    hn, rssi, prr, rnp = (_parse_float(s, i, col) for s, col in zip(raw[:4], FEATURE_NAMES))
+    _check_feature_row(hn, rssi, prr, rnp, i)
+    cost = _parse_float(raw[5], i, "cost")
+    if not math.isfinite(cost) or cost <= 0:
+        raise DataError(f"row {i}: cost must be finite and > 0, got {raw[5]}")
+    RadioClass.from_name(raw[4])
+
+
 def load_dataset(path, with_scaler: bool = False) -> Dataset:
     """Read a `hn,rssi,prr,rnp,label,cost` CSV into a Dataset.
 
     Features are returned raw (no scaling) unless ``with_scaler`` is set,
     in which case a z-scaler is fitted, applied, and stored on the result.
+    The checks run on whole columns; the first failing row is then checked
+    alone, so the error names that row and its first failed check.
     """
-    rows = _read_csv_rows(path, DATASET_HEADER)
-    if not rows:
+    cells = _read_csv(path, DATASET_HEADER)
+    if not cells:
         raise DataError(f"{path}: empty dataset")
-    X = np.empty((len(rows), 4), dtype=float)
-    y = np.empty(len(rows), dtype=int)
-    c = np.empty(len(rows), dtype=float)
-    for i, r in enumerate(rows):
-        hn = _parse_float(r["hn"], i, "hn")
-        rssi = _parse_float(r["rssi"], i, "rssi")
-        prr = _parse_float(r["prr"], i, "prr")
-        rnp = _parse_float(r["rnp"], i, "rnp")
-        _check_feature_row(hn, rssi, prr, rnp, i)
-        cost = _parse_float(r["cost"], i, "cost")
-        if not math.isfinite(cost) or cost <= 0:
-            raise DataError(f"row {i}: cost must be finite and > 0, got {r['cost']}")
-        X[i] = (hn, rssi, prr, rnp)
-        y[i] = int(RadioClass.from_name(r["label"]))
-        c[i] = cost
-    ds = Dataset(X, y, c)
+    width = len(DATASET_HEADER)
+    (hn, rssi, prr, rnp, c), bad = _parse_columns([cells[j::width] for j in (0, 1, 2, 3, 5)])
+    label_cells = cells[4::width]
+    label_codes = {s: _LABEL_CODES.get(s.strip().lower(), -1) for s in set(label_cells)}
+    y = np.fromiter(map(label_codes.__getitem__, label_cells), dtype=int,
+                    count=len(label_cells))
+    bad |= _bad_features(hn, rssi, prr, rnp) | ~np.isfinite(c) | (c <= 0) | (y < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_dataset_row(cells[i * width:(i + 1) * width], i)
+    ds = Dataset(np.column_stack((hn, rssi, prr, rnp)), y, c)
     if with_scaler:
         ds = standardize(ds)
     return ds
@@ -222,74 +293,88 @@ def load_dataset(path, with_scaler: bool = False) -> Dataset:
 def save_dataset(ds: Dataset, path) -> None:
     """Write a Dataset as CSV (raw-feature convention; scaler not persisted)."""
     path = Path(path)
+    labels = np.array(["zigbee", "lora"], dtype=object)[ds.y].tolist()
+    rows = zip(*ds.X.T.tolist(), labels, ds.c.tolist())
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(DATASET_HEADER) + "\n")
-        for i in range(ds.n):
-            label = "zigbee" if ds.y[i] == 0 else "lora"
-            fields = [_fmt(v) for v in ds.X[i]] + [label, _fmt(ds.c[i])]
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(map(_DATASET_ROW.__mod__, rows))
 
 
-def load_traces(path) -> list[TraceRecord]:
-    """Read a `node_id,t,tp_zigbee,tp_lora,hn,rssi,prr,rnp` trace CSV."""
-    rows = _read_csv_rows(path, TRACE_HEADER)
-    if not rows:
+def _check_trace_row(raw, i: int, prev_t: float | None) -> None:
+    """The checks of one trace record, in the order they report errors;
+    prev_t is the time of the node's previous record, if any."""
+    t = _parse_float(raw[1], i, "t")
+    tpz = _parse_float(raw[2], i, "tp_zigbee")
+    tpl = _parse_float(raw[3], i, "tp_lora")
+    if not (math.isfinite(tpz) and math.isfinite(tpl)) or tpz < 0 or tpl < 0:
+        raise DataError(f"row {i}: throughputs must be finite and >= 0")
+    hn, rssi, prr, rnp = (_parse_float(s, i, col) for s, col in zip(raw[4:], FEATURE_NAMES))
+    _check_feature_row(hn, rssi, prr, rnp, i)
+    if prev_t is not None and t < prev_t:
+        raise DataError(f"row {i}: t decreases for node {raw[0].strip()}")
+
+
+def load_traces(path) -> Trace:
+    """Read a `node_id,t,tp_zigbee,tp_lora,hn,rssi,prr,rnp` trace CSV.
+
+    Node ids are stripped and coded in order of first appearance. As in
+    load_dataset, the first failing row is checked alone to name the error.
+    """
+    cells = _read_csv(path, TRACE_HEADER)
+    if not cells:
         raise DataError(f"{path}: empty trace file")
-    out = []
-    last_t: dict[str, float] = {}
-    for i, r in enumerate(rows):
-        t = _parse_float(r["t"], i, "t")
-        tpz = _parse_float(r["tp_zigbee"], i, "tp_zigbee")
-        tpl = _parse_float(r["tp_lora"], i, "tp_lora")
-        if not (math.isfinite(tpz) and math.isfinite(tpl)) or tpz < 0 or tpl < 0:
-            raise DataError(f"row {i}: throughputs must be finite and >= 0")
-        hn = _parse_float(r["hn"], i, "hn")
-        rssi = _parse_float(r["rssi"], i, "rssi")
-        prr = _parse_float(r["prr"], i, "prr")
-        rnp = _parse_float(r["rnp"], i, "rnp")
-        _check_feature_row(hn, rssi, prr, rnp, i)
-        node = r["node_id"].strip()
-        if node in last_t and t < last_t[node]:
-            raise DataError(f"row {i}: t decreases for node {node}")
-        last_t[node] = t
-        out.append(TraceRecord(node, t, tpz, tpl, hn, rssi, prr, rnp))
-    return out
+    width = len(TRACE_HEADER)
+    node_cells = cells[::width]
+    names: dict[str, int] = {}
+    node = np.fromiter((names.setdefault(s.strip(), len(names)) for s in node_cells),
+                       dtype=np.intp, count=len(node_cells))
+    columns, bad = _parse_columns([cells[j::width] for j in range(1, width)])
+    t, tpz, tpl, hn, rssi, prr, rnp = columns
+    bad |= ~(np.isfinite(tpz) & np.isfinite(tpl)) | (tpz < 0) | (tpl < 0)
+    bad |= _bad_features(hn, rssi, prr, rnp)
+    # a row is out of order when its t is below the node's previous row's t
+    order = np.argsort(node, kind="stable")
+    prev, cur = order[:-1], order[1:]
+    bad[cur[(node[cur] == node[prev]) & (t[cur] < t[prev])]] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        earlier = np.flatnonzero(node[:i] == node[i])
+        _check_trace_row(cells[i * width:(i + 1) * width], i,
+                         float(t[earlier[-1]]) if earlier.size else None)
+    return Trace(tuple(names), node, *columns)
 
 
-def save_traces(traces: list[TraceRecord], path) -> None:
+def save_traces(traces: Trace, path) -> None:
     path = Path(path)
+    rows = zip(traces.node_ids().tolist(), *(getattr(traces, c).tolist() for c in TRACE_COLUMNS))
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        for r in traces:
-            fields = [r.node_id, _fmt(r.t), _fmt(r.tp_zigbee), _fmt(r.tp_lora),
-                      _fmt(r.hn), _fmt(r.rssi), _fmt(r.prr), _fmt(r.rnp)]
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(map(_TRACE_ROW.__mod__, rows))
 
 
-def label_traces(traces: list[TraceRecord], tie_policy: str = "drop") -> Dataset:
+def label_traces(traces: Trace, tie_policy: str = "drop") -> Dataset:
     """Derive labels and costs from realized throughputs.
 
     Label = radio with the higher throughput; cost = |tp_zigbee - tp_lora|.
     Ties (cost 0) are dropped under the default policy or rejected under
     tie_policy="error".
     """
-    if not traces:
+    if not len(traces):
         raise DataError("no trace records")
     if tie_policy not in ("drop", "error"):
         raise DataError(f"unknown tie policy {tie_policy!r}")
-    X, y, c = [], [], []
-    for r in traces:
-        diff = r.tp_zigbee - r.tp_lora
-        if diff == 0.0:
-            if tie_policy == "error":
-                raise DataError(f"tied throughputs at node {r.node_id}, t={r.t}")
-            continue
-        X.append(r.features())
-        y.append(int(RadioClass.ZIGBEE) if diff > 0 else int(RadioClass.LORA))
-        c.append(abs(diff))
-    if not X:
+    diff = traces.tp_zigbee - traces.tp_lora
+    tie = diff == 0.0
+    if tie_policy == "error" and tie.any():
+        i = int(np.argmax(tie))
+        raise DataError(f"tied throughputs at node {traces.names[traces.node[i]]}, "
+                        f"t={float(traces.t[i])}")
+    keep = ~tie
+    if not keep.any():
         raise DataError("all trace records tied: empty dataset")
-    return Dataset(np.array(X), np.array(y), np.array(c))
+    diff = diff[keep]
+    y = np.where(diff > 0, int(RadioClass.ZIGBEE), int(RadioClass.LORA))
+    return Dataset(traces.features()[keep], y, np.abs(diff))
 
 
 def standardize(ds: Dataset) -> Dataset:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import TraceRecord, FEATURE_NAMES
+from .dataset import FEATURE_NAMES, Trace
 from .errors import DataError
 from .tree import ObliqueTree
 
@@ -84,6 +84,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.config_version != CONFIG_VERSION:
             raise DataError(f"unsupported scenario config_version {self.config_version}")
+        if self.n_nodes < 1:
+            raise DataError("a scenario needs at least one node")
         if len(self.distances_m) != self.n_nodes:
             raise DataError(f"{self.n_nodes} nodes but {len(self.distances_m)} distances")
         if any(d <= 0 for d in self.distances_m):
@@ -142,11 +144,16 @@ def hop_count(cfg: ScenarioConfig, distance_m: float) -> int:
     return max(1, math.ceil(distance_m / cfg.hop_range_m))
 
 
-def generate(cfg: ScenarioConfig, seed: int | None = None) -> list[TraceRecord]:
-    """Deterministic trace: per node, n_packets scheduled every interval."""
+def generate(cfg: ScenarioConfig, seed: int | None = None) -> Trace:
+    """Deterministic trace: per node, n_packets scheduled every interval.
+
+    Nodes are named n00, n01, ... in the order of cfg.distances_m, and each
+    node's rows form one block, blocks in that order.
+    """
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    records: list[TraceRecord] = []
+    per_node = []   # one tuple of columns per node, in dataset.TRACE_COLUMNS order
     m = cfg.n_packets
+    t = np.arange(m) * cfg.packet_interval_s
     for idx, d in enumerate(cfg.distances_m):
         hn = hop_count(cfg, d)
         # latent channel state, one draw set per packet in fixed order
@@ -173,14 +180,12 @@ def generate(cfg: ScenarioConfig, seed: int | None = None) -> list[TraceRecord]:
         prr_obs = np.clip(prr_true + prr_meas, 0.0, 1.0)
         rnp_obs = np.maximum(1.0, rnp_true * rnp_meas)
 
-        node = f"n{idx:02d}"
-        for i in range(m):
-            records.append(TraceRecord(
-                node_id=node, t=i * cfg.packet_interval_s,
-                tp_zigbee=float(tp_zigbee[i]), tp_lora=float(tp_lora[i]),
-                hn=float(hn), rssi=float(rssi_obs[i]),
-                prr=float(prr_obs[i]), rnp=float(rnp_obs[i])))
-    return records
+        per_node.append((t, tp_zigbee, tp_lora, np.full(m, float(hn)),
+                         rssi_obs, prr_obs, rnp_obs))
+    n_nodes = len(per_node)
+    return Trace(tuple(f"n{idx:02d}" for idx in range(n_nodes)),
+                 np.repeat(np.arange(n_nodes), m),
+                 *(np.concatenate(col) for col in zip(*per_node)))
 
 
 # ---------- selectors ----------
@@ -191,7 +196,7 @@ class AlwaysSelector:
         self.radio = int(radio)
         self.name = "always_zigbee" if self.radio == 0 else "always_lora"
 
-    def choose(self, traces) -> np.ndarray:
+    def choose(self, traces: Trace) -> np.ndarray:
         return np.full(len(traces), self.radio, dtype=int)
 
 
@@ -200,10 +205,8 @@ class OracleSelector:
 
     name = "oracle"
 
-    def choose(self, traces) -> np.ndarray:
-        tpz = np.array([r.tp_zigbee for r in traces])
-        tpl = np.array([r.tp_lora for r in traces])
-        return (tpl > tpz).astype(int)
+    def choose(self, traces: Trace) -> np.ndarray:
+        return (traces.tp_lora > traces.tp_zigbee).astype(int)
 
 
 class TreeSelector:
@@ -217,9 +220,8 @@ class TreeSelector:
         self.tree = tree
         self.name = name
 
-    def choose(self, traces) -> np.ndarray:
-        X = np.array([[r.hn, r.rssi, r.prr, r.rnp] for r in traces])
-        return self.tree.predict_many(X)
+    def choose(self, traces: Trace) -> np.ndarray:
+        return self.tree.predict_many(traces.features())
 
 
 class ThresholdSelector:
@@ -230,9 +232,8 @@ class ThresholdSelector:
         self.hn_threshold = float(hn_threshold)
         self.name = f"threshold_hn{self.hn_threshold:g}"
 
-    def choose(self, traces) -> np.ndarray:
-        hn = np.array([r.hn for r in traces])
-        return (hn >= self.hn_threshold).astype(int)
+    def choose(self, traces: Trace) -> np.ndarray:
+        return (traces.hn >= self.hn_threshold).astype(int)
 
 
 @dataclass
@@ -250,21 +251,21 @@ class ReplayResult:
     cdf: list  # (percentile, throughput_bps)
 
 
-def replay(traces: list[TraceRecord], selector) -> ReplayResult:
+def replay(traces: Trace, selector) -> ReplayResult:
     """Run one selector over a trace; throughputs are taken from the chosen
     radio's recorded value, the oracle takes the per-packet max."""
-    if not traces:
+    if not len(traces):
         raise DataError("no trace records to replay")
     choices = np.asarray(selector.choose(traces), dtype=int)
-    tpz = np.array([r.tp_zigbee for r in traces])
-    tpl = np.array([r.tp_lora for r in traces])
+    tpz, tpl = traces.tp_zigbee, traces.tp_lora
     achieved = np.where(choices == 0, tpz, tpl)
     oracle = np.maximum(tpz, tpl)
     mean_achieved = float(np.mean(achieved))
     mean_oracle = float(np.mean(oracle))
     best_single = max(float(np.mean(tpz)), float(np.mean(tpl)))
     worst_single = min(float(np.mean(tpz)), float(np.mean(tpl)))
-    cdf = [(p, float(np.percentile(achieved, p))) for p in range(1, 101)]
+    percentiles = range(1, 101)
+    cdf = list(zip(percentiles, np.percentile(achieved, percentiles).tolist()))
     return ReplayResult(
         selector=selector.name,
         choices=choices,
@@ -301,29 +302,31 @@ def staleness_probability(cfg: ScenarioConfig, interval_s: float) -> float:
     return min(cfg.stale_prob_max, frac)
 
 
-def _stale_traces(traces, cfg: ScenarioConfig, interval_s: float, seed: int):
+def _stale_traces(traces: Trace, cfg: ScenarioConfig, interval_s: float,
+                  seed: int) -> Trace:
     """Replace PRR/RNP observations with lagged ones for queued packets.
 
     Path-quality beacons sit in the same queue as data, so under load the
     estimator reports an older channel state. Throughputs (ground truth)
-    are never touched.
+    are never touched. Each node draws its stale mask in turn, nodes taken
+    in sorted-name order (not code order: "n100" sorts before "n11").
     """
     p_stale = staleness_probability(cfg, interval_s)
     if p_stale == 0.0:
         return traces
     lag = 1 + int(mean_wait_s(cfg, interval_s) / interval_s)
     rng = np.random.default_rng(np.random.SeedSequence([seed, int(interval_s * 1000), 0xA5]))
-    by_node: dict[str, list[int]] = {}
-    for i, r in enumerate(traces):
-        by_node.setdefault(r.node_id, []).append(i)
-    out = list(traces)
-    for node, idxs in sorted(by_node.items()):
-        stale = rng.random(len(idxs)) < p_stale
-        for pos, i in enumerate(idxs):
-            if stale[pos]:
-                src = traces[idxs[max(0, pos - lag)]]
-                out[i] = replace(traces[i], prr=src.prr, rnp=src.rnp)
-    return out
+    order = np.argsort(traces.node, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(traces.node,
+                                                        minlength=len(traces.names)))))
+    prr, rnp = traces.prr.copy(), traces.rnp.copy()
+    for code in sorted(range(len(traces.names)), key=traces.names.__getitem__):
+        idxs = order[bounds[code]:bounds[code + 1]]
+        stale = rng.random(idxs.size) < p_stale
+        src = idxs[np.maximum(0, np.arange(idxs.size) - lag)]
+        prr[idxs[stale]] = traces.prr[src[stale]]
+        rnp[idxs[stale]] = traces.rnp[src[stale]]
+    return replace(traces, prr=prr, rnp=rnp)
 
 
 @dataclass

@@ -264,11 +264,3 @@ def train(ds: Dataset, cfg: TaoConfig, val: Dataset | None = None) -> TaoResult:
     candidates.sort(key=lambda item: (item[0], item[1]))  # tie prefers 'cart'
     return candidates[0][2]
 
-
-def rerun_fixed_point(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
-    """Re-optimize a converged tree on the same data.
-
-    For a tree train() finished at a fixed point, no node update is
-    accepted: objective and structural signature come back unchanged.
-    """
-    return optimize_tree(t, ds, cfg)

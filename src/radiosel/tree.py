@@ -172,16 +172,21 @@ class ObliqueTree:
         x = np.asarray(x, dtype=float)
         if self._dim is not None and x.shape != (self._dim,):
             raise DataError(f"feature vector has shape {x.shape}, tree expects ({self._dim},)")
-        if self.scaler is not None:
-            x = self.scaler.transform(x)
-        return self.nodes[self._leaf_for(x)].label
+        return self.nodes[self._leaf_for(self._scale(x))].label
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         """Vectorized predictions for raw feature rows."""
-        X = np.asarray(X, dtype=float)
-        if self.scaler is not None:
-            X = self.scaler.transform(X)
-        return self.predict_model(X)
+        return self.predict_model(self._scale(np.asarray(X, dtype=float)))
+
+    def _scale(self, X: np.ndarray) -> np.ndarray:
+        """Raw rows to model space. A leaf-only model has no hyperplane to
+        fix the feature count, so the scaler's width is checked here."""
+        if self.scaler is None:
+            return X
+        width = self.scaler.mean.shape[0]
+        if X.shape[-1] != width:
+            raise DataError(f"input has {X.shape[-1]} features, model scaler has {width}")
+        return self.scaler.transform(X)
 
     def predict_model(self, X: np.ndarray) -> np.ndarray:
         """Vectorized predictions for model-space rows (no scaler applied)."""

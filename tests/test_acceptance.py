@@ -228,7 +228,7 @@ def test_criterion_07_stability(field_runs):
                             lam=float(rng.choice([0.0, 0.01, 0.1])),
                             init_policy=str(rng.choice(["random", "cart"])), seed=seed)
         res = tao.train(sub, cfg)
-        again = tao.rerun_fixed_point(res.tree, sub, cfg)
+        again = tao.optimize_tree(res.tree, sub, cfg)
         assert again.history[-1] == res.history[-1], f"objective moved (seed {seed})"
         assert again.tree.structural_signature() == res.tree.structural_signature(), \
             f"signature changed (seed {seed})"

@@ -7,7 +7,9 @@ import pytest
 
 from radiosel import dataset, simulator, tree
 from radiosel.cli import main
+from radiosel.dataset import Scaler
 from radiosel.export import ProgramInterpreter
+from radiosel.tree import LeafNode, ObliqueTree
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +229,20 @@ class TestMalformedModel:
         assert main(["export", "--model", model, "--out-dir", str(tmp_path / "ex")]) == 3
         err = capsys.readouterr().err
         assert "node 0: folding the scaler" in err and "non-finite" in err
+
+
+    def test_leaf_only_scaler_width_exit_3(self, tmp_path, data_csv, capsys):
+        path = tmp_path / "leaf.json"
+        tree.save(ObliqueTree({0: LeafNode(1)}, 0,
+                              scaler=Scaler(mean=np.zeros(3), std=np.ones(3))), path)
+        assert main(["eval", "--model", str(path), "--data", str(data_csv),
+                     "--out-dir", str(tmp_path / "ev")]) == 3
+        assert main(["simulate", "--model", str(path), "--out-dir",
+                     str(tmp_path / "sim")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("input has 4 features, model scaler has 3") == 2
+        # a constant program over the scaler's 3 features is well formed
+        assert main(["export", "--model", str(path), "--out-dir", str(tmp_path / "ex")]) == 0
 
 
 def test_console_entry_point(tmp_path):

@@ -1,0 +1,216 @@
+"""Property-based tests of the CSV readers and writers.
+
+Round trips are exact on arbitrary valid rows, and a corrupted file either
+loads or raises DataError with exactly the outcome of a row-by-row
+reference reader that checks each record in turn.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
+
+from radiosel.dataset import (DATASET_HEADER, FEATURE_NAMES, TRACE_COLUMNS,
+                              TRACE_HEADER, Dataset, RadioClass, Trace, _read_csv,
+                              load_dataset, load_traces, save_dataset, save_traces)
+from radiosel.errors import DataError
+
+# Derandomized, so a failing example repeats on every run; shrinking is off
+# because it takes minutes and hundreds of MB on these file-writing tests.
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+THROUGHPUT = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+AT_LEAST_ONE = st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)
+PRR = st.floats(min_value=0.0, max_value=1.0)
+COST = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+# CSV-safe node ids: the writer does not quote, and the reader strips blanks
+NODE_ID = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"),
+                                blacklist_characters=',"'), min_size=1, max_size=6)
+
+
+@st.composite
+def traces(draw):
+    names = draw(st.lists(NODE_ID, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(st.integers(0, len(names) - 1), FINITE, THROUGHPUT,
+                                   THROUGHPUT, AT_LEAST_ONE, FINITE, PRR, AT_LEAST_ONE),
+                         min_size=1, max_size=25))
+    node, t, *columns = (list(c) for c in zip(*rows))
+    return Trace(tuple(names), node, sorted(t), *columns)
+
+
+@st.composite
+def datasets(draw):
+    rows = draw(st.lists(st.tuples(AT_LEAST_ONE, FINITE, PRR, AT_LEAST_ONE,
+                                   st.integers(0, 1), COST), min_size=1, max_size=25))
+    *features, y, c = (list(col) for col in zip(*rows))
+    return Dataset(np.column_stack(features), y, c)
+
+
+def parse_float(s, row, col):
+    try:
+        return float(s)
+    except ValueError:
+        raise DataError(f"row {row}: cannot parse {col}={s!r} as number")
+
+
+def check_features(hn, rssi, prr, rnp, row):
+    if not all(math.isfinite(v) for v in (hn, rssi, prr, rnp)):
+        raise DataError(f"row {row}: non-finite feature value")
+    if hn < 1:
+        raise DataError(f"row {row}: hn must be >= 1, got {hn}")
+    if not (0.0 <= prr <= 1.0):
+        raise DataError(f"row {row}: prr must be in [0,1], got {prr}")
+    if rnp < 1:
+        raise DataError(f"row {row}: rnp must be >= 1, got {rnp}")
+
+
+def reference_load_traces(path):
+    """Row-by-row trace reader: every check on one record before the next."""
+    cells, width = _read_csv(path, TRACE_HEADER), len(TRACE_HEADER)
+    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    if not rows:
+        raise DataError(f"{path}: empty trace file")
+    names, node, columns, last_t = {}, [], [], {}
+    for i, raw in enumerate(rows):
+        t = parse_float(raw[1], i, "t")
+        tpz = parse_float(raw[2], i, "tp_zigbee")
+        tpl = parse_float(raw[3], i, "tp_lora")
+        if not (math.isfinite(tpz) and math.isfinite(tpl)) or tpz < 0 or tpl < 0:
+            raise DataError(f"row {i}: throughputs must be finite and >= 0")
+        features = [parse_float(s, i, col) for s, col in zip(raw[4:], FEATURE_NAMES)]
+        check_features(*features, i)
+        name = raw[0].strip()
+        if name in last_t and t < last_t[name]:
+            raise DataError(f"row {i}: t decreases for node {name}")
+        last_t[name] = t
+        node.append(names.setdefault(name, len(names)))
+        columns.append([t, tpz, tpl] + features)
+    return Trace(tuple(names), node, *zip(*columns))
+
+
+def reference_load_dataset(path):
+    """Row-by-row dataset reader: every check on one record before the next."""
+    cells, width = _read_csv(path, DATASET_HEADER), len(DATASET_HEADER)
+    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    if not rows:
+        raise DataError(f"{path}: empty dataset")
+    X, y, c = [], [], []
+    for i, raw in enumerate(rows):
+        features = [parse_float(s, i, col) for s, col in zip(raw[:4], FEATURE_NAMES)]
+        check_features(*features, i)
+        cost = parse_float(raw[5], i, "cost")
+        if not math.isfinite(cost) or cost <= 0:
+            raise DataError(f"row {i}: cost must be finite and > 0, got {raw[5]}")
+        y.append(int(RadioClass.from_name(raw[4])))
+        X.append(features)
+        c.append(cost)
+    return Dataset(np.array(X), y, c)
+
+
+def outcome(load, path):
+    """("ok", result) or ("error", message); any other exception escapes."""
+    try:
+        return "ok", load(path)
+    except DataError as e:
+        return "error", str(e)
+
+
+def same_trace(a, b):
+    """Equal name tables, rows and columns; NaN t values match each other."""
+    return (a.names == b.names and np.array_equal(a.node, b.node)
+            and all(np.array_equal(getattr(a, c), getattr(b, c), equal_nan=True)
+                    for c in TRACE_COLUMNS))
+
+
+def same_dataset(a, b):
+    return (np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+            and np.array_equal(a.c, b.c))
+
+
+CELLS = [b"", b"nan", b"inf", b"-1", b"-0", b"0.5", b"1.5", b"x", b"zigbee", b"wifi",
+         b"\xff"]
+BLOBS = st.text("0123456789.,-+eEnaif \n\r\"", min_size=1, max_size=3).map(str.encode)
+
+
+@st.composite
+def corruptions(draw, data: bytes):
+    """The file with one to three cells replaced by awkward values, and at
+    most one byte-level edit (overwrite, delete, insert, truncate) after
+    the header."""
+    header, _, body = data.partition(b"\n")
+    rows = [line.split(b",") for line in body.split(b"\n")[:-1]]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(CELLS))
+    out = bytearray(b"".join(b",".join(row) + b"\n" for row in rows))
+    edits = st.tuples(st.sampled_from(["set", "delete", "insert", "cut"]),
+                      st.integers(0, len(out)), BLOBS)
+    for kind, pos, blob in draw(st.lists(edits, max_size=1)):
+        if kind == "set":
+            out[pos:pos + len(blob)] = blob
+        elif kind == "delete":
+            del out[pos:pos + len(blob)]
+        elif kind == "insert":
+            out[pos:pos] = blob
+        else:
+            del out[pos:]
+    return header + b"\n" + bytes(out)
+
+
+class TestRoundTrip:
+    @SETTINGS
+    @given(trace=traces())
+    def test_traces(self, tmp_path, trace):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_traces(trace, first)
+        loaded = load_traces(first)
+        assert loaded == trace
+        save_traces(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @SETTINGS
+    @given(ds=datasets())
+    def test_dataset(self, tmp_path, ds):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_dataset(ds, first)
+        loaded = load_dataset(first)
+        assert same_dataset(loaded, ds)
+        save_dataset(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+class TestCorruptedFiles:
+    @SETTINGS
+    @given(data=st.data(), trace=traces())
+    def test_traces_match_reference(self, tmp_path, data, trace):
+        path = tmp_path / "t.csv"
+        save_traces(trace, path)
+        path.write_bytes(data.draw(corruptions(path.read_bytes())))
+        kind, got = outcome(load_traces, path)
+        ref_kind, expected = outcome(reference_load_traces, path)
+        assert kind == ref_kind
+        assert got == expected if kind == "error" else same_trace(got, expected)
+
+    @SETTINGS
+    @given(data=st.data(), ds=datasets())
+    def test_dataset_matches_reference(self, tmp_path, data, ds):
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        path.write_bytes(data.draw(corruptions(path.read_bytes())))
+        kind, got = outcome(load_dataset, path)
+        ref_kind, expected = outcome(reference_load_dataset, path)
+        assert kind == ref_kind
+        assert got == expected if kind == "error" else same_dataset(got, expected)
+
+
+@pytest.mark.parametrize("load", [load_traces, load_dataset])
+def test_non_utf8_is_data_error(tmp_path, load):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"\xff\xfe\x00garbage\n")
+    with pytest.raises(DataError, match="not a UTF-8 CSV file"):
+        load(path)

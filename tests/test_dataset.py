@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radiosel.dataset import (Dataset, RadioClass, TraceRecord, label_traces,
+from radiosel.dataset import (Dataset, RadioClass, Trace, label_traces,
                               load_dataset, load_traces, save_dataset,
                               save_traces, split, standardize,
                               stratified_kfold_indices)
@@ -80,53 +80,96 @@ class TestLoadDataset:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestLabelTraces:
-    @staticmethod
-    def rec(tpz, tpl, node="n0", t=0.0):
-        return TraceRecord(node, t, tpz, tpl, 2, -95.0, 0.8, 1.4)
+def make_trace(tpz, tpl, node=None, t=None, names=("n0",)):
+    """Trace over throughput pairs with fixed features; one node unless
+    per-row node codes are given."""
+    n = len(tpz)
+    return Trace(names, np.zeros(n, dtype=int) if node is None else node,
+                 np.zeros(n) if t is None else t, tpz, tpl,
+                 np.full(n, 2.0), np.full(n, -95.0), np.full(n, 0.8), np.full(n, 1.4))
 
+
+class TestLabelTraces:
     def test_high_cost_pair(self):
-        ds = label_traces([self.rec(7000, 2000)])
+        ds = label_traces(make_trace([7000], [2000]))
         assert ds.y[0] == RadioClass.ZIGBEE
         assert ds.c[0] == 5000.0
 
     def test_low_cost_pair(self):
-        ds = label_traces([self.rec(4600, 4500)])
+        ds = label_traces(make_trace([4600], [4500]))
         assert ds.y[0] == RadioClass.ZIGBEE  # zigbee wins, not lora
         assert ds.c[0] == 100.0
 
     def test_tie_dropped(self):
-        ds = label_traces([self.rec(3000, 3000), self.rec(5000, 1000)])
+        ds = label_traces(make_trace([3000, 5000], [3000, 1000]))
         assert ds.n == 1
         assert ds.c[0] == 4000.0
 
     def test_all_ties_error(self):
         with pytest.raises(DataError, match="tied"):
-            label_traces([self.rec(3000, 3000)])
+            label_traces(make_trace([3000], [3000]))
 
     def test_tie_policy_error(self):
-        with pytest.raises(DataError):
-            label_traces([self.rec(3000, 3000), self.rec(1, 2)], tie_policy="error")
+        trace = make_trace([1, 3000, 3000], [2, 3000, 5], node=[0, 1, 1],
+                           t=[0.0, 2.5, 3.0], names=("n0", "n1"))
+        with pytest.raises(DataError) as err:
+            label_traces(trace, tie_policy="error")
+        assert str(err.value) == "tied throughputs at node n1, t=2.5"
+
+    def test_empty_trace(self):
+        with pytest.raises(DataError, match="no trace records"):
+            label_traces(make_trace([], []))
 
     def test_label_and_cost_recomputed(self, rng):
-        traces = [self.rec(float(a), float(b), t=float(i))
-                  for i, (a, b) in enumerate(rng.uniform(0, 9000, size=(300, 2)))]
-        ds = label_traces(traces)
-        kept = [r for r in traces if r.tp_zigbee != r.tp_lora]
-        assert ds.n == len(kept)
-        for i, r in enumerate(kept):
-            assert ds.c[i] == abs(r.tp_zigbee - r.tp_lora) > 0
-            assert ds.y[i] == (0 if r.tp_zigbee > r.tp_lora else 1)
+        tpz, tpl = rng.uniform(0, 9000, size=(2, 300))
+        tpz[::7] = tpl[::7]  # ties
+        trace = make_trace(tpz, tpl, t=np.arange(300.0))
+        ds = label_traces(trace)
+        kept = [i for i in range(len(trace)) if trace.tp_zigbee[i] != trace.tp_lora[i]]
+        assert ds.n == len(kept) < len(trace)
+        for i, k in enumerate(kept):
+            assert ds.c[i] == abs(trace.tp_zigbee[k] - trace.tp_lora[k]) > 0
+            assert ds.y[i] == (0 if trace.tp_zigbee[k] > trace.tp_lora[k] else 1)
+            assert np.array_equal(ds.X[i], [trace.hn[k], trace.rssi[k],
+                                            trace.prr[k], trace.rnp[k]])
 
     def test_trace_round_trip(self, tmp_path, rng):
-        traces = [TraceRecord(f"n{i%3:02d}", float(i // 3), float(a), float(b),
-                              float(rng.integers(1, 5)), float(rng.uniform(-120, -70)),
-                              float(rng.uniform(0, 1)), float(rng.uniform(1, 8)))
-                  for i, (a, b) in enumerate(rng.uniform(0, 9000, size=(60, 2)))]
+        i = np.arange(60)
+        traces = Trace(("n00", "n01", "n02"), i % 3, (i // 3).astype(float),
+                       *rng.uniform(0, 9000, size=(2, 60)),
+                       rng.integers(1, 5, 60).astype(float), rng.uniform(-120, -70, 60),
+                       rng.uniform(0, 1, 60), rng.uniform(1, 8, 60))
         p = tmp_path / "t.csv"
         save_traces(traces, p)
         again = load_traces(p)
         assert again == traces
+
+
+class TestTrace:
+    def test_columns_checked(self):
+        with pytest.raises(DataError, match="shape"):
+            make_trace([1.0, 2.0], [1.0])
+        with pytest.raises(DataError, match="name table"):
+            make_trace([1.0], [2.0], node=[1])
+
+    def test_equality_is_exact_and_row_wise(self):
+        a = make_trace([1.0, 0.0], [2.0, 3.0], node=[0, 1], names=("a", "b"))
+        b = make_trace([1.0, -0.0], [2.0, 3.0], node=[1, 0], names=("b", "a"))
+        assert (a == b) is True
+        assert (a == make_trace([1.0, 0.0], [2.0, 3.0], node=[0, 0],
+                                names=("a", "b"))) is False
+        assert (a == make_trace([1.0, 5e-324], [2.0, 3.0], node=[0, 1],
+                                names=("a", "b"))) is False
+        assert a != make_trace([1.0], [2.0], names=("a",))
+        nan = make_trace([np.nan], [1.0])
+        assert nan != make_trace([np.nan], [1.0])
+        assert a != [a]
+
+    def test_node_ids_and_features(self):
+        trace = make_trace([1.0, 2.0], [3.0, 4.0], node=[1, 0], names=("x", "y"))
+        assert trace.node_ids().tolist() == ["y", "x"]
+        assert trace.features().shape == (2, 4)
+        assert np.array_equal(trace.features()[1], [2.0, -95.0, 0.8, 1.4])
 
 
 class TestStandardize:
@@ -209,3 +252,119 @@ class TestKFoldIndices:
         a = stratified_kfold_indices(ds, 4, seed=9)
         b = stratified_kfold_indices(ds, 4, seed=9)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+TRACE_HEADER_LINE = "node_id,t,tp_zigbee,tp_lora,hn,rssi,prr,rnp\n"
+
+
+class TestReaderErrors:
+    """Exact messages and row indices of the CSV readers, recorded on the
+    row-by-row reader. Value errors count non-blank data rows; field-count
+    errors count every record after the header, blank lines included."""
+
+    TRACE_CASES = [
+        ("t_decreases",
+         "n00,3,5000,3000,2,-95,0.8,1.4\nn01,0,5000,3000,2,-95,0.8,1.4\n"
+         "n00,1,5000,3000,2,-95,0.8,1.4\n",
+         "row 2: t decreases for node n00"),
+        ("negative_throughput",
+         "n00,0,5000,3000,2,-95,0.8,1.4\nn00,1,5000,-1,2,-95,0.8,1.4\n",
+         "row 1: throughputs must be finite and >= 0"),
+        ("inf_throughput",
+         "n00,0,inf,3000,2,-95,0.8,1.4\n",
+         "row 0: throughputs must be finite and >= 0"),
+        ("unparsable_cell",
+         "n00,0,5000,3000,2,-95,0.8,1.4\nn00,1,5000,3000,2,abc,0.8,1.4\n",
+         "row 1: cannot parse rssi='abc' as number"),
+        ("prr_out_of_range",
+         "n00,0,5000,3000,2,-95,1.5,1.4\n",
+         "row 0: prr must be in [0,1], got 1.5"),
+        ("non_finite_feature",
+         "n00,0,5000,3000,2,-95,0.8,1.4\nn01,0,5000,3000,2,nan,0.8,1.4\n",
+         "row 1: non-finite feature value"),
+        ("hn_below_one",
+         "n00,0,5000,3000,0.5,-95,0.8,1.4\n",
+         "row 0: hn must be >= 1, got 0.5"),
+        ("blank_line_shifts_value_rows_not",
+         "n00,0,5000,3000,2,-95,0.8,1.4\n\nn00,1,5000,3000,2,-95,0.8,0.5\n",
+         "row 1: rnp must be >= 1, got 0.5"),
+        ("earlier_row_wins",
+         "n00,5,5000,3000,2,-95,0.8,1.4\nn00,4,5000,3000,2,-95,0.8,1.4\n"
+         "n00,6,5000,3000,2,x,0.8,1.4\n",
+         "row 1: t decreases for node n00"),
+        ("throughput_checked_before_features",
+         "n00,0,-5,3000,2,-95,0.8,zz\n",
+         "row 0: throughputs must be finite and >= 0"),
+        ("parse_order_within_row",
+         "n00,0,5000,3000,q,-95,0.8,1.4\nn00,0,y,3000,2,-95,0.8,1.4\n",
+         "row 0: cannot parse hn='q' as number"),
+        ("node_id_stripped",
+         " n00 ,3,5000,3000,2,-95,0.8,1.4\nn00,2,5000,3000,2,-95,0.8,1.4\n",
+         "row 1: t decreases for node n00"),
+    ]
+
+    DATASET_CASES = [
+        ("zero_cost", "1,-90,0.9,1.1,zigbee,0\n", "row 0: cost must be finite and > 0, got 0"),
+        ("inf_cost", "1,-90,0.9,1.1,zigbee,10\n1,-90,0.9,1.1,lora,inf\n",
+         "row 1: cost must be finite and > 0, got inf"),
+        ("unparsable_cost", "1,-90,0.9,1.1,zigbee,ten\n",
+         "row 0: cannot parse cost='ten' as number"),
+        ("unparsable_feature", "1,-90,0.9,1.1,zigbee,10\n1,-90,p,1.1,zigbee,10\n",
+         "row 1: cannot parse prr='p' as number"),
+        ("prr_out_of_range", "1,-90,-0.1,1.1,zigbee,10\n",
+         "row 0: prr must be in [0,1], got -0.1"),
+        ("unknown_label", "1,-90,0.9,1.1,zigbee,10\n1,-90,0.9,1.1,wifi,10\n",
+         "unknown radio label 'wifi' (expected 'zigbee' or 'lora')"),
+        ("cost_checked_before_label", "1,-90,0.9,1.1,wifi,0\n",
+         "row 0: cost must be finite and > 0, got 0"),
+        ("feature_checked_before_cost", "1,-90,0.9,0.2,zigbee,0\n",
+         "row 0: rnp must be >= 1, got 0.2"),
+        ("earlier_row_wins", "1,-90,0.9,1.1,wifi,10\n0,-90,0.9,1.1,zigbee,10\n",
+         "unknown radio label 'wifi' (expected 'zigbee' or 'lora')"),
+    ]
+
+    @pytest.mark.parametrize("name,body,message", TRACE_CASES,
+                             ids=[c[0] for c in TRACE_CASES])
+    def test_load_traces_message(self, tmp_path, name, body, message):
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + body)
+        with pytest.raises(DataError) as err:
+            load_traces(p)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name,body,message", DATASET_CASES,
+                             ids=[c[0] for c in DATASET_CASES])
+    def test_load_dataset_message(self, tmp_path, name, body, message):
+        p = write(tmp_path / "d.csv", HEADER + body)
+        with pytest.raises(DataError) as err:
+            load_dataset(p)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("loader,header,good", [
+        (load_traces, TRACE_HEADER_LINE, "n00,0,5000,3000,2,-95,0.8,1.4\n"),
+        (load_dataset, HEADER, "1,-90,0.9,1.1,zigbee,10\n"),
+    ], ids=["traces", "dataset"])
+    def test_field_count_counts_blank_lines(self, tmp_path, loader, header, good):
+        short = ",".join(good.strip().split(",")[:-1]) + "\n"
+        p = write(tmp_path / "f.csv", header + good + "\n" + good + short)
+        with pytest.raises(DataError) as err:
+            loader(p)
+        n = len(good.split(","))
+        assert str(err.value) == f"{p}: row 3: expected {n} fields, got {n - 1}"
+
+    def test_blank_lines_skipped(self, tmp_path):
+        row = "n00,{t},5000,3000,2,-95,0.8,1.4\n"
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n" + row.format(t=0)
+                  + "\n\n" + row.format(t=1) + "\n")
+        assert len(load_traces(p)) == 2
+        d = write(tmp_path / "d.csv", HEADER + "\n1,-90,0.9,1.1,zigbee,10\n\n"
+                  "2,-80,0.5,1.5,lora,20\n\n")
+        ds = load_dataset(d)
+        assert ds.n == 2
+        assert np.array_equal(ds.X[1], [2.0, -80.0, 0.5, 1.5])
+        assert ds.y.tolist() == [0, 1]
+
+    def test_empty_trace_file(self, tmp_path):
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n")
+        with pytest.raises(DataError) as err:
+            load_traces(p)
+        assert str(err.value) == f"{p}: empty trace file"

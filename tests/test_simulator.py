@@ -6,9 +6,31 @@ from conftest import leaf_tree
 from radiosel import dataset
 from radiosel.errors import DataError
 from radiosel.simulator import (AlwaysSelector, OracleSelector, ScenarioConfig,
-                                ThresholdSelector, TreeSelector, generate,
-                                hop_count, interval_sweep, mean_wait_s,
+                                ThresholdSelector, TreeSelector, _stale_traces,
+                                generate, hop_count, interval_sweep, mean_wait_s,
                                 occupancy, replay, staleness_probability)
+
+
+def _stale_reference(traces, cfg, interval_s, seed):
+    """Row-by-row staleness injection: each node, in sorted-name order,
+    draws one stale flag per row and a stale row takes the PRR/RNP of the
+    node's row `lag` places earlier (clamped at its first row)."""
+    p_stale = staleness_probability(cfg, interval_s)
+    if p_stale == 0.0:
+        return traces
+    lag = 1 + int(mean_wait_s(cfg, interval_s) / interval_s)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, int(interval_s * 1000), 0xA5]))
+    by_node = {}
+    for i, node_id in enumerate(traces.node_ids()):
+        by_node.setdefault(node_id, []).append(i)
+    prr, rnp = traces.prr.tolist(), traces.rnp.tolist()
+    for node_id, idxs in sorted(by_node.items()):
+        stale = rng.random(len(idxs)) < p_stale
+        for pos, i in enumerate(idxs):
+            if stale[pos]:
+                src = idxs[max(0, pos - lag)]
+                prr[i], rnp[i] = traces.prr[src], traces.rnp[src]
+    return replace(traces, prr=prr, rnp=rnp)
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +52,10 @@ class TestScenarioConfig:
         with pytest.raises(DataError, match="unknown"):
             ScenarioConfig.from_json('{"bogus": 1}')
 
+    def test_needs_a_node(self):
+        with pytest.raises(DataError, match="at least one node"):
+            ScenarioConfig(n_nodes=0, distances_m=())
+
     def test_distance_count_checked(self):
         with pytest.raises(DataError):
             ScenarioConfig(n_nodes=3, distances_m=(100.0, 200.0))
@@ -48,23 +74,24 @@ class TestGenerate:
 
     def test_shape_and_schedule(self, cfg, traces):
         assert len(traces) == cfg.n_nodes * cfg.n_packets
-        first = traces[:cfg.n_packets]
-        assert all(r.node_id == "n00" for r in first)
-        assert [r.t for r in first] == [i * cfg.packet_interval_s
-                                        for i in range(cfg.n_packets)]
+        m = cfg.n_packets
+        assert all(name == "n00" for name in traces.node_ids()[:m])
+        assert traces.t[:m].tolist() == [i * cfg.packet_interval_s for i in range(m)]
+        assert traces.names == tuple(f"n{idx:02d}" for idx in range(cfg.n_nodes))
 
     def test_hop_count_from_distance(self, cfg, traces):
         for idx, d in enumerate(cfg.distances_m):
             hn = hop_count(cfg, d)
             assert hn == int(np.ceil(d / cfg.hop_range_m)) or d <= cfg.hop_range_m
-            rs = [r for r in traces if r.node_id == f"n{idx:02d}"]
-            assert all(r.hn == hn for r in rs)
+            rows = traces.node_ids() == f"n{idx:02d}"
+            assert rows.sum() == cfg.n_packets
+            assert np.all(traces.hn[rows] == hn)
 
     def test_zigbee_single_hop_beats_four_hops(self, cfg):
         probe = replace(cfg, n_nodes=2, distances_m=(200.0, 1000.0), n_packets=1000)
         rs = generate(probe, seed=9)
-        one = np.mean([r.tp_zigbee for r in rs if r.hn == 1.0])
-        four = np.mean([r.tp_zigbee for r in rs if r.hn == 4.0])
+        one = np.mean(rs.tp_zigbee[rs.hn == 1.0])
+        four = np.mean(rs.tp_zigbee[rs.hn == 4.0])
         assert one > four
 
     def test_gray_region_has_more_near_ties(self, cfg):
@@ -72,10 +99,9 @@ class TestGenerate:
         rs = generate(probe, seed=0)
         lo, hi = cfg.gray_region_m
         inside, outside = [], []
-        for r in rs:
-            d = cfg.distances_m[int(r.node_id[1:])]
-            (inside if lo <= d <= hi else outside).append(
-                abs(r.tp_zigbee - r.tp_lora) <= 200.0)
+        for node_id, tpz, tpl in zip(rs.node_ids(), rs.tp_zigbee, rs.tp_lora):
+            d = cfg.distances_m[int(node_id[1:])]
+            (inside if lo <= d <= hi else outside).append(abs(tpz - tpl) <= 200.0)
         assert np.mean(inside) > np.mean(outside)
 
     def test_features_are_valid_dataset_rows(self, traces):
@@ -84,8 +110,8 @@ class TestGenerate:
 
     def test_label_cost_cross_module_identity(self, traces):
         ds = dataset.label_traces(traces)
-        diffs = [abs(r.tp_zigbee - r.tp_lora) for r in traces
-                 if r.tp_zigbee != r.tp_lora]
+        diffs = [abs(tpz - tpl) for tpz, tpl in zip(traces.tp_zigbee, traces.tp_lora)
+                 if tpz != tpl]
         assert np.array_equal(ds.c, np.array(diffs))
 
 
@@ -98,7 +124,7 @@ class TestReplay:
     def test_always_best_equals_oracle_when_dominant(self):
         cfg = ScenarioConfig(n_nodes=1, distances_m=(150.0,), n_packets=200)
         rs = generate(cfg, seed=1)
-        if all(r.tp_zigbee > r.tp_lora for r in rs):  # near node: zigbee dominant
+        if np.all(rs.tp_zigbee > rs.tp_lora):  # near node: zigbee dominant
             res = replay(rs, AlwaysSelector(0))
             assert res.performance_ratio == 1.0
 
@@ -117,7 +143,7 @@ class TestReplay:
 
     def test_threshold_selector_uses_hop_count(self, traces):
         res = replay(traces, ThresholdSelector(3))
-        hn = np.array([r.hn for r in traces])
+        hn = traces.hn
         assert np.array_equal(res.choices, (hn >= 3).astype(int))
 
     def test_cdf_is_percentile_table(self, traces):
@@ -125,6 +151,8 @@ class TestReplay:
         assert len(res.cdf) == 100
         values = [v for _, v in res.cdf]
         assert values == sorted(values)
+        assert res.cdf == [(p, float(np.percentile(res.achieved_bps, p)))
+                           for p in range(1, 101)]
 
     def test_gains_labeled_both_ways(self, traces):
         res = replay(traces, OracleSelector())
@@ -159,6 +187,18 @@ class TestIntervalSweep:
         ps = [staleness_probability(cfg, i) for i in (10.0, 3.0, 2.0, 1.5, 1.3)]
         assert ps == sorted(ps)
         assert ps[0] == 0.0 and ps[-1] > 0.0
+
+    def test_staleness_matches_row_loop(self, cfg):
+        """Column staleness injection equals the row-by-row reference, with
+        nodes drawn in sorted-name order ("n100" before "n11")."""
+        many = replace(cfg, n_nodes=101, n_packets=15,
+                       distances_m=tuple(np.linspace(150.0, 1600.0, 101)))
+        traces = generate(many, seed=4)
+        for interval in (5.0, 1.5, 1.3):
+            got = _stale_traces(traces, many, interval, seed=4)
+            assert got == _stale_reference(traces, many, interval, seed=4)
+        assert got != traces
+        assert np.array_equal(got.tp_zigbee, traces.tp_zigbee)
 
     def test_rejects_bad_interval(self, cfg):
         with pytest.raises(DataError):

@@ -21,7 +21,7 @@ class TestStabilityRun:
         train_ds, test_ds = field_data
         cfg = tao.TaoConfig(depth=2, lam=0.01, init_policy="cart", seed=1)
         first = tao.train(train_ds, cfg)
-        again = tao.rerun_fixed_point(first.tree, train_ds, cfg)
+        again = tao.optimize_tree(first.tree, train_ds, cfg)
         assert again.tree.structural_signature() == first.tree.structural_signature()
         assert again.history[-1] == first.history[-1]
 

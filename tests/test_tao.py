@@ -10,7 +10,7 @@ from radiosel.dataset import Dataset
 from radiosel.errors import DataError
 from radiosel.tao import (CareSet, TaoConfig, build_care_set, objective,
                           optimize_decision_node, optimize_leaf,
-                          optimize_tree, rerun_fixed_point, train)
+                          optimize_tree, train)
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, route, to_json
 
 
@@ -271,7 +271,7 @@ class TestFixedPointAndSeparability:
             cfg = TaoConfig(depth=2, lam=0.01, init_policy="cart",
                             seed=int(rng.integers(100)))
             res = train(ds, cfg)
-            again = rerun_fixed_point(res.tree, ds, cfg)
+            again = optimize_tree(res.tree, ds, cfg)
             assert again.history[-1] == res.history[-1]
             assert again.tree.structural_signature() == res.tree.structural_signature()
 
