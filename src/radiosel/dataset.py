@@ -310,6 +310,8 @@ def _check_trace_row(raw, i: int, prev_t: float | None) -> None:
         raise DataError(f"row {i}: throughputs must be finite and >= 0")
     hn, rssi, prr, rnp = (_parse_float(s, i, col) for s, col in zip(raw[4:], FEATURE_NAMES))
     _check_feature_row(hn, rssi, prr, rnp, i)
+    if not math.isfinite(t):
+        raise DataError(f"row {i}: t must be finite, got {t}")
     if prev_t is not None and t < prev_t:
         raise DataError(f"row {i}: t decreases for node {raw[0].strip()}")
 
@@ -331,7 +333,7 @@ def load_traces(path) -> Trace:
     columns, bad = _parse_columns([cells[j::width] for j in range(1, width)])
     t, tpz, tpl, hn, rssi, prr, rnp = columns
     bad |= ~(np.isfinite(tpz) & np.isfinite(tpl)) | (tpz < 0) | (tpl < 0)
-    bad |= _bad_features(hn, rssi, prr, rnp)
+    bad |= _bad_features(hn, rssi, prr, rnp) | ~np.isfinite(t)
     # a row is out of order when its t is below the node's previous row's t
     order = np.argsort(node, kind="stable")
     prev, cur = order[:-1], order[1:]

@@ -86,6 +86,8 @@ class ScenarioConfig:
             raise DataError(f"unsupported scenario config_version {self.config_version}")
         if self.n_nodes < 1:
             raise DataError("a scenario needs at least one node")
+        if self.n_packets < 1:
+            raise DataError("a scenario needs at least one packet per node")
         if len(self.distances_m) != self.n_nodes:
             raise DataError(f"{self.n_nodes} nodes but {len(self.distances_m)} distances")
         if any(d <= 0 for d in self.distances_m):

@@ -5,6 +5,17 @@ Minimizes  F(w, w0) = sum_n  omega_n * log(1 + exp(-ytil_n (w.x_n + w0)))
 with the bias unpenalized. Proximal gradient with backtracking line search:
 the objective sequence is monotonically nonincreasing by construction, which
 is what the tree trainer's accept test leans on.
+
+Kernel. Let negm_n = -ytil_n (w.x_n + w0) and L_n = log1p(exp(-|negm_n|)).
+numpy's logaddexp computes logaddexp(0, +-negm) as max(+-negm, 0) + L through
+the same log1p(exp(.)) call, so one logaddexp per point gives both the loss
+term max(negm, 0) + L and the gradient factor
+sigma(-m) = exp(-(max(-negm, 0) + L)) = exp(min(negm, 0) - L), and solve
+reuses the terms of an accepted point for its gradient. This is bit-identical
+to evaluating logaddexp once for each: ytil is +-1, so the factors -ytil and
+-omega*ytil only flip signs, which is exact, as is negating a rounded result;
+and a signed zero in negm reaches the output only through max(+-0, 0) + L
+with L = log(2) > 0, which loses its sign.
 """
 
 from __future__ import annotations
@@ -41,6 +52,10 @@ class WeightedBinaryProblem:
             raise DataError("weights must be finite and positive")
         if self.lam < 0:
             raise DataError("lambda must be >= 0")
+        # the kernel's sign-flipped factors, exact since y is +-1; fixed here,
+        # so y and omega are not to be changed after construction
+        self._neg_y = -self.y
+        self._neg_omega_y = -self.omega * self.y
 
     @property
     def dim(self) -> int:
@@ -78,19 +93,33 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+class _Point(LinearModel):
+    """An iterate of solve: smooth_loss leaves its kernel terms on it, and
+    smooth_gradient at the same point reuses them."""
+
+    terms = None
+
+
+def _terms(problem: WeightedBinaryProblem, model: LinearModel):
+    """(negm, L): negm = -ytil * (X w + w0) and L = log1p(exp(-|negm|))."""
+    negm = problem._neg_y * (problem.X @ model.w + model.w0)
+    return negm, np.logaddexp(0.0, -np.abs(negm))
+
+
 def smooth_loss(problem: WeightedBinaryProblem, model: LinearModel) -> float:
     """Weighted logistic loss, the differentiable part of the objective."""
-    margins = problem.y * (problem.X @ model.w + model.w0)
-    return float((problem.omega * np.logaddexp(0.0, -margins)).sum())
+    negm, L = terms = _terms(problem, model)
+    if isinstance(model, _Point):
+        model.terms = terms
+    return float(np.add.reduce(problem.omega * (np.maximum(negm, 0.0) + L)))
 
 
 def smooth_gradient(problem: WeightedBinaryProblem, model: LinearModel):
     """(grad_w, grad_w0) of smooth_loss."""
-    margins = problem.y * (problem.X @ model.w + model.w0)
-    # sigma(-m) = exp(-log(1 + e^m)), overflow-free for any m
-    sig = np.exp(-np.logaddexp(0.0, margins))
-    coeff = -problem.omega * problem.y * sig
-    return problem.X.T @ coeff, float(coeff.sum())
+    negm, L = getattr(model, "terms", None) or _terms(problem, model)
+    # sigma(-m) = exp(min(negm, 0) - L) <= 1: overflow-free for any m
+    coeff = problem._neg_omega_y * np.exp(np.minimum(negm, 0.0) - L)
+    return problem.X.T @ coeff, float(np.add.reduce(coeff))
 
 
 def objective(problem: WeightedBinaryProblem, model: LinearModel) -> float:
@@ -114,9 +143,9 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
     w0 = float(init.w0)
     lam = problem.lam
 
-    cur = LinearModel(w, w0)
+    cur = _Point(w, w0)
     f_cur = smooth_loss(problem, cur)
-    F_cur = f_cur + lam * float(np.abs(w).sum())
+    F_cur = f_cur + lam * float(np.add.reduce(np.abs(w)))
     if not math.isfinite(F_cur):
         raise NumericError("non-finite objective at init: rescale the problem")
     step = cfg.init_step
@@ -129,7 +158,7 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
             v = w - step * gw
             w_new = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)  # soft_threshold
             w0_new = w0 - step * gw0
-            cand = LinearModel(w_new, w0_new)
+            cand = _Point(w_new, w0_new)
             f_new = smooth_loss(problem, cand)
             dw = w_new - w
             dw0 = w0_new - w0
@@ -140,7 +169,7 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
             step *= cfg.step_shrink
         else:  # line search exhausted
             break
-        F_new = f_new + lam * float(np.abs(w_new).sum())
+        F_new = f_new + lam * float(np.add.reduce(np.abs(w_new)))
         if F_new > F_cur:
             # sufficient-decrease passed but rounding nudged F up: stop, keep cur
             break
@@ -149,7 +178,7 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
         if rel_drop < cfg.tol:
             break
         step *= cfg.step_grow
-    return cur
+    return LinearModel(w, w0)
 
 
 def weighted_01_loss(model: LinearModel, problem: WeightedBinaryProblem) -> float:

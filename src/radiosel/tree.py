@@ -56,14 +56,6 @@ def decision_score(w, w0: float, x) -> float:
     return s + w0
 
 
-def route(node: DecisionNode, x) -> int:
-    """Child id the instance is sent to. Score 0 routes right."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != node.w.shape:
-        raise DataError(f"feature vector has length {x.shape}, node expects {node.w.shape}")
-    return node.left if decision_score(node.w, node.w0, x) < 0 else node.right
-
-
 class ObliqueTree:
     """Fixed-topology binary tree of hyperplane nodes and constant leaves."""
 

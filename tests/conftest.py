@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radiosel.dataset import Dataset
-from radiosel.tree import DecisionNode, LeafNode, ObliqueTree
+from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, decision_score
 
 
 def random_dataset(rng, n=60, dim=4, cost_scale=1000.0, separation=1.0):
@@ -51,6 +51,12 @@ def boundary_adjacent_inputs(tree, rng, per_node=50, eps_rel=1e-6):
             for sign in (1.0, -1.0):
                 rows.append(x + sign * eps_rel * scale * node.w / nrm2)
     return np.array(rows) if rows else np.empty((0, tree.dim or 4))
+
+
+def child(node, x):
+    """Child id a decision node sends x to, by the canonical scalar score
+    (score 0 goes right): the per-node step of ObliqueTree.predict."""
+    return node.left if decision_score(node.w, node.w0, x) < 0 else node.right
 
 
 def stump(w, w0, left_label, right_label):

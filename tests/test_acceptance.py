@@ -8,11 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import boundary_adjacent_inputs, random_dataset, random_tree
+from conftest import boundary_adjacent_inputs, child, random_dataset, random_tree
 from radiosel import cart, dataset, metrics, simulator, solver, stability, tao
 from radiosel import tree as treemod
 from radiosel.export import ProgramInterpreter, codegen
-from radiosel.tree import DecisionNode, ObliqueTree, prune, route
+from radiosel.tree import DecisionNode, ObliqueTree, prune
 
 
 def criterion(num, title):
@@ -120,11 +120,11 @@ def test_criterion_02_reduced_problem_oracles():
                 lab_l, lab_r = go_left, go_right
                 cur = node.left
                 while isinstance(t.nodes[cur], DecisionNode):
-                    cur = route(t.nodes[cur], x)
+                    cur = child(t.nodes[cur], x)
                 loss_l = ds.c[i] * (t.nodes[cur].label != ds.y[i])
                 cur = node.right
                 while isinstance(t.nodes[cur], DecisionNode):
-                    cur = route(t.nodes[cur], x)
+                    cur = child(t.nodes[cur], x)
                 loss_r = ds.c[i] * (t.nodes[cur].label != ds.y[i])
                 if loss_l == loss_r:
                     continue

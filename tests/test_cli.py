@@ -140,6 +140,14 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("n_packets", [-1, 0])
+    def test_no_packets_exit_3(self, tmp_path, capsys, n_packets):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n_packets": n_packets}))
+        rc = main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert "at least one packet" in capsys.readouterr().err
+
     def test_replay_existing_traces(self, tmp_path):
         gen = tmp_path / "gen"
         assert main(["simulate", "--seed", "4", "--out-dir", str(gen)]) == 0

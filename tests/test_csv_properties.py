@@ -84,6 +84,8 @@ def reference_load_traces(path):
             raise DataError(f"row {i}: throughputs must be finite and >= 0")
         features = [parse_float(s, i, col) for s, col in zip(raw[4:], FEATURE_NAMES)]
         check_features(*features, i)
+        if not math.isfinite(t):
+            raise DataError(f"row {i}: t must be finite, got {t}")
         name = raw[0].strip()
         if name in last_t and t < last_t[name]:
             raise DataError(f"row {i}: t decreases for node {name}")

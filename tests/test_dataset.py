@@ -298,6 +298,16 @@ class TestReaderErrors:
         ("parse_order_within_row",
          "n00,0,5000,3000,q,-95,0.8,1.4\nn00,0,y,3000,2,-95,0.8,1.4\n",
          "row 0: cannot parse hn='q' as number"),
+        ("nan_t",
+         "n00,5,5000,3000,2,-95,0.8,1.4\nn00,nan,5000,3000,2,-95,0.8,1.4\n"
+         "n00,1,5000,3000,2,-95,0.8,1.4\n",
+         "row 1: t must be finite, got nan"),
+        ("t_checked_before_order",
+         "n00,5,5000,3000,2,-95,0.8,1.4\nn00,-inf,5000,3000,2,-95,0.8,1.4\n",
+         "row 1: t must be finite, got -inf"),
+        ("features_checked_before_t",
+         "n00,inf,5000,3000,2,-95,7,1.4\n",
+         "row 0: prr must be in [0,1], got 7.0"),
         ("node_id_stripped",
          " n00 ,3,5000,3000,2,-95,0.8,1.4\nn00,2,5000,3000,2,-95,0.8,1.4\n",
          "row 1: t decreases for node n00"),

@@ -194,6 +194,60 @@ class TestMatchesReference:
         self.assert_same(problem, LinearModel(np.array([1.0, 0.0, -0.5, 2.0]), 0.0),
                          self.TAO_CFG)
 
+    def test_fit_large_scale(self, rng):
+        for lam in (0.0, 0.01):
+            problem = random_problem(rng, n=3200, lam=lam)
+            self.assert_same(problem, LinearModel(rng.normal(0, 1, 4), 0.1), self.TAO_CFG)
+
+    def test_points_on_initial_hyperplane(self, rng):
+        # small dyadic coordinates keep every partial sum exact, so each
+        # margin at the init is +0 or -0, depending on the label
+        init = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), -1.5)
+        X = rng.integers(-8, 9, size=(60, 4)).astype(float)
+        X[:, 0] = 1.5 + 2.0 * X[:, 1] - 0.5 * X[:, 2] - 3.0 * X[:, 3]
+        assert not np.any(X @ init.w + init.w0)
+        y = rng.choice([-1.0, 1.0], size=60)
+        for lam in (0.0, 0.5):
+            problem = WeightedBinaryProblem(X, y, rng.uniform(0.5, 5.0, 60), lam)
+            self.assert_same(problem, init, self.TAO_CFG)
+
+    def test_fortran_and_strided_X(self, rng):
+        base = random_problem(rng, n=120, lam=0.01)
+        wide = np.repeat(base.X, 2, axis=1)
+        for X in (np.asfortranarray(base.X), wide[:, ::2], base.X[::-1][::-1]):
+            assert np.array_equal(X, base.X)
+            problem = WeightedBinaryProblem(X, base.y, base.omega, base.lam)
+            self.assert_same(problem, LinearModel(rng.normal(0, 1, 4), -0.3), self.TAO_CFG)
+
+    def test_all_negative_labels(self, rng):
+        base = random_problem(rng, n=90)
+        for lam in (0.0, 2.0):
+            problem = WeightedBinaryProblem(base.X, -np.ones(90), base.omega, lam)
+            self.assert_same(problem, LinearModel(rng.normal(0, 1, 4), 0.4), self.TAO_CFG)
+
+    def test_loss_and_gradient_match_two_softplus_formulas(self, rng):
+        """smooth_loss and smooth_gradient on a plain LinearModel equal the
+        formulas that evaluate logaddexp once for the loss and once for the
+        gradient, bit for bit, margins of +-0 and overflowing ones included.
+        One-point problems too, so that a change to a single term cannot
+        vanish in the sum."""
+        base = random_problem(rng, n=300)
+        base.X[:40] = 0.0
+        base.X[40:80] *= 1e3
+        problems = [base] + [WeightedBinaryProblem(base.X[i:i + 1], base.y[i:i + 1],
+                                                   base.omega[i:i + 1]) for i in range(300)]
+        for w0 in (0.0, 0.7):
+            model = LinearModel(rng.normal(0, 1, 4), w0)
+            for problem in problems:
+                margins = problem.y * (problem.X @ model.w + model.w0)
+                loss = float(np.sum(problem.omega * np.logaddexp(0.0, -margins)))
+                coeff = -problem.omega * problem.y * np.exp(-np.logaddexp(0.0, margins))
+                gw, gw0 = smooth_gradient(problem, model)
+                assert np.float64(smooth_loss(problem, model)).tobytes() \
+                    == np.float64(loss).tobytes()
+                assert gw.tobytes() == (problem.X.T @ coeff).tobytes()
+                assert np.float64(gw0).tobytes() == np.float64(np.sum(coeff)).tobytes()
+
     def test_separable_lambda_zero_hits_cap(self, rng, monkeypatch):
         X = rng.normal(0, 1, size=(40, 4))
         y = np.where(X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 >= 0, 1.0, -1.0)

@@ -4,14 +4,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_dataset, random_tree, stump
+from conftest import child, random_dataset, random_tree, stump
 from radiosel import metrics, solver, tao
 from radiosel.dataset import Dataset
 from radiosel.errors import DataError
 from radiosel.tao import (CareSet, TaoConfig, build_care_set, objective,
                           optimize_decision_node, optimize_leaf,
                           optimize_tree, train)
-from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, route, to_json
+from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, to_json
 
 
 def manual_reach(tree, nid, X):
@@ -20,7 +20,7 @@ def manual_reach(tree, nid, X):
     for i, x in enumerate(X):
         cur = tree.root
         while cur != nid and isinstance(tree.nodes[cur], DecisionNode):
-            cur = route(tree.nodes[cur], x)
+            cur = child(tree.nodes[cur], x)
         if cur == nid:
             out.append(i)
     return np.array(out, dtype=int)
@@ -29,7 +29,7 @@ def manual_reach(tree, nid, X):
 def manual_subtree_label(tree, nid, x):
     cur = nid
     while isinstance(tree.nodes[cur], DecisionNode):
-        cur = route(tree.nodes[cur], x)
+        cur = child(tree.nodes[cur], x)
     return tree.nodes[cur].label
 
 

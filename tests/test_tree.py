@@ -1,26 +1,28 @@
 import numpy as np
 import pytest
 
-from conftest import leaf_tree, random_tree, stump
+from conftest import child, leaf_tree, random_tree, stump
 from radiosel.dataset import Scaler
 from radiosel.errors import DataError, ModelFormatError
 from radiosel.tree import (DecisionNode, LeafNode, ObliqueTree, from_json,
-                           load, prune, route, save, to_json)
+                           load, prune, save, to_json)
 
 
 class TestRoute:
+    """Routing at one hyperplane, through predict on a one-decision tree
+    (left leaf 0, right leaf 1)."""
+
     def test_sparse_node_from_field_tree(self):
         # hyperplane with only the hop-count weight active
-        node = DecisionNode(np.array([1.415681867042, 0.0, 0.0, 0.0]),
-                            0.143560158843, left=1, right=2)
+        t = stump([1.415681867042, 0.0, 0.0, 0.0], 0.143560158843, 0, 1)
         x = np.array([1.0, -120.0, 0.3, 4.0])
         # 1.415681867042*1 + 0.143560158843 = 1.559242... > 0
-        assert route(node, x) == 2
+        assert t.predict(x) == 1
 
     def test_zero_weights_negative_bias_always_left(self, rng):
-        node = DecisionNode(np.zeros(4), -1.0, left=1, right=2)
+        t = stump(np.zeros(4), -1.0, 0, 1)
         for _ in range(20):
-            assert route(node, rng.normal(0, 10, 4)) == 1
+            assert t.predict(rng.normal(0, 10, 4)) == 0
 
     def test_positive_scaling_preserves_side(self, rng):
         for _ in range(50):
@@ -29,18 +31,16 @@ class TestRoute:
             x = rng.normal(0, 1, 4)
             if np.dot(w, x) + w0 == 0:
                 continue
-            a = route(DecisionNode(w, w0, 1, 2), x)
-            b = route(DecisionNode(2 * w, 2 * w0, 1, 2), x)
+            a = stump(w, w0, 0, 1).predict(x)
+            b = stump(2 * w, 2 * w0, 0, 1).predict(x)
             assert a == b
 
     def test_dimension_mismatch(self):
-        node = DecisionNode(np.ones(4), 0.0, 1, 2)
         with pytest.raises(DataError):
-            route(node, np.ones(3))
+            stump(np.ones(4), 0.0, 0, 1).predict(np.ones(3))
 
     def test_zero_routes_right(self):
-        node = DecisionNode(np.array([1.0, 0, 0, 0]), 0.0, 1, 2)
-        assert route(node, np.zeros(4)) == 2
+        assert stump([1.0, 0, 0, 0], 0.0, 0, 1).predict(np.zeros(4)) == 1
 
 
 class TestPredict:
@@ -60,7 +60,7 @@ class TestPredict:
             x = rng.normal(0, 2, 4)
             nid = t.root
             while isinstance(t.nodes[nid], DecisionNode):
-                nid = route(t.nodes[nid], x)
+                nid = child(t.nodes[nid], x)
             assert t.predict(x) == t.nodes[nid].label
 
     def test_batch_agrees_with_scalar(self, rng):
