@@ -374,9 +374,8 @@ def cmd_export(args) -> int:
     X = rng.uniform(-5.0, 5.0, size=(2000, dim))
     if model.scaler is not None:
         X = model.scaler.inverse(X)
-    for x in X:
-        if interp.predict(x) != model.predict(x):
-            raise NumericError("emitted program disagrees with the model")
+    if [interp.predict(x) for x in X] != model.predict_many(X).tolist():
+        raise NumericError("emitted program disagrees with the model")
 
     program_path = out / "program.txt"
     _atomic_write(program_path, program.text)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
+from .tree import scores
 
 
 @dataclass
@@ -72,14 +73,17 @@ class LinearModel:
         self.w0 = float(self.w0)
 
 
+# line search: first step, shrink on a failed test, growth after a success, floor
+INIT_STEP = 1.0
+STEP_SHRINK = 0.5
+STEP_GROW = 1.25
+MIN_STEP = 1e-18
+
+
 @dataclass
 class SolverConfig:
     max_iter: int = 1000
     tol: float = 1e-8          # relative objective decrease
-    init_step: float = 1.0
-    step_shrink: float = 0.5
-    step_grow: float = 1.25
-    min_step: float = 1e-18
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -148,13 +152,13 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
     F_cur = f_cur + lam * float(np.add.reduce(np.abs(w)))
     if not math.isfinite(F_cur):
         raise NumericError("non-finite objective at init: rescale the problem")
-    step = cfg.init_step
+    step = INIT_STEP
 
     for _ in range(cfg.max_iter):
         gw, gw0 = smooth_gradient(problem, cur)
         if not (np.isfinite(gw).all() and math.isfinite(gw0)):
             raise NumericError("non-finite gradient: rescale the problem")
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             v = w - step * gw
             w_new = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)  # soft_threshold
             w0_new = w0 - step * gw0
@@ -166,7 +170,7 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
                 + (float(dw @ dw) + dw0 * dw0) / (2.0 * step)
             if math.isfinite(f_new) and f_new <= quad:
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         else:  # line search exhausted
             break
         F_new = f_new + lam * float(np.add.reduce(np.abs(w_new)))
@@ -177,13 +181,12 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
         cur, w, w0, f_cur, F_cur = cand, w_new, cand.w0, f_new, F_new
         if rel_drop < cfg.tol:
             break
-        step *= cfg.step_grow
+        step *= STEP_GROW
     return LinearModel(w, w0)
 
 
 def weighted_01_loss(model: LinearModel, problem: WeightedBinaryProblem) -> float:
-    """Total weight of sign-rule misclassifications; score 0 counts as +1
-    (same tie rule as tree routing, where 0 goes right)."""
-    scores = problem.X @ model.w + model.w0
-    pred = np.where(scores < 0, -1.0, 1.0)
+    """Total weight of sign-rule misclassifications under the tree's routing
+    kernel (tree.scores), so score 0 counts as +1, as it goes right."""
+    pred = np.where(scores(model.w, model.w0, problem.X) < 0, -1.0, 1.0)
     return float(np.sum(problem.omega[pred != problem.y]))

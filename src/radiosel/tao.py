@@ -32,6 +32,8 @@ from .dataset import Dataset
 from .errors import DataError, NumericError
 from .tree import DecisionNode, LeafNode, ObliqueTree
 
+ACCEPT_MARGIN = 1e-9   # relative to a node's reaching cost; see the module doc
+
 
 @dataclass
 class TaoConfig:
@@ -43,11 +45,6 @@ class TaoConfig:
     seed: int = 0
     solver_cfg: solver.SolverConfig = field(
         default_factory=lambda: solver.SolverConfig(max_iter=200, tol=1e-8))
-    # accept threshold relative to a node's reaching cost; rejects only
-    # float-noise-scale "improvements", keeping recomputed objective
-    # histories exactly nonincreasing and converged trees exact fixed points
-    accept_margin: float = 1e-9
-    min_leaf_weight: float = 0.0  # forwarded to the greedy init
     debug_checks: bool = False    # recompute+assert objective after every node
 
     def __post_init__(self):
@@ -91,7 +88,6 @@ class TaoResult:
                 "depth": cfg.depth, "lambda": cfg.lam,
                 "max_passes": cfg.max_passes, "pass_tol": cfg.pass_tol,
                 "init_policy": cfg.init_policy, "seed": cfg.seed,
-                "accept_margin": cfg.accept_margin,
             },
             "objective_history": [float(v) for v in self.history],
             "init_used": self.init_used,
@@ -136,14 +132,13 @@ def optimize_decision_node(t: ObliqueTree, nid: int, care: CareSet, lam: float,
     cur_score = solver.weighted_01_loss(current, problem) + lam * float(np.sum(np.abs(node.w)))
     cand_score = solver.weighted_01_loss(candidate, problem) \
         + lam * float(np.sum(np.abs(candidate.w)))
-    margin = cfg.accept_margin * max(1.0, float(np.sum(care.omega)))
+    margin = ACCEPT_MARGIN * max(1.0, float(np.sum(care.omega)))
     if cand_score < cur_score - margin:
         return candidate.w.copy(), candidate.w0
     return None
 
 
-def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset,
-                  cfg: TaoConfig):
+def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset):
     """Cost-weighted majority label; returns new label or None to keep.
     Empty reach and exact ties keep the incumbent."""
     node = t.nodes[nid]
@@ -154,7 +149,7 @@ def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset,
     y, c = ds.y[reach_idx], ds.c[reach_idx]
     loss = [float(np.sum(c[y != 0])), float(np.sum(c[y != 1]))]
     other = 1 - node.label
-    margin = cfg.accept_margin * max(1.0, float(np.sum(c)))
+    margin = ACCEPT_MARGIN * max(1.0, float(np.sum(c)))
     if loss[other] < loss[node.label] - margin:
         return other
     return None
@@ -195,7 +190,7 @@ def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
         for nid in sorted(depths, key=lambda n: (-depths[n], n)):
             node = work.nodes[nid]
             if isinstance(node, LeafNode):
-                label = optimize_leaf(work, nid, reach[nid], ds, cfg)
+                label = optimize_leaf(work, nid, reach[nid], ds)
                 if label is None:
                     continue
                 node.label = label
@@ -233,7 +228,7 @@ def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
 def _initial_tree(ds: Dataset, cfg: TaoConfig, policy: str) -> ObliqueTree:
     if policy == "random":
         return cart.random_complete(ds.dim, cfg.depth, cfg.seed)
-    return cart.grow(ds, cfg.depth, cfg.min_leaf_weight)
+    return cart.grow(ds, cfg.depth)
 
 
 def train(ds: Dataset, cfg: TaoConfig, val: Dataset | None = None) -> TaoResult:

@@ -3,6 +3,11 @@
 Nodes live in an arena keyed by integer id; ids survive save/load so trees
 can be diffed across retrainings. Trees are immutable after training by
 convention: only the trainer mutates node parameters, single-writer.
+
+One kernel, `scores`, and one walk route every row: predict, predict_many,
+training (reach_sets, subtree_predict, predict_model) and the accept test
+(solver.weighted_01_loss) agree on every input, hyperplane points included,
+and without a scaler so does the emitted program.
 """
 
 from __future__ import annotations
@@ -42,17 +47,17 @@ class LeafNode:
             raise DataError(f"leaf label must be 0 or 1, got {self.label}")
 
 
-def decision_score(w, w0: float, x) -> float:
-    """Canonical scalar hyperplane evaluation.
+def scores(w: np.ndarray, w0: float, X: np.ndarray) -> np.ndarray:
+    """Hyperplane scores w.x + w0 of the rows of X: the canonical kernel.
 
-    Left-to-right sum over nonzero-weight terms, constant last: exactly the
-    arithmetic of the emitted IF/ELSE program, so model and generated code
-    agree even on boundary-straddling inputs.
+    Accumulates the nonzero-weight terms left to right from 0, constant
+    last, one elementwise IEEE operation per step: each row gets exactly the
+    arithmetic of the emitted IF/ELSE program, whatever the row subset or
+    memory layout of X (a BLAS matrix-vector product guarantees neither).
     """
-    s = 0.0
-    for wj, xj in zip(w, x):
-        if wj != 0.0:
-            s += wj * xj
+    s = np.zeros(X.shape[0])
+    for j in np.flatnonzero(w):
+        s += w[j] * X[:, j]
     return s + w0
 
 
@@ -87,6 +92,8 @@ class ObliqueTree:
             if node is None:
                 raise ModelFormatError(f"dangling child id {nid}")
             if isinstance(node, DecisionNode):
+                if node.w.ndim != 1:
+                    raise ModelFormatError(f"node {nid}: weights must be a flat list")
                 if not np.all(np.isfinite(node.w)) or not np.isfinite(node.w0):
                     raise ModelFormatError(f"node {nid}: non-finite parameters")
                 if dim is None:
@@ -150,21 +157,13 @@ class ObliqueTree:
 
     # ---------- prediction ----------
 
-    def _leaf_for(self, x) -> int:
-        nid = self.root
-        node = self.nodes[nid]
-        while isinstance(node, DecisionNode):
-            nid = node.left if decision_score(node.w, node.w0, x) < 0 else node.right
-            node = self.nodes[nid]
-        return nid
-
     def predict(self, x) -> int:
         """Label for one raw feature vector (scaled internally if a scaler
-        is attached). Canonical scalar arithmetic; see decision_score."""
+        is attached): the walk of predict_many on a one-row matrix."""
         x = np.asarray(x, dtype=float)
         if self._dim is not None and x.shape != (self._dim,):
             raise DataError(f"feature vector has shape {x.shape}, tree expects ({self._dim},)")
-        return self.nodes[self._leaf_for(self._scale(x))].label
+        return int(self._labels(self.root, self._scale(x.reshape(1, -1)))[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         """Vectorized predictions for raw feature rows."""
@@ -185,46 +184,37 @@ class ObliqueTree:
         X = np.asarray(X, dtype=float)
         if self._dim is not None and X.shape[1] != self._dim:
             raise DataError(f"feature matrix has {X.shape[1]} columns, tree expects {self._dim}")
-        out = np.empty(X.shape[0], dtype=int)
-        self._predict_into(self.root, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _predict_into(self, nid: int, X, idx, out) -> None:
-        node = self.nodes[nid]
-        if isinstance(node, LeafNode):
-            out[idx] = node.label
-            return
-        if idx.size == 0:
-            return
-        go_left = (X[idx] @ node.w + node.w0) < 0
-        self._predict_into(node.left, X, idx[go_left], out)
-        self._predict_into(node.right, X, idx[~go_left], out)
+        return self._labels(self.root, X)
 
     def reach_sets(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Per-node index arrays of the model-space rows that reach each node."""
-        X = np.asarray(X, dtype=float)
-        reach: dict[int, np.ndarray] = {}
-        self._reach_into(self.root, X, np.arange(X.shape[0]), reach)
-        return reach
-
-    def _reach_into(self, nid, X, idx, reach) -> None:
-        reach[nid] = idx
-        node = self.nodes[nid]
-        if isinstance(node, LeafNode):
-            return
-        if idx.size == 0:
-            self._reach_into(node.left, X, idx, reach)
-            self._reach_into(node.right, X, idx, reach)
-            return
-        go_left = (X[idx] @ node.w + node.w0) < 0
-        self._reach_into(node.left, X, idx[go_left], reach)
-        self._reach_into(node.right, X, idx[~go_left], reach)
+        reach = self._walk(self.root, np.asarray(X, dtype=float))
+        return {nid: reach.get(nid, np.arange(0)) for nid in self.nodes}
 
     def subtree_predict(self, nid: int, X: np.ndarray) -> np.ndarray:
         """Predictions of the subtree rooted at nid for model-space rows."""
-        X = np.asarray(X, dtype=float)
+        return self._labels(nid, np.asarray(X, dtype=float))
+
+    def _walk(self, nid: int, X: np.ndarray) -> dict[int, np.ndarray]:
+        """Row indices of X reaching each node of the subtree at nid, routed
+        by `scores` (score < 0 goes left). An empty set is not routed on, so
+        the nodes below it are absent."""
+        reach = {}
+        stack = [(nid, np.arange(X.shape[0]))]
+        while stack:
+            nid, idx = stack.pop()
+            reach[nid] = idx
+            node = self.nodes[nid]
+            if isinstance(node, DecisionNode) and idx.size:
+                left = scores(node.w, node.w0, X[idx]) < 0
+                stack += [(node.right, idx[~left]), (node.left, idx[left])]
+        return reach
+
+    def _labels(self, nid: int, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0], dtype=int)
-        self._predict_into(nid, X, np.arange(X.shape[0]), out)
+        for i, idx in self._walk(nid, X).items():
+            if isinstance(self.nodes[i], LeafNode):
+                out[idx] = self.nodes[i].label
         return out
 
     # ---------- transforms ----------
@@ -320,7 +310,7 @@ def from_json(text: str) -> ObliqueTree:
     for key in ("root", "nodes"):
         if key not in doc:
             raise ModelFormatError(f"model file missing field {key!r}")
-    scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") is not None else None
+    scaler = _field(doc, "scaler", Scaler.from_dict)
     nodes: dict[int, DecisionNode | LeafNode] = {}
     if not isinstance(doc["nodes"], list) or not doc["nodes"]:
         raise ModelFormatError("model file 'nodes' must be a nonempty list")
@@ -338,12 +328,21 @@ def from_json(text: str) -> ObliqueTree:
                 nodes[nid] = LeafNode(int(entry["label"]))
             else:
                 raise ModelFormatError(f"node {nid}: unknown kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ModelFormatError(f"malformed node entry {entry!r}: {e}") from e
-    lam = doc.get("lambda")
-    tree = ObliqueTree(nodes, int(doc["root"]), scaler=scaler,
-                       lam=float(lam) if lam is not None else None)
-    return tree
+    return ObliqueTree(nodes, _field(doc, "root", int), scaler=scaler,
+                       lam=_field(doc, "lambda", float))
+
+
+def _field(doc: dict, key: str, convert):
+    """convert(doc[key]), or None for an absent or null field."""
+    value = doc.get(key)
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ModelFormatError(f"malformed model field {key!r}: {e}") from e
 
 
 def load(path) -> ObliqueTree:

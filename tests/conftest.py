@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radiosel.dataset import Dataset
-from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, decision_score
+from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, scores
 
 
 def random_dataset(rng, n=60, dim=4, cost_scale=1000.0, separation=1.0):
@@ -54,9 +54,10 @@ def boundary_adjacent_inputs(tree, rng, per_node=50, eps_rel=1e-6):
 
 
 def child(node, x):
-    """Child id a decision node sends x to, by the canonical scalar score
-    (score 0 goes right): the per-node step of ObliqueTree.predict."""
-    return node.left if decision_score(node.w, node.w0, x) < 0 else node.right
+    """Child id a decision node sends x to, by the routing kernel on a
+    one-row matrix (score 0 goes right): one step of ObliqueTree.predict."""
+    s = scores(node.w, node.w0, np.asarray(x, dtype=float).reshape(1, -1))[0]
+    return node.left if s < 0 else node.right
 
 
 def stump(w, w0, left_label, right_label):

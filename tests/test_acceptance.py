@@ -89,7 +89,6 @@ def test_criterion_01_monotonic_decrease():
 def test_criterion_02_reduced_problem_oracles():
     rng = np.random.default_rng(7)
     # 1000 random reach sets vs two-candidate enumeration
-    cfg = tao.TaoConfig(depth=1)
     for _ in range(1000):
         n = int(rng.integers(1, 15))
         ds = dataset.Dataset(rng.normal(0, 1, (n, 4)), rng.integers(0, 2, n),
@@ -98,7 +97,7 @@ def test_criterion_02_reduced_problem_oracles():
         t = ObliqueTree({0: DecisionNode(np.array([1.0, 0, 0, 0]), 0.0, 1, 2),
                          1: treemod.LeafNode(incumbent),
                          2: treemod.LeafNode(incumbent)}, 0)
-        prop = tao.optimize_leaf(t, 1, np.arange(n), ds, cfg)
+        prop = tao.optimize_leaf(t, 1, np.arange(n), ds)
         final = incumbent if prop is None else prop
         brute = {lbl: float(np.sum(ds.c[ds.y != lbl])) for lbl in (0, 1)}
         assert brute[final] == min(brute.values())

@@ -238,6 +238,19 @@ class TestMalformedModel:
         err = capsys.readouterr().err
         assert "node 0: folding the scaler" in err and "non-finite" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(root="x"), "malformed model field 'root'"),
+        (lambda doc: doc.update({"lambda": "abc"}), "malformed model field 'lambda'"),
+        (lambda doc: doc["nodes"][0].update(w=[[1.0, 2.0], [3.0, 4.0]]),
+         "node 0: weights must be a flat list"),
+    ], ids=["root_not_int", "lambda_not_number", "w_two_dimensional"])
+    def test_malformed_field_exit_3(self, tmp_path, data_csv, model_dir, capsys,
+                                    edit, message):
+        model = self.edited_model(model_dir, tmp_path, edit)
+        assert main(["eval", "--model", model, "--data", str(data_csv),
+                     "--out-dir", str(tmp_path / "ev")]) == 3
+        assert main(["export", "--model", model, "--out-dir", str(tmp_path / "ex")]) == 3
+        assert capsys.readouterr().err.count(message) == 2
 
     def test_leaf_only_scaler_width_exit_3(self, tmp_path, data_csv, capsys):
         path = tmp_path / "leaf.json"

@@ -54,8 +54,11 @@ class TestCodegen:
             t = prune(random_tree(rng, depth=2))
             program = codegen(t)
             interp = ProgramInterpreter(program.text)
-            for x in boundary_adjacent_inputs(t, rng, per_node=20):
-                assert interp.predict(x) == t.predict(x)
+            X = np.vstack([boundary_adjacent_inputs(t, rng, per_node=20),
+                           boundary_adjacent_inputs(t, rng, per_node=100, eps_rel=0.0)])
+            expected = [interp.predict(x) for x in X]
+            assert [t.predict(x) for x in X] == expected
+            assert t.predict_many(X).tolist() == expected
 
     def test_scaler_folded_for_raw_inputs(self, rng):
         scaler = Scaler(np.array([2.0, -95.0, 0.5, 2.0]),

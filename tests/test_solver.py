@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import boundary_adjacent_inputs, stump
 from radiosel import solver
 from radiosel.errors import DataError
 from radiosel.solver import (LinearModel, SolverConfig, WeightedBinaryProblem,
@@ -26,11 +27,11 @@ def reference_solve(problem, init, cfg):
     cur = LinearModel(w, float(init.w0))
     f_cur = loss(cur)
     F_cur = f_cur + problem.lam * float(np.sum(np.abs(w)))
-    step = cfg.init_step
+    step = solver.INIT_STEP
     for _ in range(cfg.max_iter):
         gw, gw0 = gradient(cur)
         accepted = False
-        while step >= cfg.min_step:
+        while step >= solver.MIN_STEP:
             w_new = soft_threshold(cur.w - step * gw, step * problem.lam)
             w0_new = cur.w0 - step * gw0
             cand = LinearModel(w_new, w0_new)
@@ -42,7 +43,7 @@ def reference_solve(problem, init, cfg):
             if np.isfinite(f_new) and f_new <= quad:
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= solver.STEP_SHRINK
         if not accepted:
             break
         F_new = f_new + problem.lam * float(np.sum(np.abs(w_new)))
@@ -52,7 +53,7 @@ def reference_solve(problem, init, cfg):
         cur, f_cur, F_cur = cand, f_new, F_new
         if rel_drop < cfg.tol:
             break
-        step *= cfg.step_grow
+        step *= solver.STEP_GROW
     return cur
 
 
@@ -290,6 +291,18 @@ class TestWeighted01Loss:
                 if pred != problem.y[i]:
                     total += problem.omega[i]
             assert weighted_01_loss(model, problem) == pytest.approx(total, rel=1e-12)
+
+    def test_matches_tree_routing_on_plane(self, rng):
+        # the accept test scores a node's hyperplane as the tree routes it
+        for _ in range(10):
+            w, w0 = rng.normal(0, 1, 4), float(rng.normal(0, 1))
+            t = stump(w, w0, 0, 1)
+            X = boundary_adjacent_inputs(t, rng, per_node=200, eps_rel=0.0)
+            y = rng.choice([-1.0, 1.0], size=len(X))
+            omega = rng.uniform(1.0, 10.0, size=len(X))
+            pred = np.where(t.predict_model(X) == 1, 1.0, -1.0)
+            assert weighted_01_loss(LinearModel(w, w0), WeightedBinaryProblem(X, y, omega)) \
+                == float(np.sum(omega[pred != y]))
 
     def test_problem_validation(self):
         with pytest.raises(DataError):

@@ -146,30 +146,26 @@ class TestOptimizeLeaf:
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=0)
         ds = Dataset(np.zeros((3, 4)) + 1.0,
                      np.array([0, 1, 1]), np.array([5.0, 3.0, 3.0]))
-        cfg = TaoConfig(depth=1)
-        assert optimize_leaf(t, 2, np.arange(3), ds, cfg) == 1  # 6 > 5
+        assert optimize_leaf(t, 2, np.arange(3), ds) == 1  # 6 > 5
 
     def test_empty_reach_keeps(self, rng):
         t = stump([1.0, 0, 0, 0], 0.0, 0, 1)
         ds = random_dataset(rng, n=10)
-        cfg = TaoConfig(depth=1)
-        assert optimize_leaf(t, 1, np.array([], dtype=int), ds, cfg) is None
+        assert optimize_leaf(t, 1, np.array([], dtype=int), ds) is None
 
     def test_tie_keeps_incumbent(self):
         t = stump([1.0, 0, 0, 0], 0.0, left_label=1, right_label=0)
         ds = Dataset(np.ones((2, 4)), np.array([0, 1]), np.array([4.0, 4.0]))
-        cfg = TaoConfig(depth=1)
-        assert optimize_leaf(t, 1, np.arange(2), ds, cfg) is None
+        assert optimize_leaf(t, 1, np.arange(2), ds) is None
 
     def test_matches_two_candidate_enumeration(self, rng):
-        cfg = TaoConfig(depth=1)
         for _ in range(1000):
             n = int(rng.integers(1, 12))
             ds = Dataset(rng.normal(0, 1, (n, 4)), rng.integers(0, 2, n),
                          rng.uniform(0.5, 30, n))
             incumbent = int(rng.integers(0, 2))
             t = stump([1.0, 0, 0, 0], 0.0, incumbent, incumbent)
-            prop = optimize_leaf(t, 1, np.arange(n), ds, cfg)
+            prop = optimize_leaf(t, 1, np.arange(n), ds)
             final = incumbent if prop is None else prop
             losses = {lbl: float(np.sum(ds.c[ds.y != lbl])) for lbl in (0, 1)}
             best = min(losses.values())

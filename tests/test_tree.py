@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import child, leaf_tree, random_tree, stump
+from conftest import boundary_adjacent_inputs, child, leaf_tree, random_tree, stump
 from radiosel.dataset import Scaler
 from radiosel.errors import DataError, ModelFormatError
 from radiosel.tree import (DecisionNode, LeafNode, ObliqueTree, from_json,
@@ -64,10 +64,18 @@ class TestPredict:
             assert t.predict(x) == t.nodes[nid].label
 
     def test_batch_agrees_with_scalar(self, rng):
-        t = random_tree(rng, depth=3)
-        X = rng.normal(0, 2, size=(500, 4))
-        batch = t.predict_model(X)
-        assert all(batch[i] == t.predict(X[i]) for i in range(len(X)))
+        for _ in range(5):
+            t = random_tree(rng, depth=3)
+            # random rows, then rows on each hyperplane (score 0 up to rounding)
+            X = np.vstack([rng.normal(0, 2, size=(500, 4)),
+                           boundary_adjacent_inputs(t, rng, per_node=100, eps_rel=0.0)])
+            batch = t.predict_model(X)
+            assert [t.predict(x) for x in X] == batch.tolist()
+            reach = t.reach_sets(X)
+            held = np.concatenate([reach[nid] for nid in t.leaf_ids()])
+            assert sorted(held.tolist()) == list(range(len(X)))
+            for nid in t.leaf_ids():
+                assert np.all(batch[reach[nid]] == t.nodes[nid].label)
 
     def test_scaler_applied_to_raw_input(self):
         scaler = Scaler(np.array([2.0, 0, 0, 0]), np.array([2.0, 1, 1, 1]))
