@@ -1,10 +1,12 @@
 """Operator surface: train, eval, simulate, sweep, stability, export.
 
-Every subcommand writes its primary artifacts plus a run manifest (config,
-input/output hashes, seed, wall time) into --out-dir. Identical arguments
-and seed reproduce byte-identical primary outputs.
+Every subcommand runs inside one scaffold, `_Run`: it creates --out-dir,
+hashes each input as the command names it and each output as the command
+writes it, and on success writes a run manifest (config, input/output
+hashes, seed, wall time, plus any section the command adds) into --out-dir.
+Identical arguments and seed reproduce byte-identical primary outputs.
 
-Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
+Exit codes: 0 ok, 2 usage, 3 data or file error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -36,50 +38,49 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+class _Run:
+    """One subcommand run: its output directory and its manifest."""
 
-
-class _ManifestWriter:
-    def __init__(self, subcommand: str, args: argparse.Namespace, out_dir: Path):
+    def __init__(self, args: argparse.Namespace):
+        self.out = Path(args.out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
         self.doc = {
             "tool": "radiosel",
             "version": __version__,
-            "subcommand": subcommand,
+            "subcommand": args.subcommand,
             "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
             "seed": getattr(args, "seed", None),
             "inputs": {},
             "outputs": {},
         }
-        self.out_dir = out_dir
         self.start = time.monotonic()
 
-    def add_input(self, path) -> None:
+    def input(self, path):
+        """Check and hash an input file; returns the path for loading."""
         p = Path(path)
         if not p.exists():
             raise DataError(f"no such file: {p}")
         self.doc["inputs"][str(p)] = _sha256(p)
+        return path
 
-    def add_output(self, path) -> None:
-        p = Path(path)
-        self.doc["outputs"][str(p)] = _sha256(p)
+    def output(self, name: str, writer) -> Path:
+        """writer(path) writes out-dir/name, which is then hashed."""
+        path = self.out / name
+        writer(path)
+        self.doc["outputs"][str(path)] = _sha256(path)
+        return path
 
-    def extra(self, key, value) -> None:
-        self.doc[key] = value
+    def text(self, name: str, text: str) -> Path:
+        return self.output(name, lambda path: _atomic_write(path, text))
 
-    def write(self) -> None:
+    def csv(self, name: str, header, rows) -> Path:
+        lines = [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
+        return self.text(name, "\n".join(lines) + "\n")
+
+    def close(self) -> None:
         self.doc["wall_time_s"] = time.monotonic() - self.start
-        _atomic_write(self.out_dir / "manifest.json",
+        _atomic_write(self.out / "manifest.json",
                       json.dumps(self.doc, indent=2, sort_keys=True, default=str) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _parse_float_list(text: str, flag: str):
@@ -89,25 +90,32 @@ def _parse_float_list(text: str, flag: str):
         raise DataError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
 
 
-def _selectors(args, model=None):
+def _scenario(args, run: _Run) -> simulator.ScenarioConfig:
+    """The --scenario file (loaded before hashing, so that a missing file
+    is reported as a scenario file), or the built-in scenario."""
+    if not args.scenario:
+        return simulator.ScenarioConfig()
+    cfg = simulator.ScenarioConfig.load(args.scenario)
+    run.input(args.scenario)
+    return cfg
+
+
+def _selectors(args, run: _Run) -> list:
+    """The four built-in selectors, then the --model tree if one is given."""
     sel = [simulator.AlwaysSelector(0), simulator.AlwaysSelector(1),
            simulator.OracleSelector(), simulator.ThresholdSelector(args.threshold_hn)]
-    if model is not None:
-        sel.append(simulator.TreeSelector(model))
+    if args.model:
+        sel.append(simulator.TreeSelector(tree.load(run.input(args.model))))
     return sel
 
 
 # ---------- train ----------
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    manifest = _ManifestWriter("train", args, out)
+def cmd_train(args, run: _Run) -> int:
     if args.data:
-        manifest.add_input(args.data)
-        ds = dataset.load_dataset(args.data)
+        ds = dataset.load_dataset(run.input(args.data))
     else:
-        manifest.add_input(args.traces)
-        ds = dataset.label_traces(dataset.load_traces(args.traces))
+        ds = dataset.label_traces(dataset.load_traces(run.input(args.traces)))
     scaler = None
     if not args.raw_features:
         ds = dataset.standardize(ds)
@@ -138,11 +146,9 @@ def cmd_train(args) -> int:
 
     final = tree.ObliqueTree(result.tree.nodes, result.tree.root,
                              scaler=scaler, lam=lam)
-    model_path = out / "model.json"
-    tree.save(final, model_path)
-    manifest.add_output(model_path)
-    manifest.extra("training", result.to_manifest(cfg))
-    manifest.extra("lambda_sweep", sweep_table)
+    model_path = run.output("model.json", lambda path: tree.save(final, path))
+    run.doc["training"] = result.to_manifest(cfg)
+    run.doc["lambda_sweep"] = sweep_table
 
     for i, value in enumerate(result.history):
         stage = "init" if i == 0 else f"pass {i}"
@@ -151,19 +157,15 @@ def cmd_train(args) -> int:
     for name, part in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
         print(f"{name} CWA = {metrics.cwa(result.tree, part):.4f}%")
     print(f"model -> {model_path}")
-    manifest.write()
     return 0
 
 
 # ---------- eval ----------
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
-    manifest = _ManifestWriter("eval", args, out)
-    manifest.add_input(args.model)
-    manifest.add_input(args.data)
-    model = tree.load(args.model)
-    ds = dataset.load_dataset(args.data)
+def cmd_eval(args, run: _Run) -> int:
+    model_path, data_path = run.input(args.model), run.input(args.data)
+    model = tree.load(model_path)
+    ds = dataset.load_dataset(data_path)
     location = args.location or Path(args.data).stem
     model_name = Path(args.model).stem
 
@@ -200,53 +202,28 @@ def cmd_eval(args) -> int:
                      f"{kres.depth_mean:.6g}", f"{kres.leaves_mean:.6g}"])
         print(f"{args.kfold}-fold test CWA = {te[0]:.4f} +- {te[1]:.4f}%")
 
-    metrics_path = out / "metrics.csv"
-    _write_csv(metrics_path,
-               ("model", "location", "split", "cwa_mean", "cwa_std",
-                "depth_mean", "leaves_mean"), rows)
-    manifest.add_output(metrics_path)
-
-    breakdown_path = out / "breakdown.csv"
-    _write_csv(breakdown_path,
-               ("threshold_bps", "n_high", "n_low", "loss_high_bps", "loss_low_bps"),
-               [[f"{breakdown.threshold:g}", breakdown.n_high, breakdown.n_low,
-                 f"{breakdown.loss_high:.17g}", f"{breakdown.loss_low:.17g}"]])
-    manifest.add_output(breakdown_path)
-    manifest.write()
+    run.csv("metrics.csv", ("model", "location", "split", "cwa_mean", "cwa_std",
+                            "depth_mean", "leaves_mean"), rows)
+    run.csv("breakdown.csv",
+            ("threshold_bps", "n_high", "n_low", "loss_high_bps", "loss_low_bps"),
+            [[f"{breakdown.threshold:g}", breakdown.n_high, breakdown.n_low,
+              f"{breakdown.loss_high:.17g}", f"{breakdown.loss_low:.17g}"]])
     return 0
 
 
 # ---------- simulate ----------
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    manifest = _ManifestWriter("simulate", args, out)
+def cmd_simulate(args, run: _Run) -> int:
     if args.traces:
-        manifest.add_input(args.traces)
-        traces = dataset.load_traces(args.traces)
+        traces = dataset.load_traces(run.input(args.traces))
     else:
-        cfg = simulator.ScenarioConfig.load(args.scenario) if args.scenario \
-            else simulator.ScenarioConfig()
-        if args.scenario:
-            manifest.add_input(args.scenario)
-        traces = simulator.generate(cfg, seed=args.seed)
-
-    trace_path = out / "trace.csv"
-    dataset.save_traces(traces, trace_path)
-    manifest.add_output(trace_path)
-
+        traces = simulator.generate(_scenario(args, run), seed=args.seed)
+    run.output("trace.csv", lambda path: dataset.save_traces(traces, path))
     ds = dataset.label_traces(traces)
-    data_path = out / "dataset.csv"
-    dataset.save_dataset(ds, data_path)
-    manifest.add_output(data_path)
-
-    model = None
-    if args.model:
-        manifest.add_input(args.model)
-        model = tree.load(args.model)
+    run.output("dataset.csv", lambda path: dataset.save_dataset(ds, path))
 
     cdf_rows, replay_rows = [], []
-    for selector in _selectors(args, model):
+    for selector in _selectors(args, run):
         result = simulator.replay(traces, selector)
         for pct, tp in result.cdf:
             cdf_rows.append([result.selector, pct, f"{tp:.17g}"])
@@ -259,57 +236,33 @@ def cmd_simulate(args) -> int:
         print(f"{result.selector}: mean {result.mean_throughput_bps:.1f} bps, "
               f"ratio {result.performance_ratio:.4f}")
 
-    cdf_path = out / "cdf.csv"
-    _write_csv(cdf_path, ("selector", "percentile", "throughput_bps"), cdf_rows)
-    manifest.add_output(cdf_path)
-    replay_path = out / "replay.csv"
-    _write_csv(replay_path,
-               ("selector", "mean_throughput_bps", "performance_ratio",
-                "oracle_gap_bps", "gain_vs_best_single_pct", "gain_vs_worst_single_pct"),
-               replay_rows)
-    manifest.add_output(replay_path)
-    manifest.write()
+    run.csv("cdf.csv", ("selector", "percentile", "throughput_bps"), cdf_rows)
+    run.csv("replay.csv",
+            ("selector", "mean_throughput_bps", "performance_ratio",
+             "oracle_gap_bps", "gain_vs_best_single_pct", "gain_vs_worst_single_pct"),
+            replay_rows)
     return 0
 
 
 # ---------- sweep ----------
 
-def cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    manifest = _ManifestWriter("sweep", args, out)
-    cfg = simulator.ScenarioConfig.load(args.scenario) if args.scenario \
-        else simulator.ScenarioConfig()
-    if args.scenario:
-        manifest.add_input(args.scenario)
+def cmd_sweep(args, run: _Run) -> int:
+    cfg = _scenario(args, run)
     intervals = _parse_float_list(args.intervals, "--intervals")
-    model = None
-    if args.model:
-        manifest.add_input(args.model)
-        model = tree.load(args.model)
-
-    rows = []
-    for selector in _selectors(args, model):
-        for row in simulator.interval_sweep(cfg, intervals, selector, seed=args.seed):
-            rows.append([f"{row.interval_s:g}", row.selector,
-                         f"{row.performance_ratio:.17g}",
-                         f"{row.mean_latency_ms:.17g}"])
-    sweep_path = out / "sweep.csv"
-    _write_csv(sweep_path,
-               ("interval_s", "selector", "performance_ratio", "mean_latency_ms"),
-               rows)
-    manifest.add_output(sweep_path)
+    rows = [[f"{row.interval_s:g}", row.selector, f"{row.performance_ratio:.17g}",
+             f"{row.mean_latency_ms:.17g}"]
+            for row in simulator.interval_sweep(cfg, intervals, *_selectors(args, run),
+                                                seed=args.seed)]
+    sweep_path = run.csv("sweep.csv", ("interval_s", "selector", "performance_ratio",
+                                       "mean_latency_ms"), rows)
     print(f"sweep -> {sweep_path} ({len(rows)} rows)")
-    manifest.write()
     return 0
 
 
 # ---------- stability ----------
 
-def cmd_stability(args) -> int:
-    out = _out_dir(args)
-    manifest = _ManifestWriter("stability", args, out)
-    manifest.add_input(args.data)
-    ds = dataset.load_dataset(args.data)
+def cmd_stability(args, run: _Run) -> int:
+    ds = dataset.load_dataset(run.input(args.data))
     if not args.raw_features:
         ds = dataset.standardize(ds)
     train_ds, test_ds = dataset.split(ds, (0.8, 0.2), seed=args.seed)
@@ -326,42 +279,33 @@ def cmd_stability(args) -> int:
             node = stage.tree.nodes[nid]
             rows.append([nid, f"{stage.fraction:g}"]
                         + [f"{w:.17g}" for w in node.w] + [f"{node.w0:.17g}"])
-    stability_path = out / "stability.csv"
-    _write_csv(stability_path, ("node_id", "fraction") + tuple(f"w_{n}" for n in names)
-               + ("constant",), rows)
-    manifest.add_output(stability_path)
+    run.csv("stability.csv", ("node_id", "fraction") + tuple(f"w_{n}" for n in names)
+            + ("constant",), rows)
 
     table = ["node  fraction  " + "  ".join(f"{n:>12}" for n in names) + "  constant"]
     for row in sorted(rows, key=lambda r: (int(r[0]), float(r[1]))):
         table.append(f"{row[0]:>4}  {row[1]:>8}  "
                      + "  ".join(f"{float(v):>12.6f}" for v in row[2:]))
-    table_path = out / "stability_table.txt"
-    _atomic_write(table_path, "\n".join(table) + "\n")
-    manifest.add_output(table_path)
+    run.text("stability_table.txt", "\n".join(table) + "\n")
 
     for stage in rep.stages:
         print(f"fraction {stage.fraction:g}: test error {stage.test_error_pct:.2f}%, "
               f"signature {stage.signature}")
     print(f"skeleton stable across all fractions: {rep.all_signatures_equal}")
     print(f"test error monotone nonincreasing: {rep.test_error_monotone_nonincreasing}")
-    manifest.extra("stability", {
+    run.doc["stability"] = {
         "fractions": rep.fractions,
         "signatures": [s.signature for s in rep.stages],
         "test_error_pct": [s.test_error_pct for s in rep.stages],
         "all_signatures_equal": rep.all_signatures_equal,
-    })
-    manifest.write()
+    }
     return 0
 
 
 # ---------- export ----------
 
-def cmd_export(args) -> int:
-    out = _out_dir(args)
-    manifest = _ManifestWriter("export", args, out)
-    manifest.add_input(args.model)
-    model = tree.load(args.model)
-    model = tree.prune(model)
+def cmd_export(args, run: _Run) -> int:
+    model = tree.prune(tree.load(run.input(args.model)))
     program = export.codegen(model)
 
     # verify against the model through the reference interpreter before shipping
@@ -376,10 +320,7 @@ def cmd_export(args) -> int:
         X = model.scaler.inverse(X)
     if [interp.predict(x) for x in X] != model.predict_many(X).tolist():
         raise NumericError("emitted program disagrees with the model")
-
-    program_path = out / "program.txt"
-    _atomic_write(program_path, program.text)
-    manifest.add_output(program_path)
+    program_path = run.text("program.txt", program.text)
 
     rows = []
     names = export.feature_names_for(model)
@@ -387,13 +328,10 @@ def cmd_export(args) -> int:
         rows.append([row.node_id, row.depth]
                     + [f"{w:.17g}" for w in row.weights]
                     + [f"{row.bias:.17g}", row.l0, "|".join(row.dominant)])
-    report_path = out / "report.csv"
-    _write_csv(report_path, ("node_id", "depth") + tuple(f"w_{n}" for n in names)
-               + ("constant", "l0", "dominant"), rows)
-    manifest.add_output(report_path)
+    run.csv("report.csv", ("node_id", "depth") + tuple(f"w_{n}" for n in names)
+            + ("constant", "l0", "dominant"), rows)
     print(f"program -> {program_path} (model sha256 {program.model_hash[:12]}..., "
           f"verified on {len(X)} random inputs)")
-    manifest.write()
     return 0
 
 
@@ -474,12 +412,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        run = _Run(args)
+        code = args.func(args, run)
+        if code == 0:
+            run.close()
+        return code
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:   # str(e) names the file
+        print(f"file error: {e}", file=sys.stderr)
         return 3
     except RadioselError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -263,11 +263,10 @@ def _check_dataset_row(raw, i: int) -> None:
     RadioClass.from_name(raw[4])
 
 
-def load_dataset(path, with_scaler: bool = False) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a `hn,rssi,prr,rnp,label,cost` CSV into a Dataset.
 
-    Features are returned raw (no scaling) unless ``with_scaler`` is set,
-    in which case a z-scaler is fitted, applied, and stored on the result.
+    Features are returned raw; `standardize` fits and applies a z-scaler.
     The checks run on whole columns; the first failing row is then checked
     alone, so the error names that row and its first failed check.
     """
@@ -284,10 +283,7 @@ def load_dataset(path, with_scaler: bool = False) -> Dataset:
     if bad.any():
         i = int(np.argmax(bad))
         _check_dataset_row(cells[i * width:(i + 1) * width], i)
-    ds = Dataset(np.column_stack((hn, rssi, prr, rnp)), y, c)
-    if with_scaler:
-        ds = standardize(ds)
-    return ds
+    return Dataset(np.column_stack((hn, rssi, prr, rnp)), y, c)
 
 
 def save_dataset(ds: Dataset, path) -> None:

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
-CLI exit codes: DataError -> 3, NumericError -> 4, argparse usage -> 2.
+CLI exit codes: DataError -> 3, NumericError -> 4, argparse usage -> 2;
+an OSError from the filesystem (an --out-dir that is a file, an input that
+is a directory) -> 3, with the path in the message.
 """
 
 

@@ -339,23 +339,25 @@ class SweepRow:
     mean_latency_ms: float
 
 
-def interval_sweep(cfg: ScenarioConfig, intervals, selector,
+def interval_sweep(cfg: ScenarioConfig, intervals, *selectors,
                    seed: int | None = None) -> list[SweepRow]:
-    """Replay the selector at each packet-generation interval.
+    """Replay the selectors at each packet-generation interval.
 
     Shorter intervals raise queue occupancy, which adds queuing wait to the
     latency and staleness-corrupts the PRR/RNP features consumed by feature
-    selectors; the oracle reads true throughputs and is immune.
+    selectors; the oracle reads true throughputs and is immune. Each
+    interval's trace is generated once and replayed by every selector. Rows
+    are grouped by selector, in interval order within each group.
     """
     if any(i <= 0 for i in intervals):
         raise DataError("intervals must be positive")
     seed = cfg.seed if seed is None else seed
-    rows = []
-    for interval in intervals:
-        cfg_i = replace(cfg, packet_interval_s=float(interval))
-        traces = _stale_traces(generate(cfg_i, seed), cfg_i, float(interval), seed)
-        result = replay(traces, selector)
-        latency_ms = 1000.0 * (cfg.service_time_s + mean_wait_s(cfg, float(interval)))
-        rows.append(SweepRow(float(interval), selector.name,
-                             result.performance_ratio, latency_ms))
-    return rows
+    groups = [[] for _ in selectors]
+    for interval in map(float, intervals):
+        cfg_i = replace(cfg, packet_interval_s=interval)
+        traces = _stale_traces(generate(cfg_i, seed), cfg_i, interval, seed)
+        latency_ms = 1000.0 * (cfg.service_time_s + mean_wait_s(cfg, interval))
+        for rows, selector in zip(groups, selectors):
+            rows.append(SweepRow(interval, selector.name,
+                                 replay(traces, selector).performance_ratio, latency_ms))
+    return [row for rows in groups for row in rows]

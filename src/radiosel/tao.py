@@ -23,7 +23,7 @@ so a repeated solve would be rejected again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .errors import DataError, NumericError
 from .tree import DecisionNode, LeafNode, ObliqueTree
 
 ACCEPT_MARGIN = 1e-9   # relative to a node's reaching cost; see the module doc
+PASS_TOL = 1e-6        # stop when a pass lowers the objective by less (relative)
+SOLVER_CFG = solver.SolverConfig(max_iter=200, tol=1e-8)
 
 
 @dataclass
@@ -40,11 +42,8 @@ class TaoConfig:
     depth: int = 3
     lam: float = 0.0
     max_passes: int = 20
-    pass_tol: float = 1e-6        # relative per-pass objective decrease
     init_policy: str = "best_of_both"   # random | cart | best_of_both
     seed: int = 0
-    solver_cfg: solver.SolverConfig = field(
-        default_factory=lambda: solver.SolverConfig(max_iter=200, tol=1e-8))
     debug_checks: bool = False    # recompute+assert objective after every node
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class TaoConfig:
             raise DataError("lambda must be >= 0")
         if self.max_passes < 1:
             raise DataError("max_passes must be >= 1")
-        if self.pass_tol < 0:
-            raise DataError("pass_tol must be >= 0")
         if self.init_policy not in ("random", "cart", "best_of_both"):
             raise DataError(f"unknown init policy {self.init_policy!r}")
 
@@ -86,7 +83,7 @@ class TaoResult:
         return {
             "config": {
                 "depth": cfg.depth, "lambda": cfg.lam,
-                "max_passes": cfg.max_passes, "pass_tol": cfg.pass_tol,
+                "max_passes": cfg.max_passes, "pass_tol": PASS_TOL,
                 "init_policy": cfg.init_policy, "seed": cfg.seed,
             },
             "objective_history": [float(v) for v in self.history],
@@ -128,7 +125,7 @@ def optimize_decision_node(t: ObliqueTree, nid: int, care: CareSet, lam: float,
         return None
     problem = solver.WeightedBinaryProblem(care.X, care.side, care.omega, lam)
     current = solver.LinearModel(node.w, node.w0)
-    candidate = solver.solve(problem, current, cfg.solver_cfg)
+    candidate = solver.solve(problem, current, SOLVER_CFG)
     cur_score = solver.weighted_01_loss(current, problem) + lam * float(np.sum(np.abs(node.w)))
     cand_score = solver.weighted_01_loss(candidate, problem) \
         + lam * float(np.sum(np.abs(candidate.w)))
@@ -218,7 +215,7 @@ def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
             break
         drop = prev - e_pass
         rel = drop / prev if prev > 0 else drop
-        if rel < cfg.pass_tol:
+        if rel < PASS_TOL:
             stop_reason = "pass_tol"
             break
     pruned = treemod.prune(work)

@@ -54,11 +54,14 @@ def scores(w: np.ndarray, w0: float, X: np.ndarray) -> np.ndarray:
     last, one elementwise IEEE operation per step: each row gets exactly the
     arithmetic of the emitted IF/ELSE program, whatever the row subset or
     memory layout of X (a BLAS matrix-vector product guarantees neither).
+    Overflow to ±inf and inf - inf = nan are silent: the walk routes them
+    as IEEE comparisons say.
     """
-    s = np.zeros(X.shape[0])
-    for j in np.flatnonzero(w):
-        s += w[j] * X[:, j]
-    return s + w0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.zeros(X.shape[0])
+        for j in np.flatnonzero(w):
+            s += w[j] * X[:, j]
+        return s + w0
 
 
 class ObliqueTree:

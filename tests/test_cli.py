@@ -1,6 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
+import warnings
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +210,7 @@ class TestExportCmd:
         for x in X:
             assert interp.predict(x) == model.predict(x)
         report = (out / "report.csv").read_text().splitlines()
-        assert len(report) - 1 == len(model.decision_ids()) or True  # pruned copy
+        assert len(report) - 1 == len(tree.prune(model).decision_ids())
         assert report[0].endswith("l0,dominant")
 
 
@@ -228,15 +232,28 @@ class TestMalformedModel:
         assert main(["export", "--model", model, "--out-dir", str(tmp_path / "ex")]) == 3
         assert "scaler has 3 features, hyperplanes have 4" in capsys.readouterr().err
 
+    @staticmethod
+    def inflate(doc):
+        for node in doc["nodes"]:
+            if node["kind"] == "decision":
+                node["w"] = [1e308 if v != 0.0 else 0.0 for v in node["w"]]
+
     def test_huge_weights_export_exit_3(self, tmp_path, model_dir, capsys):
-        def inflate(doc):
-            for node in doc["nodes"]:
-                if node["kind"] == "decision":
-                    node["w"] = [1e308 if v != 0.0 else 0.0 for v in node["w"]]
-        model = self.edited_model(model_dir, tmp_path, inflate)
+        model = self.edited_model(model_dir, tmp_path, self.inflate)
         assert main(["export", "--model", model, "--out-dir", str(tmp_path / "ex")]) == 3
         err = capsys.readouterr().err
         assert "node 0: folding the scaler" in err and "non-finite" in err
+
+    def test_huge_weights_eval_and_simulate_quiet(self, tmp_path, data_csv, model_dir):
+        # scores overflow to +-inf, which routes as IEEE comparisons say
+        model = self.edited_model(model_dir, tmp_path, self.inflate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--model", model, "--data", str(data_csv),
+                         "--out-dir", str(tmp_path / "ev")]) == 0
+            assert main(["simulate", "--model", model, "--scenario",
+                         str(_scenario_file(tmp_path)), "--out-dir",
+                         str(tmp_path / "sim")]) == 0
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(root="x"), "malformed model field 'root'"),
@@ -264,6 +281,68 @@ class TestMalformedModel:
         assert err.count("input has 4 features, model scaler has 3") == 2
         # a constant program over the scaler's 3 features is well formed
         assert main(["export", "--model", str(path), "--out-dir", str(tmp_path / "ex")]) == 0
+
+
+class TestFileErrors:
+    """Filesystem failures exit 3 and name the path, without a traceback."""
+
+    def test_out_dir_is_a_file_exit_3(self, tmp_path, data_csv, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["stability", "--data", str(data_csv), "--out-dir", str(taken)]) == 3
+        assert str(taken) in capsys.readouterr().err
+
+    def test_data_is_a_directory_exit_3(self, tmp_path, model_dir, capsys):
+        assert main(["eval", "--model", str(model_dir / "model.json"),
+                     "--data", str(tmp_path), "--out-dir", str(tmp_path / "ev")]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_model_is_a_directory_exit_3(self, tmp_path, capsys):
+        assert main(["export", "--model", str(tmp_path),
+                     "--out-dir", str(tmp_path / "ex")]) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+
+
+def _scenario_file(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(simulator.ScenarioConfig(n_packets=30).to_json())
+    return path
+
+
+MANIFEST_KEYS = {"tool", "version", "subcommand", "config", "seed", "inputs",
+                 "outputs", "wall_time_s"}
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "simulate", "sweep", "stability",
+                                     "export"])
+def test_manifest_names_exactly_the_files_read_and_written(tmp_path, data_csv, model_dir,
+                                                           command):
+    model, scenario = str(model_dir / "model.json"), str(_scenario_file(tmp_path))
+    data = str(data_csv)
+    argv, inputs, extra = {
+        "train": (["--data", data, "--depth", "2", "--lambda", "0.01", "--init", "cart"],
+                  [data], {"training", "lambda_sweep"}),
+        "eval": (["--model", model, "--data", data], [model, data], set()),
+        "simulate": (["--scenario", scenario, "--model", model], [scenario, model], set()),
+        "sweep": (["--scenario", scenario, "--model", model, "--intervals", "3,1.3"],
+                  [scenario, model], set()),
+        "stability": (["--data", data, "--depth", "2", "--lambda", "0.01"], [data],
+                      {"stability"}),
+        "export": (["--model", model], [model], set()),
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--seed", "2", "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert set(doc) == MANIFEST_KEYS | extra
+    assert doc["subcommand"] == command and doc["seed"] == 2
+    assert doc["config"]["out_dir"] == str(out)
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert doc["inputs"] == {p: digest(Path(p)) for p in inputs}
+    written = sorted(p for p in out.iterdir() if p.name != "manifest.json")
+    assert doc["outputs"] == {str(p): digest(p) for p in written}
 
 
 def test_console_entry_point(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from conftest import leaf_tree
-from radiosel import dataset
+from radiosel import dataset, simulator
 from radiosel.errors import DataError
 from radiosel.simulator import (AlwaysSelector, OracleSelector, ScenarioConfig,
                                 ThresholdSelector, TreeSelector, _stale_traces,
@@ -199,6 +199,24 @@ class TestIntervalSweep:
             assert got == _stale_reference(traces, many, interval, seed=4)
         assert got != traces
         assert np.array_equal(got.tp_zigbee, traces.tp_zigbee)
+
+    def test_selectors_share_each_interval_trace(self, cfg):
+        """Several selectors in one sweep give the rows of one sweep per
+        selector, grouped by selector, from one trace per interval."""
+        intervals = [5.0, 1.5, 1.3]
+        selectors = [AlwaysSelector(0), OracleSelector(), AlwaysSelector(1)]
+        calls = []
+
+        def counting(cfg_i, seed):
+            calls.append(cfg_i.packet_interval_s)
+            return generate(cfg_i, seed)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "generate", counting)
+            rows = interval_sweep(cfg, intervals, *selectors, seed=5)
+        assert calls == intervals
+        assert rows == [row for sel in selectors
+                        for row in interval_sweep(cfg, intervals, sel, seed=5)]
 
     def test_rejects_bad_interval(self, cfg):
         with pytest.raises(DataError):
