@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,8 @@ import numpy as np
 from . import __version__, dataset, export, metrics, simulator, stability, tao, tree
 from .errors import DataError, NumericError, RadioselError
 
-DEFAULT_LAMBDA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
+# default train grid: 0 and these multiples of tao.lambda_unit(train split)
+LAMBDA_GRID_FRACTIONS = (1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_INTERVALS = (5.0, 3.0, 2.0, 1.5, 1.4, 1.3)
 
 
@@ -122,32 +124,40 @@ def cmd_train(args, run: _Run) -> int:
         scaler = ds.scaler
     train_ds, val_ds, test_ds = dataset.split(ds, (0.6, 0.2, 0.2), seed=args.seed)
 
+    unit = None   # lambda unit of the default grid; None when lambda is given
     if args.lam is not None:
         lambdas = [args.lam]
     elif args.sweep_lambdas is not None:
         lambdas = _parse_float_list(args.sweep_lambdas, "--sweep-lambdas")
     else:
-        lambdas = list(DEFAULT_LAMBDA_GRID)
+        unit = tao.lambda_unit(train_ds)
+        lambdas = [0.0]
+        if 0 < unit < math.inf:
+            lambdas += [unit * f for f in LAMBDA_GRID_FRACTIONS]
+        elif not math.isfinite(unit):
+            unit = None   # JSON has no inf or nan
 
+    # every config is checked before the first fit
+    cfgs = [tao.TaoConfig(depth=args.depth, lam=lam, seed=args.seed,
+                          init_policy=args.init, max_passes=args.passes)
+            for lam in lambdas]
     sweep_table = []
     best = None
-    for lam in lambdas:
-        cfg = tao.TaoConfig(depth=args.depth, lam=lam, seed=args.seed,
-                            init_policy=args.init, max_passes=args.passes)
+    for cfg in cfgs:
         result = tao.train(train_ds, cfg, val=val_ds)
         val_cwa = metrics.cwa(result.tree, val_ds)
-        sweep_table.append({"lambda": lam, "val_cwa": val_cwa,
+        sweep_table.append({"lambda": cfg.lam, "val_cwa": val_cwa,
                             "init_used": result.init_used,
                             "n_leaves": result.tree.n_leaves()})
         # tie prefers the sparser model (larger lambda)
-        if best is None or val_cwa > best[0] or (val_cwa == best[0] and lam > best[1]):
-            best = (val_cwa, lam, cfg, result)
+        if best is None or val_cwa > best[0] or (val_cwa == best[0] and cfg.lam > best[1]):
+            best = (val_cwa, cfg.lam, cfg, result)
     _, lam, cfg, result = best
 
     final = tree.ObliqueTree(result.tree.nodes, result.tree.root,
                              scaler=scaler, lam=lam)
     model_path = run.output("model.json", lambda path: tree.save(final, path))
-    run.doc["training"] = result.to_manifest(cfg)
+    run.doc["training"] = {**result.to_manifest(cfg), "lambda_unit": unit}
     run.doc["lambda_sweep"] = sweep_table
 
     for i, value in enumerate(result.history):
@@ -218,12 +228,13 @@ def cmd_simulate(args, run: _Run) -> int:
         traces = dataset.load_traces(run.input(args.traces))
     else:
         traces = simulator.generate(_scenario(args, run), seed=args.seed)
+    selectors = _selectors(args, run)   # a bad --model leaves no outputs
     run.output("trace.csv", lambda path: dataset.save_traces(traces, path))
     ds = dataset.label_traces(traces)
     run.output("dataset.csv", lambda path: dataset.save_dataset(ds, path))
 
     cdf_rows, replay_rows = [], []
-    for selector in _selectors(args, run):
+    for selector in selectors:
         result = simulator.replay(traces, selector)
         for pct, tp in result.cdf:
             cdf_rows.append([result.selector, pct, f"{tp:.17g}"])
@@ -356,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="fix the L1 strength and skip the sweep")
     p.add_argument("--sweep-lambdas", default=None,
-                   help="comma-separated lambda grid (default {0} u 10^-4..10^2)")
+                   help="comma-separated lambda grid (default: 0 and 1e-6, 1e-5, "
+                        "1e-4, 1e-3 times the training split's lambda_max)")
     p.add_argument("--init", choices=("random", "cart", "best_of_both"),
                    default="best_of_both")
     p.add_argument("--passes", type=int, default=20)

@@ -51,8 +51,8 @@ class WeightedBinaryProblem:
             raise DataError("pseudo-labels must be +-1")
         if not np.all(np.isfinite(self.omega) & (self.omega > 0)):
             raise DataError("weights must be finite and positive")
-        if self.lam < 0:
-            raise DataError("lambda must be >= 0")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise DataError(f"lambda must be finite and >= 0, got {self.lam!r}")
         # the kernel's sign-flipped factors, exact since y is +-1; fixed here,
         # so y and omega are not to be changed after construction
         self._neg_y = -self.y

@@ -23,6 +23,7 @@ so a repeated solve would be rejected again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,8 +50,8 @@ class TaoConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise DataError("depth must be >= 1")
-        if self.lam < 0:
-            raise DataError("lambda must be >= 0")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise DataError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if self.max_passes < 1:
             raise DataError("max_passes must be >= 1")
         if self.init_policy not in ("random", "cart", "best_of_both"):
@@ -97,6 +98,17 @@ def objective(t: ObliqueTree, ds: Dataset, lam: float) -> float:
     """Cost-weighted misclassification plus lam * sum of |w| over nodes."""
     pred = t.predict_model(ds.X)
     return float(np.sum(ds.c[pred != ds.y])) + lam * t.l1_penalty()
+
+
+def lambda_unit(ds: Dataset) -> float:
+    """glmnet's lambda_max for the dataset: ||X^T (c * (p - [y = 1]))||_inf
+    with p = sum(c[y = 1]) / sum(c). That is the largest weight gradient of
+    the L1-logistic stump with labels y and weights c at w = 0 and its best
+    intercept logit(p), so it is the smallest lambda at which the stump
+    keeps w = 0. It has the units of c: a lambda grid in multiples of it
+    follows the data's cost scale."""
+    p = np.sum(ds.c[ds.y == 1]) / np.sum(ds.c)
+    return float(np.max(np.abs(ds.X.T @ (ds.c * (p - (ds.y == 1))))))
 
 
 def build_care_set(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset) -> CareSet:

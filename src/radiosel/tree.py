@@ -209,7 +209,10 @@ class ObliqueTree:
             reach[nid] = idx
             node = self.nodes[nid]
             if isinstance(node, DecisionNode) and idx.size:
-                left = scores(node.w, node.w0, X[idx]) < 0
+                # a set of all n rows is arange(n) (sets keep row order), so
+                # it is scored on X itself, without a gathered copy
+                rows = X if idx.size == X.shape[0] else X[idx]
+                left = scores(node.w, node.w0, rows) < 0
                 stack += [(node.right, idx[~left]), (node.left, idx[left])]
         return reach
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radiosel import dataset, simulator, tree
+from radiosel import dataset, simulator, tao, tree
 from radiosel.cli import main
 from radiosel.dataset import Scaler
 from radiosel.export import ProgramInterpreter
@@ -89,6 +90,52 @@ class TestTrain:
         assert cwa(stripped, test) > baseline
 
 
+class TestLambdaGrid:
+    """Without --lambda or --sweep-lambdas, train sweeps 0 and decades of the
+    training split's lambda unit; given lambdas are absolute."""
+
+    @staticmethod
+    def _sweep(tmp_path, data_csv, *flags):
+        out = tmp_path / "fit"
+        assert main(["train", "--data", str(data_csv), "--depth", "1", "--init", "cart",
+                     "--seed", "4", *flags, "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        return [row["lambda"] for row in doc["lambda_sweep"]], doc["training"]["lambda_unit"]
+
+    def test_default_grid_is_decades_of_the_unit(self, tmp_path, data_csv):
+        ds = dataset.standardize(dataset.load_dataset(data_csv))
+        unit = tao.lambda_unit(dataset.split(ds, (0.6, 0.2, 0.2), seed=4)[0])
+        assert unit > 0
+        assert self._sweep(tmp_path, data_csv) == (
+            [0.0, unit * 1e-6, unit * 1e-5, unit * 1e-4, unit * 1e-3], unit)
+
+    @pytest.mark.parametrize("unit, recorded", [(0.0, 0.0), (math.nan, None),
+                                                 (math.inf, None)])
+    def test_degenerate_unit_sweeps_zero_only(self, tmp_path, data_csv, monkeypatch,
+                                              unit, recorded):
+        monkeypatch.setattr(tao, "lambda_unit", lambda ds: unit)
+        assert self._sweep(tmp_path, data_csv) == ([0.0], recorded)
+
+    @pytest.mark.parametrize("flags, lambdas", [
+        (["--lambda", "0.01"], [0.01]),
+        (["--sweep-lambdas", "0,3e-05,0.5"], [0.0, 3e-05, 0.5]),
+    ])
+    def test_given_lambdas_are_absolute(self, tmp_path, data_csv, flags, lambdas):
+        assert self._sweep(tmp_path, data_csv, *flags) == (lambdas, None)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--lambda", "nan"],
+        ["train", "--lambda", "inf"],
+        ["train", "--sweep-lambdas", "0,nan"],
+        ["stability", "--lambda", "nan"],
+    ])
+    def test_non_finite_lambda_exit_3(self, tmp_path, data_csv, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--data", str(data_csv), "--out-dir", str(out)]) == 3
+        assert f"got {argv[-1].split(',')[-1]}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []   # no model.json, no manifest
+
+
 class TestEval:
     def test_metrics_and_breakdown(self, tmp_path, data_csv, model_dir):
         out = tmp_path / "eval"
@@ -151,6 +198,13 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")])
         assert rc == 3
         assert "at least one packet" in capsys.readouterr().err
+
+    def test_missing_model_leaves_no_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(_scenario_file(tmp_path)),
+                     "--model", str(tmp_path / "missing.json"),
+                     "--out-dir", str(out)]) == 3
+        assert list(out.iterdir()) == []
 
     def test_replay_existing_traces(self, tmp_path):
         gen = tmp_path / "gen"

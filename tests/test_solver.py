@@ -305,6 +305,9 @@ class TestWeighted01Loss:
                 == float(np.sum(omega[pred != y]))
 
     def test_problem_validation(self):
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(DataError, match=f"lambda must be finite and >= 0, got {lam}"):
+                WeightedBinaryProblem(np.zeros((2, 2)), np.array([1.0, -1.0]), np.ones(2), lam)
         with pytest.raises(DataError):
             WeightedBinaryProblem(np.zeros((2, 2)), np.array([1.0, 2.0]), np.ones(2))
         with pytest.raises(DataError):

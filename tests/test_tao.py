@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import child, random_dataset, random_tree, stump
 from radiosel import metrics, solver, tao
 from radiosel.dataset import Dataset
 from radiosel.errors import DataError
-from radiosel.tao import (CareSet, TaoConfig, build_care_set, objective,
+from radiosel.tao import (CareSet, TaoConfig, build_care_set, lambda_unit, objective,
                           optimize_decision_node, optimize_leaf,
                           optimize_tree, train)
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, to_json
@@ -258,6 +259,36 @@ class TestTrain:
         assert leaf_total == ds.n
         combined = np.sort(np.concatenate([reach[n] for n in res.tree.leaf_ids()]))
         assert np.array_equal(combined, np.arange(ds.n))
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_config_rejects_bad_lambda(lam):
+    with pytest.raises(DataError, match=f"lambda must be finite and >= 0, got {lam}"):
+        TaoConfig(lam=lam)
+
+
+class TestLambdaUnit:
+    def test_doubling_costs_doubles_unit(self, rng):
+        for _ in range(5):
+            ds = random_dataset(rng, n=80, cost_scale=2000.0)
+            # a power-of-two scale is exact in every product and sum
+            assert lambda_unit(Dataset(ds.X, ds.y, 2.0 * ds.c)) == 2.0 * lambda_unit(ds)
+
+    def test_stump_is_all_zero_from_the_unit_up(self, rng):
+        for _ in range(5):
+            ds = random_dataset(rng, n=80)
+            unit = lambda_unit(ds)
+            p = np.sum(ds.c[ds.y == 1]) / np.sum(ds.c)
+            init = solver.LinearModel(np.zeros(ds.dim), np.log(p / (1 - p)))
+            side = np.where(ds.y == 1, 1.0, -1.0)
+            for factor, all_zero in ((1.01, True), (0.99, False)):
+                problem = solver.WeightedBinaryProblem(ds.X, side, ds.c, factor * unit)
+                fit = solver.solve(problem, init, tao.SOLVER_CFG)
+                assert (not np.any(fit.w)) == all_zero
+
+    def test_zero_features_zero_unit(self):
+        ds = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), np.ones(4))
+        assert lambda_unit(ds) == 0.0
 
 
 class TestFixedPointAndSeparability:
