@@ -87,9 +87,15 @@ class _Run:
 
 def _parse_float_list(text: str, flag: str):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise DataError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
+    if not values:
+        raise DataError(f"{flag} expects at least one number, got {text!r}")
+    for v in values:
+        if not math.isfinite(v):
+            raise DataError(f"{flag} entries must be finite, got {v!r}")
+    return values
 
 
 def _scenario(args, run: _Run) -> simulator.ScenarioConfig:
@@ -320,13 +326,10 @@ def cmd_export(args, run: _Run) -> int:
     program = export.codegen(model)
 
     # verify against the model through the reference interpreter before shipping
-    interp = export.ProgramInterpreter(program.text)
+    names = export.feature_names_for(model)
+    interp = export.ProgramInterpreter(program.text, names)
     rng = np.random.default_rng(args.seed)
-    if model.dim is not None:
-        dim = model.dim
-    else:  # leaf-only: the scaler, if any, fixes the feature count
-        dim = model.scaler.mean.shape[0] if model.scaler is not None else 4
-    X = rng.uniform(-5.0, 5.0, size=(2000, dim))
+    X = rng.uniform(-5.0, 5.0, size=(2000, len(names)))
     if model.scaler is not None:
         X = model.scaler.inverse(X)
     if [interp.predict(x) for x in X] != model.predict_many(X).tolist():
@@ -334,7 +337,6 @@ def cmd_export(args, run: _Run) -> int:
     program_path = run.text("program.txt", program.text)
 
     rows = []
-    names = export.feature_names_for(model)
     for row in export.report(model):
         rows.append([row.node_id, row.depth]
                     + [f"{w:.17g}" for w in row.weights]

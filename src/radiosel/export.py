@@ -1,9 +1,11 @@
 """Deployment artifacts: IF/ELSE decision programs and weight reports.
 
-The emitted program consumes RAW sensor features: any standardization is
-folded into the coefficients (a_j = w_j / sigma_j, constant absorbs
--sum w_j mu_j / sigma_j). Numerals are shortest round-trip decimals, so
-re-parsing recovers the exact coefficient values.
+The emitted program consumes RAW sensor features. For a model with a
+scaler it opens with one line `z_hn = (hn - mean) / std;` per feature and
+its conditions use the node's own weights over the `z_` names, so each row
+takes the model's IEEE operations (Scaler.transform, then tree.scores).
+Numerals are shortest round-trip decimals, so re-parsing recovers the exact
+values.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 
 from .dataset import FEATURE_NAMES
 from .errors import DataError
-from .tree import DecisionNode, LeafNode, ObliqueTree, to_json
+from .tree import LeafNode, ObliqueTree, to_json
 
-PROGRAM_VERSION = 1
+PROGRAM_VERSION = 2
 _INDENT = "    "
 
 _LABEL_TEXT = {0: "ZIGBEE", 1: "LORA"}
@@ -26,18 +28,11 @@ _LABEL_CODE = {"ZIGBEE": 0, "LORA": 1}
 
 
 def feature_names_for(tree: ObliqueTree) -> tuple:
-    if tree.dim is None or tree.dim == len(FEATURE_NAMES):
+    """Raw feature names; a leaf-only model takes its width from its scaler."""
+    dim = tree.dim if tree.dim is not None or tree.scaler is None else len(tree.scaler.mean)
+    if dim is None or dim == len(FEATURE_NAMES):
         return FEATURE_NAMES
-    return tuple(f"x{j}" for j in range(tree.dim))
-
-
-def _folded_params(node: DecisionNode, scaler):
-    if scaler is None:
-        return node.w.copy(), node.w0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
-        a = node.w / scaler.std
-        a0 = node.w0 - float(np.sum(node.w * scaler.mean / scaler.std))
-    return a, a0
+    return tuple(f"x{j}" for j in range(dim))
 
 
 def _condition_text(a: np.ndarray, a0: float, names) -> str:
@@ -50,13 +45,8 @@ def _condition_text(a: np.ndarray, a0: float, names) -> str:
         parts.append((coeff, f"{repr(abs(float(coeff)))}*{name}"))
     if a0 != 0.0 or not parts:
         parts.append((a0, repr(abs(float(a0)))))
-    pieces = []
-    for i, (value, text) in enumerate(parts):
-        if i == 0:
-            pieces.append(("-" if value < 0 else "") + text)
-        else:
-            pieces.append((" - " if value < 0 else " + ") + text)
-    return "".join(pieces) + " < 0"
+    text = "".join((" - " if value < 0 else " + ") + term for value, term in parts)
+    return ("-" if text[1] == "-" else "") + text[3:] + " < 0"
 
 
 @dataclass
@@ -80,6 +70,11 @@ def codegen(tree: ObliqueTree) -> DecisionProgram:
         f"// model sha256: {model_hash}",
         "// consumes raw features; score 0 takes the else branch",
     ]
+    if tree.scaler is not None:
+        for name, mean, std in zip(names, tree.scaler.mean, tree.scaler.std):
+            op = "+" if np.signbit(mean) else "-"
+            lines.append(f"z_{name} = ({name} {op} {abs(float(mean))!r}) / {float(std)!r};")
+        names = tuple(f"z_{name}" for name in names)
 
     def emit(nid: int, depth: int) -> None:
         pad = _INDENT * depth
@@ -87,11 +82,7 @@ def codegen(tree: ObliqueTree) -> DecisionProgram:
         if isinstance(node, LeafNode):
             lines.append(f"{pad}return {_LABEL_TEXT[node.label]};")
             return
-        a, a0 = _folded_params(node, tree.scaler)
-        if not (np.all(np.isfinite(a)) and np.isfinite(a0)):
-            raise DataError(f"node {nid}: folding the scaler into the weights gives "
-                            "non-finite coefficients")
-        lines.append(f"{pad}if ({_condition_text(a, a0, names)}) {{")
+        lines.append(f"{pad}if ({_condition_text(node.w, node.w0, names)}) {{")
         emit(node.left, depth + 1)
         lines.append(f"{pad}}} else {{")
         emit(node.right, depth + 1)
@@ -103,7 +94,12 @@ def codegen(tree: ObliqueTree) -> DecisionProgram:
 
 # ---------- reference interpreter ----------
 
-_TERM_RE = re.compile(r"^(?P<num>[0-9.eE+-]+)(?:\*(?P<name>[A-Za-z_][A-Za-z0-9_]*))?$")
+# numerals as repr() writes them, so float() accepts every match
+_NUM = r"\d+(?:\.\d*)?(?:e[+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TERM_RE = re.compile(rf"^(?P<num>-?{_NUM})(?:\*(?P<name>{_NAME}))?$")
+_PROLOGUE_RE = re.compile(rf"^(?P<z>{_NAME}) = \((?P<x>{_NAME}) (?P<op>[+-]) (?P<mean>{_NUM})\) "
+                          rf"/ (?P<std>{_NUM});$")
 
 
 class _Parser:
@@ -112,13 +108,28 @@ class _Parser:
         self.pos = 0
         self.feature_index = feature_index
 
-    def peek(self) -> str:
-        return self.lines[self.pos]
-
     def take(self) -> str:
+        if self.pos == len(self.lines):
+            raise DataError("program ends early")
         line = self.lines[self.pos]
         self.pos += 1
         return line
+
+    def slot(self, name: str) -> int:
+        if name not in self.feature_index:
+            raise DataError(f"unknown feature {name!r} in program")
+        return self.feature_index[name]
+
+    def parse_prologue(self, n_features: int) -> list:
+        """`z = (x - mean) / std;` lines as (slot of x, mean, std); each z
+        takes the next slot after the n_features raw ones and the earlier z."""
+        prologue = []
+        while self.pos < len(self.lines) and (m := _PROLOGUE_RE.match(self.lines[self.pos])):
+            self.pos += 1
+            mean = float(m["mean"]) if m["op"] == "-" else -float(m["mean"])
+            prologue.append((self.slot(m["x"]), mean, float(m["std"])))
+            self.feature_index[m["z"]] = n_features + len(prologue) - 1
+        return prologue
 
     def parse_block(self):
         line = self.take()
@@ -141,53 +152,45 @@ class _Parser:
 
     def _parse_expr(self, expr: str):
         # split  "a*hn + b*rssi - c"  into signed terms, left to right
-        chunks = re.split(r" ([+-]) ", expr)
-        signed = [("+", chunks[0])]
-        for i in range(1, len(chunks), 2):
-            signed.append((chunks[i], chunks[i + 1]))
+        chunks = re.split(r" ([+-]) ", " + " + expr)
         terms = []
-        for sign, chunk in signed:
+        for sign, chunk in zip(chunks[1::2], chunks[2::2]):
             m = _TERM_RE.match(chunk)
             if not m:
                 raise DataError(f"cannot parse term {chunk!r}")
-            try:
-                coeff = float(m.group("num"))
-            except ValueError:
-                raise DataError(f"cannot parse coefficient in term {chunk!r}")
-            if sign == "-":
-                coeff = -coeff
+            coeff = float(m.group("num")) if sign == "+" else -float(m.group("num"))
             name = m.group("name")
-            if name is None:
-                terms.append((coeff, None))
-            else:
-                if name not in self.feature_index:
-                    raise DataError(f"unknown feature {name!r} in program")
-                terms.append((coeff, self.feature_index[name]))
+            terms.append((coeff, None if name is None else self.slot(name)))
         return terms
 
 
 class ProgramInterpreter:
     """Evaluates an emitted program on raw feature vectors.
 
-    Accumulates each condition left to right exactly as written, so it is
-    an independent execution of the program text rather than of the tree.
+    Computes the prologue's standardized values, then accumulates each
+    condition left to right exactly as written, so it is an independent
+    execution of the program text rather than of the tree.
     """
 
     def __init__(self, text: str, feature_names=FEATURE_NAMES):
         lines = [ln.strip() for ln in text.splitlines()
                  if ln.strip() and not ln.strip().startswith("//")]
-        index = {name: j for j, name in enumerate(feature_names)}
-        parser = _Parser(lines, index)
+        self.n_features = len(feature_names)
+        parser = _Parser(lines, {name: j for j, name in enumerate(feature_names)})
+        self.prologue = parser.parse_prologue(self.n_features)
         self.tree = parser.parse_block()
         if parser.pos != len(lines):
             raise DataError("trailing content after program body")
 
     def predict(self, x) -> int:
+        v = [float(x[j]) for j in range(self.n_features)]
+        for j, mean, std in self.prologue:
+            v.append((v[j] - mean) / std)
         node = self.tree
         while node[0] == "if":
             s = 0.0
             for coeff, j in node[1]:
-                s += coeff if j is None else coeff * float(x[j])
+                s += coeff if j is None else coeff * v[j]
             node = node[2] if s < 0 else node[3]
         return node[1]
 
@@ -215,12 +218,9 @@ def report(tree: ObliqueTree) -> list:
     for nid in tree.decision_ids():
         node = tree.nodes[nid]
         absw = np.abs(node.w)
-        top = float(np.max(absw)) if absw.size else 0.0
-        if top > 0.0:
-            order = np.argsort(-absw, kind="stable")
-            dominant = tuple(names[j] for j in order if absw[j] >= DOMINANCE_RATIO * top)
-        else:
-            dominant = ()
+        top = float(np.max(absw, initial=0.0))
+        dominant = tuple(names[j] for j in np.argsort(-absw, kind="stable")
+                         if absw[j] > 0.0 and absw[j] >= DOMINANCE_RATIO * top)
         rows.append(ReportRow(
             node_id=nid, depth=depths[nid], weights=node.w.copy(),
             bias=node.w0, l0=int(np.sum(node.w != 0.0)), dominant=dominant))

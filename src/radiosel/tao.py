@@ -128,8 +128,7 @@ def build_care_set(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset)
     return CareSet(X[keep], side, np.abs(loss_left - loss_right)[keep])
 
 
-def optimize_decision_node(t: ObliqueTree, nid: int, care: CareSet, lam: float,
-                           cfg: TaoConfig):
+def optimize_decision_node(t: ObliqueTree, nid: int, care: CareSet, lam: float):
     """Solver candidate for one node; returns (w, w0) if strictly better
     under weighted 0/1 loss + L1 penalty, else None (keep current)."""
     node = t.nodes[nid]
@@ -173,7 +172,7 @@ def _decision_proposal(t, nid, reach_idx, ds, cfg, rejected: dict):
            node.w.tobytes(), np.float64(node.w0).tobytes())
     if rejected.get(nid) == key:
         return None
-    prop = optimize_decision_node(t, nid, care, cfg.lam, cfg)
+    prop = optimize_decision_node(t, nid, care, cfg.lam)
     if prop is None:
         rejected[nid] = key
     return prop

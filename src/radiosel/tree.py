@@ -7,7 +7,7 @@ convention: only the trainer mutates node parameters, single-writer.
 One kernel, `scores`, and one walk route every row: predict, predict_many,
 training (reach_sets, subtree_predict, predict_model) and the accept test
 (solver.weighted_01_loss) agree on every input, hyperplane points included,
-and without a scaler so does the emitted program.
+and so does the emitted program.
 """
 
 from __future__ import annotations

@@ -265,6 +265,22 @@ def test_criterion_08_export_equivalence():
             X = scaler.inverse(X)  # the program and predict consume raw features
         mismatches = sum(interp.predict(x) != t.predict(x) for x in X)
         assert mismatches == 0, f"model {m}: {mismatches} disagreements"
+        if scaler is None or not t.decision_ids():
+            continue
+        # on-plane points: projected in model space, then in raw space onto
+        # the same plane written over raw features
+        Z = boundary_adjacent_inputs(t, rng, per_node=per_node, eps_rel=0.0)
+        on_plane = [scaler.inverse(Z)]
+        for nid in t.decision_ids():
+            a = t.nodes[nid].w / scaler.std
+            a0 = t.nodes[nid].w0 - float(a @ scaler.mean)
+            R = scaler.inverse(rng.normal(0.0, 2.0, size=(per_node, 4)))
+            on_plane.append(R - np.outer((R @ a + a0) / (a @ a), a))
+        X = np.vstack(on_plane)
+        expected = [interp.predict(x) for x in X]
+        mismatches = sum(t.predict(x) != e for x, e in zip(X, expected))
+        mismatches += int(np.sum(t.predict_many(X) != expected))
+        assert mismatches == 0, f"model {m}: {mismatches} on-plane disagreements"
 
 
 @criterion(9, "oracle dominance, ratio bounds, latency monotone in interval")

@@ -14,7 +14,7 @@ from radiosel import dataset, simulator, tao, tree
 from radiosel.cli import main
 from radiosel.dataset import Scaler
 from radiosel.export import ProgramInterpreter
-from radiosel.tree import LeafNode, ObliqueTree
+from radiosel.tree import DecisionNode, LeafNode, ObliqueTree
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,22 @@ class TestLambdaGrid:
         assert main([*argv, "--data", str(data_csv), "--out-dir", str(out)]) == 3
         assert f"got {argv[-1].split(',')[-1]}" in capsys.readouterr().err
         assert list(out.iterdir()) == []   # no model.json, no manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--sweep-lambdas", ","],
+    ["stability", "--fractions", ","],
+    ["stability", "--fractions", "nan"],
+    ["sweep", "--intervals", "nan"],
+    ["sweep", "--intervals", "inf"],
+    ["sweep", "--intervals", ","],
+])
+def test_empty_or_non_finite_float_list_exit_3(tmp_path, data_csv, capsys, argv):
+    out = tmp_path / "out"
+    data = [] if argv[0] == "sweep" else ["--data", str(data_csv)]
+    assert main([*argv, *data, "--out-dir", str(out)]) == 3
+    assert argv[1] in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 class TestEval:
@@ -268,6 +284,21 @@ class TestExportCmd:
         assert report[0].endswith("l0,dominant")
 
 
+    def test_three_feature_model(self, tmp_path):
+        path = tmp_path / "m3.json"
+        tree.save(ObliqueTree({0: DecisionNode(np.array([1.0, -2.0, 0.5]), 0.25, 1, 2),
+                               1: LeafNode(0), 2: LeafNode(1)}, 0,
+                              scaler=Scaler(np.array([1.0, -2.0, 3.0]),
+                                            np.array([0.5, 2.0, 4.0]))), path)
+        out = tmp_path / "ex"
+        assert main(["export", "--model", str(path), "--out-dir", str(out)]) == 0
+        text = (out / "program.txt").read_text()
+        assert "z_x1 = (x1 + 2.0) / 2.0;" in text
+        interp = ProgramInterpreter(text, ("x0", "x1", "x2"))
+        X = np.random.default_rng(1).normal(0.0, 3.0, (200, 3))
+        assert [interp.predict(x) for x in X] == tree.load(path).predict_many(X).tolist()
+
+
 class TestMalformedModel:
     @staticmethod
     def edited_model(model_dir, tmp_path, edit):
@@ -292,11 +323,18 @@ class TestMalformedModel:
             if node["kind"] == "decision":
                 node["w"] = [1e308 if v != 0.0 else 0.0 for v in node["w"]]
 
-    def test_huge_weights_export_exit_3(self, tmp_path, model_dir, capsys):
+    def test_huge_weights_export_exact(self, tmp_path, model_dir):
+        # the program standardizes, then uses the model's own 1e308 weights
         model = self.edited_model(model_dir, tmp_path, self.inflate)
-        assert main(["export", "--model", model, "--out-dir", str(tmp_path / "ex")]) == 3
-        err = capsys.readouterr().err
-        assert "node 0: folding the scaler" in err and "non-finite" in err
+        out = tmp_path / "ex"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["export", "--model", model, "--out-dir", str(out)]) == 0
+            loaded = tree.load(model)
+            interp = ProgramInterpreter((out / "program.txt").read_text())
+            # the rows export verifies on (--seed 0)
+            X = loaded.scaler.inverse(np.random.default_rng(0).uniform(-5.0, 5.0, (2000, 4)))
+            assert [interp.predict(x) for x in X] == loaded.predict_many(X).tolist()
 
     def test_huge_weights_eval_and_simulate_quiet(self, tmp_path, data_csv, model_dir):
         # scores overflow to +-inf, which routes as IEEE comparisons say

@@ -60,19 +60,25 @@ class TestCodegen:
             assert [t.predict(x) for x in X] == expected
             assert t.predict_many(X).tolist() == expected
 
-    def test_scaler_folded_for_raw_inputs(self, rng):
+    def test_scaler_prologue_for_raw_inputs(self, rng):
         scaler = Scaler(np.array([2.0, -95.0, 0.5, 2.0]),
                         np.array([1.5, 12.0, 0.25, 1.2]))
         nodes = {0: DecisionNode(rng.normal(0, 1, 4), 0.3, 1, 2),
                  1: LeafNode(0), 2: LeafNode(1)}
         t = ObliqueTree(nodes, 0, scaler=scaler)
         program = codegen(t)
+        assert "z_hn = (hn - 2.0) / 1.5;\nz_rssi = (rssi + 95.0) / 12.0;\n" in program.text
         interp = ProgramInterpreter(program.text)
         # raw, physically-scaled inputs
         X = np.column_stack([rng.uniform(1, 6, 300), rng.uniform(-130, -60, 300),
                              rng.uniform(0, 1, 300), rng.uniform(1, 8, 300)])
         for x in X:
             assert interp.predict(x) == t.predict(x)
+        # points on the hyperplane in model space, fed to both as raw features
+        Xb = scaler.inverse(boundary_adjacent_inputs(t, rng, per_node=500, eps_rel=0.0))
+        expected = [interp.predict(x) for x in Xb]
+        assert [t.predict(x) for x in Xb] == expected
+        assert t.predict_many(Xb).tolist() == expected
 
     def test_emitted_numerals_round_trip(self, rng):
         t = prune(random_tree(rng, depth=2))
@@ -109,6 +115,31 @@ class TestInterpreter:
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=1)
         interp = ProgramInterpreter(codegen(t).text)
         assert interp.predict(np.zeros(4)) == 1
+
+    @pytest.mark.parametrize("cut", [0, 2, 3, 4],
+                             ids=["empty", "after_then", "after_else", "no_closing_brace"])
+    def test_truncated_program_ends_early(self, cut):
+        text = "if (1.0*hn < 0) {\nreturn LORA;\n} else {\nreturn ZIGBEE;\n}\n"
+        with pytest.raises(DataError, match="program ends early"):
+            ProgramInterpreter("\n".join(text.splitlines()[:cut]))
+
+    def test_rejects_unknown_feature_in_prologue(self):
+        text = "z_hn = (volts - 1.0) / 2.0;\nif (1.0*z_hn < 0) {\nreturn LORA;\n" \
+               "} else {\nreturn ZIGBEE;\n}\n"
+        with pytest.raises(DataError, match="volts"):
+            ProgramInterpreter(text)
+
+    def test_prologue_standardizes_before_the_conditions(self):
+        text = "z_rssi = (rssi + 95.0) / 5.0;\nif (1.0*z_rssi - 1.0 < 0) {\n" \
+               "return LORA;\n} else {\nreturn ZIGBEE;\n}\n"
+        interp = ProgramInterpreter(text)
+        assert [interp.predict([0.0, r, 0.0, 0.0]) for r in (-91.0, -90.0)] == [1, 0]
+
+    def test_version_1_program_still_parses(self):
+        text = ("// radiosel decision program v1\n// model sha256: 0\n"
+                "if (2.0*hn - 1.0 < 0) {\n    return LORA;\n} else {\n    return ZIGBEE;\n}\n")
+        interp = ProgramInterpreter(text)
+        assert [interp.predict([x, 0.0, 0.0, 0.0]) for x in (0.0, 0.5)] == [1, 0]
 
 
 class TestReport:

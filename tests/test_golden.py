@@ -1,7 +1,9 @@
 """Pinned SHA-256 digests of the CLI's trace, dataset, replay and sweep
 outputs at fixed seeds. The digests were recorded on the row-by-row trace
 code; a change to trace generation, labelling, CSV writing, replay or
-staleness injection that moves a single byte fails here."""
+staleness injection that moves a single byte fails here. The export
+digests were recorded on the first program format with a standardization
+prologue (program v2)."""
 
 import hashlib
 
@@ -23,6 +25,10 @@ SWEEP = "f0319dca476b6ce8c7f8fa2b14e3a91f3eff6da3bda40ac53ca5c905bbc91812"
 # 101 nodes: "n100" sorts between "n10" and "n11", so staleness draws that
 # follow node-code order instead of sorted-name order change this digest.
 SWEEP_101_NODES = "8ab66217ee3bd5ccddcaa480c80f6a3a1b4a3dc8c167dac04ea89edd519b4865"
+EXPORT = {
+    "program.txt": "b2fce2713f5417ecb54170b07e03be2777f71315664ed4cccfad68d8f2ce3830",
+    "report.csv": "8ad99bb8f47ef8e587b0924bd2d01ef5632d7b7a5b80c06376612ef6460998a1",
+}
 
 
 def sha256(path):
@@ -67,3 +73,9 @@ def test_sweep_output_many_nodes(tmp_path, model_path):
                  "--model", str(model_path), "--intervals", "2,1.3",
                  "--out-dir", str(out)]) == 0
     assert sha256(out / "sweep.csv") == SWEEP_101_NODES
+
+
+def test_export_outputs(tmp_path, model_path):
+    out = tmp_path / "ex"
+    assert main(["export", "--model", str(model_path), "--out-dir", str(out)]) == 0
+    assert {name: sha256(out / name) for name in EXPORT} == EXPORT

@@ -2,8 +2,8 @@
 
 A model file mutated from a valid one either loads, saves and predicts, or
 raises ModelFormatError/DataError (exit 3 in the CLI), never another error.
-For trees over raw features, the emitted program run by the reference
-interpreter makes the model's choice on every point on a hyperplane.
+The emitted program run by the reference interpreter makes the model's
+choice on every point on a hyperplane, with or without a scaler.
 """
 
 import json
@@ -111,6 +111,27 @@ def raw_feature_trees(draw):
 def test_program_matches_model_on_hyperplanes(t, seed):
     interp = ProgramInterpreter(codegen(t).text)
     X = boundary_adjacent_inputs(t, np.random.default_rng(seed), per_node=10, eps_rel=0.0)
+    expected = [interp.predict(x) for x in X]
+    assert t.predict_many(X).tolist() == expected
+    assert [t.predict(x) for x in X] == expected
+
+
+@st.composite
+def scaled_trees(draw):
+    """raw_feature_trees plus a scaler whose means and stds span 12 decades."""
+    t = draw(raw_feature_trees())
+    mean = [draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(MAGNITUDES) for _ in range(4)]
+    std = [10.0 ** draw(MAGNITUDES) for _ in range(4)]
+    return ObliqueTree(t.nodes, t.root, scaler=Scaler(np.array(mean), np.array(std)))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(scaled_trees(), st.integers(0, 2 ** 32 - 1))
+def test_scaled_program_matches_model_on_hyperplanes(t, seed):
+    # on-plane in model space, fed to the program and the model as raw features
+    Z = boundary_adjacent_inputs(t, np.random.default_rng(seed), per_node=10, eps_rel=0.0)
+    X = t.scaler.inverse(Z)
+    interp = ProgramInterpreter(codegen(t).text)
     expected = [interp.predict(x) for x in X]
     assert t.predict_many(X).tolist() == expected
     assert [t.predict(x) for x in X] == expected

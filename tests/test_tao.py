@@ -107,21 +107,18 @@ class TestOptimizeDecisionNode:
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=1)
         care = CareSet(np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
                        np.array([-1.0, 1.0]), np.array([3.0, 4.0]))
-        cfg = TaoConfig(depth=1, lam=0.0)
-        assert optimize_decision_node(t, 0, care, 0.0, cfg) is None
+        assert optimize_decision_node(t, 0, care, 0.0) is None
 
     def test_empty_care_set_keeps_params(self):
         t = stump([1.0, 0, 0, 0], 0.0, 0, 1)
-        cfg = TaoConfig(depth=1)
         care = CareSet(np.empty((0, 4)), np.empty(0), np.empty(0))
-        assert optimize_decision_node(t, 0, care, 0.0, cfg) is None
+        assert optimize_decision_node(t, 0, care, 0.0) is None
 
     def test_single_point_rerouted(self):
         # current node sends x=(1,0,0,0) right; the care set wants it left
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=1)
         care = CareSet(np.array([[1.0, 0, 0, 0]]), np.array([-1.0]), np.array([10.0]))
-        cfg = TaoConfig(depth=1)
-        prop = optimize_decision_node(t, 0, care, 0.0, cfg)
+        prop = optimize_decision_node(t, 0, care, 0.0)
         assert prop is not None
         w, w0 = prop
         assert float(np.dot(w, [1.0, 0, 0, 0])) + w0 < 0
@@ -131,12 +128,11 @@ class TestOptimizeDecisionNode:
             t = random_tree(rng, depth=2)
             ds = random_dataset(rng, n=50)
             lam = float(rng.choice([0.0, 0.1, 1.0]))
-            cfg = TaoConfig(depth=2, lam=lam)
             nid = int(rng.choice(t.decision_ids()))
             reach = manual_reach(t, nid, ds.X)
             care = build_care_set(t, nid, reach, ds)
             before = objective(t, ds, lam)
-            prop = optimize_decision_node(t, nid, care, lam, cfg)
+            prop = optimize_decision_node(t, nid, care, lam)
             if prop is not None:
                 t.nodes[nid].w, t.nodes[nid].w0 = prop
             assert objective(t, ds, lam) <= before
