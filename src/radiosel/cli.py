@@ -28,10 +28,16 @@ from .errors import DataError, NumericError, RadioselError
 # default train grid: 0 and these multiples of tao.lambda_unit(train split)
 LAMBDA_GRID_FRACTIONS = (1e-6, 1e-5, 1e-4, 1e-3)
 DEFAULT_INTERVALS = (5.0, 3.0, 2.0, 1.5, 1.4, 1.3)
+_HASH_READ_BYTES = 1 << 20
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex SHA-256 of a file, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_READ_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _atomic_write(path: Path, text: str) -> None:

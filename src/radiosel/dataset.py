@@ -8,6 +8,7 @@ are dropped at labeling time.
 
 from __future__ import annotations
 
+import collections
 import csv
 import enum
 import itertools
@@ -29,6 +30,9 @@ TRACE_COLUMNS = TRACE_HEADER[1:]
 _DATASET_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
 _TRACE_ROW = "%s" + ",%.17g" * len(TRACE_COLUMNS) + "\n"
 _LABEL_CODES = {"zigbee": 0, "lora": 1}
+# Records per block that the CSV readers parse and the writers format at a
+# time: memory is the loaded arrays plus one block of cell strings.
+CHUNK_ROWS = 2048
 
 
 class RadioClass(enum.IntEnum):
@@ -192,40 +196,71 @@ def _check_feature_row(hn: float, rssi: float, prr: float, rnp: float, row: int)
         raise DataError(f"row {row}: rnp must be >= 1, got {rnp}")
 
 
-def _read_csv(path, expected_header) -> list[str]:
-    """Cells of the data records, row-major, of a CSV whose header must be
-    expected_header. Blank lines are skipped; a record of the wrong width is
-    reported by its index among all records after the header."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        try:
-            records = list(csv.reader(fh))
-        except (UnicodeDecodeError, csv.Error) as e:
-            raise DataError(f"{path}: not a UTF-8 CSV file: {e}") from e
-    if not records:
-        raise DataError(f"{path}: empty file, expected header {','.join(expected_header)}")
-    header = [h.strip() for h in records[0]]
+def _header_error(path: Path, header, expected_header) -> DataError | None:
+    """What is wrong with a file's first record as its header, if anything."""
+    if header is None:
+        return DataError(f"{path}: empty file, expected header {','.join(expected_header)}")
+    header = [h.strip() for h in header]
     missing = [c for c in expected_header if c not in header]
     extra = [c for c in header if c not in expected_header]
     if missing:
-        raise DataError(f"{path}: missing column {missing[0]!r}")
+        return DataError(f"{path}: missing column {missing[0]!r}")
     if extra:
-        raise DataError(f"{path}: unexpected column {extra[0]!r}")
+        return DataError(f"{path}: unexpected column {extra[0]!r}")
     if tuple(header) != tuple(expected_header):
-        raise DataError(f"{path}: columns must be ordered {','.join(expected_header)}")
-    rows = records[1:]
-    if set(map(len, rows)) - {len(header)}:  # blank lines or records of the wrong width
-        kept = []
-        for i, raw in enumerate(rows):
-            if not raw or (len(raw) == 1 and raw[0].strip() == ""):
-                continue
-            if len(raw) != len(header):
-                raise DataError(f"{path}: row {i}: expected {len(header)} fields, got {len(raw)}")
-            kept.append(raw)
-        rows = kept
-    return list(itertools.chain.from_iterable(rows))
+        return DataError(f"{path}: columns must be ordered {','.join(expected_header)}")
+    return None
+
+
+def _read_blocks(path, expected_header):
+    """Data records of a CSV whose header must be expected_header, yielded
+    in blocks of at most CHUNK_ROWS records read from the file.
+
+    Blank lines are skipped. Errors are raised only once the whole file is
+    read, in the order a whole-file reader reports them: a decode or CSV
+    syntax error anywhere, then an empty file or a bad header, then the
+    first record of the wrong width, indexed among all records after the
+    header, blank lines included. Nothing is yielded after a header or
+    width error, so a caller sees no block of a file that will fail."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    width = len(expected_header)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            error = _header_error(path, next(reader, None), expected_header)
+            start = 0
+            while error is None and (records := list(itertools.islice(reader, CHUNK_ROWS))):
+                kept = []
+                for i, raw in enumerate(records, start):
+                    if len(raw) == width:
+                        kept.append(raw)
+                    elif raw and (len(raw) > 1 or raw[0].strip()):  # not a blank line
+                        error = DataError(f"{path}: row {i}: expected {width} fields, "
+                                          f"got {len(raw)}")
+                        break
+                if kept and error is None:
+                    yield kept
+                start += len(records)
+            collections.deque(reader, maxlen=0)  # a later decode or syntax error comes first
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not a UTF-8 CSV file: {e}") from e
+        except csv.Error as e:
+            raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {e}") from e
+    if error is not None:
+        raise error
+
+
+def _read_record(path, expected_header, row: int) -> list[str]:
+    """Data record `row` (blank lines skipped) of a file that read without
+    error, read again from the file: the error path's lookup, so that no
+    block outlives its parsing."""
+    for block in _read_blocks(path, expected_header):
+        if row < len(block):
+            return block[row]
+        row -= len(block)
+    raise DataError(f"{path}: file changed while reading")
 
 
 def _parse_float(s: str, row: int, col: str) -> float:
@@ -238,12 +273,13 @@ def _parse_float(s: str, row: int, col: str) -> float:
 def _parse_columns(cells_by_column) -> tuple[list[np.ndarray], np.ndarray]:
     """float() of every cell of each column, and the mask of rows holding a
     cell that float() rejects; rejected cells read as NaN."""
-    columns, bad = [], np.zeros(len(cells_by_column[0]), dtype=bool)
+    n = len(cells_by_column[0])
+    columns, bad = [], np.zeros(n, dtype=bool)
     for cells in cells_by_column:
         try:
-            columns.append(np.array(list(map(float, cells))))
+            columns.append(np.fromiter(map(float, cells), dtype=float, count=n))
         except ValueError:
-            values = np.full(len(cells), np.nan)
+            values = np.full(n, np.nan)
             for i, s in enumerate(cells):
                 try:
                     values[i] = float(s)
@@ -267,33 +303,42 @@ def load_dataset(path) -> Dataset:
     """Read a `hn,rssi,prr,rnp,label,cost` CSV into a Dataset.
 
     Features are returned raw; `standardize` fits and applies a z-scaler.
-    The checks run on whole columns; the first failing row is then checked
+    The file is parsed one block of records at a time. The checks run on
+    whole columns; the first failing row is then read again and checked
     alone, so the error names that row and its first failed check.
     """
-    cells = _read_csv(path, DATASET_HEADER)
-    if not cells:
+    blocks = []
+    for records in _read_blocks(path, DATASET_HEADER):
+        hn, rssi, prr, rnp, labels, cost = zip(*records)
+        columns, bad = _parse_columns((hn, rssi, prr, rnp, cost))
+        codes = {s: _LABEL_CODES.get(s.strip().lower(), -1) for s in set(labels)}
+        y = np.fromiter(map(codes.__getitem__, labels), dtype=int, count=len(labels))
+        blocks.append((*columns, y, bad))
+    if not blocks:
         raise DataError(f"{path}: empty dataset")
-    width = len(DATASET_HEADER)
-    (hn, rssi, prr, rnp, c), bad = _parse_columns([cells[j::width] for j in (0, 1, 2, 3, 5)])
-    label_cells = cells[4::width]
-    label_codes = {s: _LABEL_CODES.get(s.strip().lower(), -1) for s in set(label_cells)}
-    y = np.fromiter(map(label_codes.__getitem__, label_cells), dtype=int,
-                    count=len(label_cells))
+    hn, rssi, prr, rnp, c, y, bad = (np.concatenate(parts) for parts in zip(*blocks))
+    del blocks
     bad |= _bad_features(hn, rssi, prr, rnp) | ~np.isfinite(c) | (c <= 0) | (y < 0)
     if bad.any():
         i = int(np.argmax(bad))
-        _check_dataset_row(cells[i * width:(i + 1) * width], i)
+        _check_dataset_row(_read_record(path, DATASET_HEADER, i), i)
     return Dataset(np.column_stack((hn, rssi, prr, rnp)), y, c)
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a Dataset as CSV (raw-feature convention; scaler not persisted)."""
+    """Write a Dataset as CSV, one block of rows at a time. The file holds
+    raw features, so a standardized Dataset is rejected."""
+    if ds.scaler is not None:
+        raise DataError("cannot save a standardized dataset: dataset CSVs hold raw features")
     path = Path(path)
-    labels = np.array(["zigbee", "lora"], dtype=object)[ds.y].tolist()
-    rows = zip(*ds.X.T.tolist(), labels, ds.c.tolist())
+    label_names = np.array(["zigbee", "lora"], dtype=object)
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(DATASET_HEADER) + "\n")
-        fh.writelines(map(_DATASET_ROW.__mod__, rows))
+        for lo in range(0, ds.n, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            fh.writelines(map(_DATASET_ROW.__mod__,
+                              zip(*ds.X[rows].T.tolist(), label_names[ds.y[rows]].tolist(),
+                                  ds.c[rows].tolist())))
 
 
 def _check_trace_row(raw, i: int, prev_t: float | None) -> None:
@@ -316,17 +361,21 @@ def load_traces(path) -> Trace:
     """Read a `node_id,t,tp_zigbee,tp_lora,hn,rssi,prr,rnp` trace CSV.
 
     Node ids are stripped and coded in order of first appearance. As in
-    load_dataset, the first failing row is checked alone to name the error.
+    load_dataset, blocks of records are parsed as they are read, and the
+    first failing row is read again and checked alone to name the error.
     """
-    cells = _read_csv(path, TRACE_HEADER)
-    if not cells:
-        raise DataError(f"{path}: empty trace file")
-    width = len(TRACE_HEADER)
-    node_cells = cells[::width]
     names: dict[str, int] = {}
-    node = np.fromiter((names.setdefault(s.strip(), len(names)) for s in node_cells),
-                       dtype=np.intp, count=len(node_cells))
-    columns, bad = _parse_columns([cells[j::width] for j in range(1, width)])
+    blocks = []
+    for records in _read_blocks(path, TRACE_HEADER):
+        node_cells, *cells = zip(*records)
+        node = np.fromiter((names.setdefault(s.strip(), len(names)) for s in node_cells),
+                           dtype=np.intp, count=len(node_cells))
+        columns, bad = _parse_columns(cells)
+        blocks.append((node, *columns, bad))
+    if not blocks:
+        raise DataError(f"{path}: empty trace file")
+    node, *columns, bad = (np.concatenate(parts) for parts in zip(*blocks))
+    del blocks
     t, tpz, tpl, hn, rssi, prr, rnp = columns
     bad |= ~(np.isfinite(tpz) & np.isfinite(tpl)) | (tpz < 0) | (tpl < 0)
     bad |= _bad_features(hn, rssi, prr, rnp) | ~np.isfinite(t)
@@ -337,17 +386,22 @@ def load_traces(path) -> Trace:
     if bad.any():
         i = int(np.argmax(bad))
         earlier = np.flatnonzero(node[:i] == node[i])
-        _check_trace_row(cells[i * width:(i + 1) * width], i,
+        _check_trace_row(_read_record(path, TRACE_HEADER, i), i,
                          float(t[earlier[-1]]) if earlier.size else None)
     return Trace(tuple(names), node, *columns)
 
 
 def save_traces(traces: Trace, path) -> None:
+    """Write a trace as CSV, one block of rows at a time."""
     path = Path(path)
-    rows = zip(traces.node_ids().tolist(), *(getattr(traces, c).tolist() for c in TRACE_COLUMNS))
+    names = np.asarray(traces.names, dtype=object)
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        fh.writelines(map(_TRACE_ROW.__mod__, rows))
+        for lo in range(0, len(traces), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            fh.writelines(map(_TRACE_ROW.__mod__,
+                              zip(names[traces.node[rows]].tolist(),
+                                  *(getattr(traces, c)[rows].tolist() for c in TRACE_COLUMNS))))
 
 
 def label_traces(traces: Trace, tie_policy: str = "drop") -> Dataset:

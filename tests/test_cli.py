@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from radiosel import dataset, simulator, tao, tree
-from radiosel.cli import main
+from radiosel.cli import _sha256, main
 from radiosel.dataset import Scaler
 from radiosel.export import ProgramInterpreter
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree
@@ -393,6 +393,12 @@ class TestFileErrors:
         assert main(["export", "--model", str(tmp_path),
                      "--out-dir", str(tmp_path / "ex")]) == 3
         assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_sha256_reads_in_pieces_with_the_whole_file_digest(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(3).bytes((1 << 21) + 12345))
+    assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _scenario_file(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from radiosel.dataset import (DATASET_HEADER, FEATURE_NAMES, TRACE_COLUMNS,
-                              TRACE_HEADER, Dataset, RadioClass, Trace, _read_csv,
+                              TRACE_HEADER, Dataset, RadioClass, Trace, _read_blocks,
                               load_dataset, load_traces, save_dataset, save_traces)
 from radiosel.errors import DataError
 
@@ -71,8 +71,7 @@ def check_features(hn, rssi, prr, rnp, row):
 
 def reference_load_traces(path):
     """Row-by-row trace reader: every check on one record before the next."""
-    cells, width = _read_csv(path, TRACE_HEADER), len(TRACE_HEADER)
-    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    rows = [raw for block in _read_blocks(path, TRACE_HEADER) for raw in block]
     if not rows:
         raise DataError(f"{path}: empty trace file")
     names, node, columns, last_t = {}, [], [], {}
@@ -97,8 +96,7 @@ def reference_load_traces(path):
 
 def reference_load_dataset(path):
     """Row-by-row dataset reader: every check on one record before the next."""
-    cells, width = _read_csv(path, DATASET_HEADER), len(DATASET_HEADER)
-    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    rows = [raw for block in _read_blocks(path, DATASET_HEADER) for raw in block]
     if not rows:
         raise DataError(f"{path}: empty dataset")
     X, y, c = [], [], []

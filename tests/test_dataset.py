@@ -1,6 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import test_csv_properties as properties
+from radiosel import dataset
 from radiosel.dataset import (Dataset, RadioClass, Trace, label_traces,
                               load_dataset, load_traces, save_dataset,
                               save_traces, split, standardize,
@@ -34,6 +40,12 @@ class TestLoadDataset:
         p = write(tmp_path / "d.csv", HEADER + "1,-90,0.9,1.1,zigbee,0\n")
         with pytest.raises(DataError, match="row 0"):
             load_dataset(p)
+
+    def test_standardized_dataset_not_saved(self, tmp_path, rng):
+        ds = Dataset(rng.uniform(1, 9, size=(10, 4)), np.arange(10) % 2, np.ones(10))
+        with pytest.raises(DataError, match="standardized"):
+            save_dataset(standardize(ds), tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_missing_column_named(self, tmp_path):
         p = write(tmp_path / "d.csv", "hn,rssi,prr,label,cost\n1,-90,0.9,zigbee,5\n")
@@ -378,3 +390,181 @@ class TestReaderErrors:
         with pytest.raises(DataError) as err:
             load_traces(p)
         assert str(err.value) == f"{p}: empty trace file"
+
+    def test_csv_syntax_error_is_not_an_encoding_error(self, tmp_path):
+        p = write(tmp_path / "d.csv", HEADER + "1,-90,0.9,1.1,zigbee,10\n"
+                  + "x" * 200_000 + "\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(p)
+        assert str(err.value) == (f"{p}: malformed CSV at line 3: "
+                                  "field larger than field limit (131072)")
+
+
+def same_outcome(a, b):
+    """Equal properties.outcome results: one error message, or equal arrays."""
+    (kind, got), (ref_kind, expected) = a, b
+    if kind != ref_kind or kind == "error":
+        return (kind, got) == (ref_kind, expected)
+    same = properties.same_trace if isinstance(got, Trace) else properties.same_dataset
+    return same(got, expected)
+
+
+def trace_lines(n, node=lambda i: f"n{i % 3}", t=float):
+    return [f"{node(i)},{t(i)},5000,3000,2,-95,0.8,1.4" for i in range(n)]
+
+
+def dataset_lines(n):
+    return [f"{1 + i % 4},-9{i % 10},0.{i % 10},1.{i},{('zigbee', 'lora')[i % 2]},{i + 1}"
+            for i in range(n)]
+
+
+def edited(lines, **edits):
+    """lines with the record at index int(k[1:]) of each edit k replaced."""
+    lines = list(lines)
+    for key, value in edits.items():
+        lines[int(key[1:])] = value
+    return lines
+
+
+class TestBlockBoundaries:
+    """Loads with blocks of 1, 2, 3 and 7 records give the arrays or the
+    error message of the default block size."""
+
+    TRACE_BODIES = {
+        "valid": trace_lines(20),
+        "blank_lines_at_edges": edited(trace_lines(20), r1="", r2="  ", r6="", r7="",
+                                       r13=""),
+        "node_first_seen_late": edited(trace_lines(20), r15="late,15,5000,3000,2,-95,0.8,1.4",
+                                       r19=" late ,19,5000,3000,2,-95,0.8,1.4"),
+        "t_decreases_across_edge": edited(trace_lines(20, node=lambda i: "a"),
+                                          r5="b,10,5000,3000,2,-95,0.8,1.4",
+                                          r7="b,9,5000,3000,2,-95,0.8,1.4"),
+        "bad_value_late": edited(trace_lines(20), r3="", r18="n0,18,5000,3000,2,-95,1.5,1.4"),
+        "unparsable_late": edited(trace_lines(20), r16="n1,16,5000,3000,2,-95,0.8,q"),
+        "width_after_blank": edited(trace_lines(20), r8="", r11="n2,11,5000"),
+    }
+    DATASET_BODIES = {
+        "valid": dataset_lines(20),
+        "blank_lines_at_edges": edited(dataset_lines(20), r0="", r3="", r6=" ", r13=""),
+        "bad_value_late": edited(dataset_lines(20), r2="", r17="1,-90,0.9,1.1,wifi,10"),
+        "zero_cost_late": edited(dataset_lines(20), r12="1,-90,0.9,1.1,lora,0"),
+    }
+
+    @pytest.mark.parametrize("name", TRACE_BODIES)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_traces(self, tmp_path, monkeypatch, name, rows):
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n".join(self.TRACE_BODIES[name]) + "\n")
+        expected = properties.outcome(load_traces, p)
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        assert same_outcome(properties.outcome(load_traces, p), expected)
+
+    @pytest.mark.parametrize("name", DATASET_BODIES)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_datasets(self, tmp_path, monkeypatch, name, rows):
+        p = write(tmp_path / "d.csv", HEADER + "\n".join(self.DATASET_BODIES[name]) + "\n")
+        expected = properties.outcome(load_dataset, p)
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        assert same_outcome(properties.outcome(load_dataset, p), expected)
+
+    def test_outcomes_pinned(self, tmp_path):
+        """What the cases above compare, at the default block size."""
+        def load(name):
+            p = write(tmp_path / f"{name}.csv",
+                      TRACE_HEADER_LINE + "\n".join(self.TRACE_BODIES[name]) + "\n")
+            return p, properties.outcome(load_traces, p)[1]
+        assert load("node_first_seen_late")[1].names == ("n0", "n1", "n2", "late")
+        assert load("t_decreases_across_edge")[1] == "row 7: t decreases for node b"
+        assert load("bad_value_late")[1] == "row 17: prr must be in [0,1], got 1.5"
+        p, got = load("width_after_blank")
+        assert got == f"{p}: row 11: expected 8 fields, got 3"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
+@pytest.mark.parametrize("loader,header,lines", [
+    (load_traces, TRACE_HEADER_LINE, trace_lines),
+    (load_dataset, HEADER, dataset_lines),
+], ids=["traces", "dataset"])
+class TestErrorPrecedence:
+    """Errors of a whole-file read, in its order, although blocks are
+    parsed as they are read. Files span many decode buffers, so a bad
+    byte in the last block is read long after block 1 is parsed."""
+
+    N = 3000
+
+    def load(self, monkeypatch, loader, path, rows):
+        if rows is not None:
+            monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        with pytest.raises(DataError) as err:
+            loader(path)
+        return str(err.value)
+
+    def test_bad_header_then_bad_byte(self, tmp_path, monkeypatch, rows, loader,
+                                      header, lines):
+        p = tmp_path / "f.csv"
+        text = header.replace("rssi", "rss") + "\n".join(lines(self.N)) + "\n"
+        p.write_bytes(text.encode() + b"\xff\n")
+        assert self.load(monkeypatch, loader, p, rows).startswith(
+            f"{p}: not a UTF-8 CSV file: 'utf-8' codec can't decode byte 0xff")
+
+    def test_bad_width_then_bad_byte(self, tmp_path, monkeypatch, rows, loader,
+                                     header, lines):
+        p = tmp_path / "f.csv"
+        body = edited(lines(self.N), r1="1,2")
+        p.write_bytes((header + "\n".join(body) + "\n").encode() + b"\xff\n")
+        assert self.load(monkeypatch, loader, p, rows).startswith(
+            f"{p}: not a UTF-8 CSV file")
+
+    def test_bad_value_then_bad_width(self, tmp_path, monkeypatch, rows, loader,
+                                      header, lines):
+        first = lines(self.N)[0].split(",")
+        first[1] = "x"
+        body = edited(lines(self.N), r0=",".join(first), r2="")
+        p = write(tmp_path / "f.csv", header + "\n".join(body) + "\n1,2\n")
+        width = len(header.split(","))
+        assert self.load(monkeypatch, loader, p, rows) == (
+            f"{p}: row {self.N}: expected {width} fields, got 2")
+
+
+def test_load_memory_is_arrays_plus_a_block(tmp_path, monkeypatch, rng):
+    """Peak traced memory of a ~20k-row load stays within 4x the arrays
+    returned: the cells of one block are alive at a time, not the file's."""
+    n = 20_000
+    trace = Trace(("n00", "n01", "n02"), np.arange(n) % 3, np.arange(n) // 3 * 1.5,
+                  *rng.uniform(0, 9000, size=(2, n)), rng.integers(1, 5, n).astype(float),
+                  rng.uniform(-120, -70, n), rng.uniform(0, 1, n), rng.uniform(1, 8, n))
+    save_traces(trace, tmp_path / "t.csv")
+    save_dataset(label_traces(trace), tmp_path / "d.csv")
+    monkeypatch.setattr(dataset, "CHUNK_ROWS", 1024)
+    for load, path in ((load_traces, tmp_path / "t.csv"), (load_dataset, tmp_path / "d.csv")):
+        tracemalloc.start()
+        try:
+            got = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = ([got.node] + [getattr(got, c) for c in dataset.TRACE_COLUMNS]
+                  if isinstance(got, Trace) else [got.X, got.y, got.c])
+        assert peak <= 4 * sum(a.nbytes for a in arrays), load.__name__
+
+
+def in_three_row_blocks(prop, **strategies):
+    """A property test of test_csv_properties, run with 3-record blocks so
+    that its files of up to 25 rows span blocks."""
+    @properties.SETTINGS
+    @given(**strategies)
+    def test(tmp_path, monkeypatch, **drawn):
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", 3)
+        prop.hypothesis.inner_test(None, tmp_path, **drawn)
+    return test
+
+
+test_round_trip_traces_in_blocks = in_three_row_blocks(
+    properties.TestRoundTrip.test_traces, trace=properties.traces())
+test_round_trip_dataset_in_blocks = in_three_row_blocks(
+    properties.TestRoundTrip.test_dataset, ds=properties.datasets())
+test_corrupted_traces_in_blocks = in_three_row_blocks(
+    properties.TestCorruptedFiles.test_traces_match_reference,
+    data=st.data(), trace=properties.traces())
+test_corrupted_dataset_in_blocks = in_three_row_blocks(
+    properties.TestCorruptedFiles.test_dataset_matches_reference,
+    data=st.data(), ds=properties.datasets())
