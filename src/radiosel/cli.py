@@ -185,6 +185,8 @@ def cmd_train(args, run: _Run) -> int:
 # ---------- eval ----------
 
 def cmd_eval(args, run: _Run) -> int:
+    if args.kfold is not None and args.kfold < 2:
+        raise DataError(f"--kfold {args.kfold}: k must be >= 2")
     model_path, data_path = run.input(args.model), run.input(args.data)
     model = tree.load(model_path)
     ds = dataset.load_dataset(data_path)
@@ -201,7 +203,7 @@ def cmd_eval(args, run: _Run) -> int:
           f"{breakdown.loss_high:.0f} bps lost), {breakdown.n_low} low-cost "
           f"({breakdown.loss_low:.0f} bps lost)")
 
-    if args.kfold:
+    if args.kfold is not None:
         lam = model.lam if model.lam is not None else 0.0
         depth = max(1, model.depth)
 

@@ -3,8 +3,19 @@
 Minimizes  F(w, w0) = sum_n  omega_n * log(1 + exp(-ytil_n (w.x_n + w0)))
                       + lambda * ||w||_1
 with the bias unpenalized. Proximal gradient with backtracking line search:
-the objective sequence is monotonically nonincreasing by construction, which
-is what the tree trainer's accept test leans on.
+the objective sequence is monotonically nonincreasing by construction.
+
+Two uses. With SolverConfig.patience None, solve is a surrogate minimizer
+and returns its last iterate. With a patience (the tree trainer's config),
+solve proposes a candidate for an accept test on weighted 0/1 loss + L1,
+for which the surrogate is only a guide: it scores every accepted iterate,
+the init included, by sum(omega[negm > 0]) + lambda * ||w||_1 from the
+kernel terms already on the point, returns the lowest-scoring one (the
+earliest on ties), and stops once `patience` accepted iterations pass
+without a strictly lower score. tol and max_iter stay as backstops. The
+score counts a margin of exactly 0 as correct for either label, while the
+tree sends score 0 right, and X @ w may round apart from the tree's routing
+kernel, so it only selects; the caller's exact accept test decides.
 
 Kernel. Let negm_n = -ytil_n (w.x_n + w0) and L_n = log1p(exp(-|negm_n|)).
 numpy's logaddexp computes logaddexp(0, +-negm) as max(+-negm, 0) + L through
@@ -84,12 +95,20 @@ MIN_STEP = 1e-18
 class SolverConfig:
     max_iter: int = 1000
     tol: float = 1e-8          # relative objective decrease
+    patience: int | None = None   # None: last iterate; else best-score proposal
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise DataError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise DataError("tol must be > 0")
+        if not _is_count(self.max_iter):
+            raise DataError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DataError(f"tol must be finite and > 0, got {self.tol!r}")
+        if self.patience is not None and not _is_count(self.patience):
+            raise DataError(f"patience must be None or an integer >= 1, "
+                            f"got {self.patience!r}")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -130,13 +149,22 @@ def objective(problem: WeightedBinaryProblem, model: LinearModel) -> float:
     return smooth_loss(problem, model) + problem.lam * float(np.sum(np.abs(model.w)))
 
 
+def _selection_score(problem: WeightedBinaryProblem, point: _Point, penalty: float) -> float:
+    """Total weight of the points with negm > 0 plus the L1 penalty, from the
+    kernel terms smooth_loss left on the point."""
+    return float(np.add.reduce(problem.omega[point.terms[0] > 0])) + penalty
+
+
 def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
           cfg: SolverConfig | None = None) -> LinearModel:
     """Proximal-gradient descent with backtracking, warm-started at init.
 
-    Deterministic; F(result) <= F(init); stops on relative objective
-    decrease < cfg.tol or after cfg.max_iter iterations. Calls smooth_loss
-    once per loss evaluation and smooth_gradient once per iteration.
+    Deterministic; F(last iterate) <= F(init). Stops on relative objective
+    decrease < cfg.tol, after cfg.max_iter iterations, or with cfg.patience
+    once that many accepted iterations pass without a strictly lower
+    selection score. Returns the last iterate, or with cfg.patience the
+    lowest-scoring one (see the module doc). Calls smooth_loss once per loss
+    evaluation and smooth_gradient once per iteration.
     """
     cfg = cfg or SolverConfig()
     if init is None:
@@ -146,12 +174,16 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
         raise DataError(f"init has {w.shape} weights, problem wants ({problem.dim},)")
     w0 = float(init.w0)
     lam = problem.lam
+    patience = cfg.patience
 
     cur = _Point(w, w0)
     f_cur = smooth_loss(problem, cur)
-    F_cur = f_cur + lam * float(np.add.reduce(np.abs(w)))
+    penalty = lam * float(np.add.reduce(np.abs(w)))
+    F_cur = f_cur + penalty
     if not math.isfinite(F_cur):
         raise NumericError("non-finite objective at init: rescale the problem")
+    if patience is not None:
+        best, best_score, stale = cur, _selection_score(problem, cur, penalty), 0
     step = INIT_STEP
 
     for _ in range(cfg.max_iter):
@@ -173,16 +205,27 @@ def solve(problem: WeightedBinaryProblem, init: LinearModel | None = None,
             step *= STEP_SHRINK
         else:  # line search exhausted
             break
-        F_new = f_new + lam * float(np.add.reduce(np.abs(w_new)))
+        penalty = lam * float(np.add.reduce(np.abs(w_new)))
+        F_new = f_new + penalty
         if F_new > F_cur:
             # sufficient-decrease passed but rounding nudged F up: stop, keep cur
             break
         rel_drop = (F_cur - F_new) / max(abs(F_cur), 1.0)
         cur, w, w0, f_cur, F_cur = cand, w_new, cand.w0, f_new, F_new
+        if patience is not None:
+            score = _selection_score(problem, cur, penalty)
+            if score < best_score:
+                best, best_score, stale = cur, score, 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
         if rel_drop < cfg.tol:
             break
         step *= STEP_GROW
-    return LinearModel(w, w0)
+    if patience is not None:
+        cur = best
+    return LinearModel(cur.w, cur.w0)
 
 
 def weighted_01_loss(model: LinearModel, problem: WeightedBinaryProblem) -> float:

@@ -6,11 +6,14 @@ updates are independent, and the reach sets computed at the start of a pass
 stay valid: a node's reach set depends only on its ancestors, which are
 visited after it.
 
-Decision nodes delegate to the weighted L1 logistic surrogate and accept
-the candidate only if it strictly improves weighted 0/1 loss plus the L1
-penalty; leaves take the cost-weighted majority label. Acceptance uses a
-tiny relative margin so that rounding-level "improvements" never make the
-independently recomputed objective tick upward.
+Decision nodes delegate to the weighted L1 logistic surrogate, which
+proposes its best-scoring iterate under SOLVER_CFG's patience rule (see
+solver), and accept the candidate only if it strictly improves weighted 0/1
+loss plus the L1 penalty under the tree's routing; leaves take the
+cost-weighted majority label. Acceptance uses a tiny relative margin so that
+rounding-level "improvements" never make the independently recomputed
+objective tick upward. Training stops at a fixed point (a pass that changes
+no node) or after max_passes.
 
 Solve reuse: within one optimize_tree call each decision node remembers the
 solver inputs of its last rejected proposal (care-set X, side, omega and the
@@ -34,8 +37,7 @@ from .errors import DataError, NumericError
 from .tree import DecisionNode, LeafNode, ObliqueTree
 
 ACCEPT_MARGIN = 1e-9   # relative to a node's reaching cost; see the module doc
-PASS_TOL = 1e-6        # stop when a pass lowers the objective by less (relative)
-SOLVER_CFG = solver.SolverConfig(max_iter=200, tol=1e-8)
+SOLVER_CFG = solver.SolverConfig(max_iter=200, tol=1e-8, patience=100)
 
 
 @dataclass
@@ -77,15 +79,17 @@ class TaoResult:
     tree: ObliqueTree
     history: list          # objective after init and after each pass
     init_used: str         # random | cart | warm
-    stop_reason: str       # fixed_point | pass_tol | max_passes
+    stop_reason: str       # fixed_point | max_passes
     n_passes: int
 
     def to_manifest(self, cfg: TaoConfig) -> dict:
         return {
             "config": {
                 "depth": cfg.depth, "lambda": cfg.lam,
-                "max_passes": cfg.max_passes, "pass_tol": PASS_TOL,
+                "max_passes": cfg.max_passes,
                 "init_policy": cfg.init_policy, "seed": cfg.seed,
+                "solver": {"max_iter": SOLVER_CFG.max_iter, "tol": SOLVER_CFG.tol,
+                           "patience": SOLVER_CFG.patience},
             },
             "objective_history": [float(v) for v in self.history],
             "init_used": self.init_used,
@@ -219,15 +223,9 @@ def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
         if e_pass > history[-1]:
             raise NumericError(f"objective increased across a pass: "
                                f"{history[-1]} -> {e_pass}")
-        prev = history[-1]
         history.append(e_pass)
         if not changed:
             stop_reason = "fixed_point"
-            break
-        drop = prev - e_pass
-        rel = drop / prev if prev > 0 else drop
-        if rel < PASS_TOL:
-            stop_reason = "pass_tol"
             break
     pruned = treemod.prune(work)
     return TaoResult(pruned, history, "warm", stop_reason, n_passes)

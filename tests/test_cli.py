@@ -52,6 +52,15 @@ class TestTrain:
         assert doc["lambda_sweep"][0]["lambda"] == 0.01
         assert str(model_dir / "model.json") in doc["outputs"]
 
+    def test_manifest_training_config(self, model_dir):
+        training = json.loads((model_dir / "manifest.json").read_text())["training"]
+        assert training["config"] == {
+            "depth": 2, "lambda": 0.01, "max_passes": 20, "init_policy": "cart",
+            "seed": 7, "solver": {"max_iter": 200, "tol": 1e-8, "patience": 100}}
+        assert training["stop_reason"] in ("fixed_point", "max_passes")
+        assert set(training) == {"config", "objective_history", "init_used",
+                                 "stop_reason", "n_passes", "lambda_unit"}
+
     def test_model_has_scaler_for_raw_inference(self, model_dir):
         model = tree.load(model_dir / "model.json")
         assert model.scaler is not None
@@ -176,6 +185,18 @@ class TestEval:
         # header + all + 5 folds + train/test summaries
         assert len(lines) == 1 + 1 + 5 + 2
         assert sum("fold" in ln for ln in lines) == 5
+
+    @pytest.mark.parametrize("k", ["0", "1", "-2"])
+    def test_kfold_below_two_exit_3_before_output(self, tmp_path, data_csv, model_dir,
+                                                   capsys, k):
+        out = tmp_path / "evalk"
+        rc = main(["eval", "--model", str(model_dir / "model.json"),
+                   "--data", str(data_csv), "--kfold", k, "--out-dir", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""   # no whole-data CWA printed first
+        assert f"--kfold {k}: k must be >= 2" in captured.err
+        assert list(out.iterdir()) == []
 
 
 class TestSimulate:

@@ -1,18 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import boundary_adjacent_inputs, stump
-from radiosel import solver
+from radiosel import solver, tao
 from radiosel.errors import DataError
 from radiosel.solver import (LinearModel, SolverConfig, WeightedBinaryProblem,
                              objective, smooth_gradient, smooth_loss,
                              soft_threshold, solve, weighted_01_loss)
 
 
-def reference_solve(problem, init, cfg):
+def reference_iterates(problem, init, cfg):
     """The proximal-gradient loop as first written (soft_threshold call,
-    LinearModel per iterate, np.sum wrappers); solve must match it bit for
-    bit."""
+    LinearModel per iterate, np.sum wrappers). Yields the init and then each
+    accepted iterate; stops as solve does without a patience."""
     def loss(model):
         margins = problem.y * (problem.X @ model.w + model.w0)
         return float(np.sum(problem.omega * np.logaddexp(0.0, -margins)))
@@ -27,6 +29,7 @@ def reference_solve(problem, init, cfg):
     cur = LinearModel(w, float(init.w0))
     f_cur = loss(cur)
     F_cur = f_cur + problem.lam * float(np.sum(np.abs(w)))
+    yield cur
     step = solver.INIT_STEP
     for _ in range(cfg.max_iter):
         gw, gw0 = gradient(cur)
@@ -51,10 +54,40 @@ def reference_solve(problem, init, cfg):
             break
         rel_drop = (F_cur - F_new) / max(abs(F_cur), 1.0)
         cur, f_cur, F_cur = cand, f_new, F_new
+        yield cur
         if rel_drop < cfg.tol:
             break
         step *= solver.STEP_GROW
+
+
+def reference_solve(problem, init, cfg):
+    """The last iterate; solve without a patience must match it bit for bit."""
+    for cur in reference_iterates(problem, init, cfg):
+        pass
     return cur
+
+
+def proposal_score(problem, model):
+    """Total weight of the points with margin < 0 plus the L1 penalty."""
+    margins = problem.y * (problem.X @ model.w + model.w0)
+    return float(np.sum(problem.omega[margins < 0])) \
+        + problem.lam * float(np.sum(np.abs(model.w)))
+
+
+def reference_propose(problem, init, cfg):
+    """The iterate with the lowest proposal_score, the earliest on ties,
+    stopping once cfg.patience iterates pass without a strictly lower one;
+    solve with a patience must match it bit for bit."""
+    best, best_score, stale = None, math.inf, 0
+    for cur in reference_iterates(problem, init, cfg):
+        score = proposal_score(problem, cur)
+        if score < best_score:
+            best, best_score, stale = cur, score, 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best
 
 
 def random_problem(rng, n=30, dim=4, lam=0.0):
@@ -163,14 +196,17 @@ class TestSolve:
             solve(problem, LinearModel(np.zeros(3), 0.0))
 
 
-class TestMatchesReference:
-    """solve is byte-identical to reference_solve, and makes one
-    smooth_gradient call per iteration (the benchmark counts them)."""
+class ReferenceFamilies:
+    """Problem families on which solve must match its plain-loop reference
+    byte for byte: reference_solve without a patience, reference_propose
+    with one."""
 
-    TAO_CFG = SolverConfig(max_iter=200, tol=1e-8)
+    TAO_CFG: SolverConfig     # the 200-iteration config under test
+    SHORT_CFG: SolverConfig   # a short run with a tighter tol
 
     def assert_same(self, problem, init, cfg):
-        got, ref = solve(problem, init, cfg), reference_solve(problem, init, cfg)
+        reference = reference_solve if cfg.patience is None else reference_propose
+        got, ref = solve(problem, init, cfg), reference(problem, init, cfg)
         assert got.w.tobytes() == ref.w.tobytes()
         assert np.float64(got.w0).tobytes() == np.float64(ref.w0).tobytes()
 
@@ -179,7 +215,7 @@ class TestMatchesReference:
             problem = random_problem(rng, n=int(rng.integers(1, 150)),
                                      lam=float(rng.choice([0.0, 0.01, 0.5, 20.0])))
             init = LinearModel(rng.normal(0, 1, 4), float(rng.normal(0, 1)))
-            for cfg in (self.TAO_CFG, SolverConfig(max_iter=40, tol=1e-12)):
+            for cfg in (self.TAO_CFG, self.SHORT_CFG):
                 self.assert_same(problem, init, cfg)
 
     def test_weights_spanning_twelve_decades(self, rng):
@@ -226,6 +262,15 @@ class TestMatchesReference:
             problem = WeightedBinaryProblem(base.X, -np.ones(90), base.omega, lam)
             self.assert_same(problem, LinearModel(rng.normal(0, 1, 4), 0.4), self.TAO_CFG)
 
+
+class TestMatchesReference(ReferenceFamilies):
+    """solve as a surrogate minimizer (no patience) is byte-identical to
+    reference_solve, and makes one smooth_gradient call per iteration (the
+    benchmark counts them)."""
+
+    TAO_CFG = SolverConfig(max_iter=200, tol=1e-8)
+    SHORT_CFG = SolverConfig(max_iter=40, tol=1e-12)
+
     def test_loss_and_gradient_match_two_softplus_formulas(self, rng):
         """smooth_loss and smooth_gradient on a plain LinearModel equal the
         formulas that evaluate logaddexp once for the loss and once for the
@@ -266,6 +311,62 @@ class TestMatchesReference:
         assert len(iters) == self.TAO_CFG.max_iter   # no minimizer: runs to the cap
 
 
+def count_gradients(monkeypatch):
+    """A list that grows by one on each smooth_gradient call (one per iteration)."""
+    iters = []
+    real_gradient = solver.smooth_gradient
+
+    def counting_gradient(problem, model):
+        iters.append(1)
+        return real_gradient(problem, model)
+
+    monkeypatch.setattr(solver, "smooth_gradient", counting_gradient)
+    return iters
+
+
+class TestProposalMatchesReference(ReferenceFamilies):
+    """Under TAO's config, solve proposes the best-scoring iterate and stops
+    on patience, byte-identical to reference_propose."""
+
+    TAO_CFG = tao.SOLVER_CFG
+    SHORT_CFG = SolverConfig(max_iter=40, tol=1e-12, patience=5)
+
+    def test_unbeaten_init_returned_bytes(self, rng, monkeypatch):
+        # the init separates the points and has lambda 0, so no iterate
+        # scores strictly lower: solve stops after `patience` iterations
+        # and returns the init, signed zeros included
+        X = rng.normal(0, 1, size=(50, 4))
+        init = LinearModel(np.array([1.0, -0.0, 0.0, -2.0]), -0.0)
+        y = np.where(X @ init.w + init.w0 >= 0, 1.0, -1.0)
+        problem = WeightedBinaryProblem(X, y, rng.uniform(1.0, 10.0, 50), 0.0)
+        iters = count_gradients(monkeypatch)
+        got = solve(problem, init, self.TAO_CFG)
+        assert got.w.tobytes() == init.w.tobytes()
+        assert np.float64(got.w0).tobytes() == np.float64(init.w0).tobytes()
+        assert len(iters) == self.TAO_CFG.patience
+        self.assert_same(problem, init, self.TAO_CFG)
+
+    def test_separable_lambda_zero_stops_before_cap(self, rng, monkeypatch):
+        # the care set of TestMatchesReference::test_separable_lambda_zero_hits_cap
+        X = rng.normal(0, 1, size=(40, 4))
+        y = np.where(X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 >= 0, 1.0, -1.0)
+        problem = WeightedBinaryProblem(X, y, rng.uniform(1.0, 100.0, 40), 0.0)
+        init = LinearModel(np.array([0.5, -0.5, 0.0, 0.1]), 0.0)
+        assert weighted_01_loss(init, problem) > 0.0
+        iters = count_gradients(monkeypatch)
+        got = solve(problem, init, self.TAO_CFG)
+        assert len(iters) < self.TAO_CFG.max_iter
+        assert weighted_01_loss(got, problem) == 0.0
+        self.assert_same(problem, init, self.TAO_CFG)
+
+    def test_proposal_never_scores_above_init(self, rng):
+        for _ in range(30):
+            problem = random_problem(rng, lam=float(rng.choice([0.0, 0.1, 2.0])))
+            init = LinearModel(rng.normal(0, 2, 4), float(rng.normal(0, 2)))
+            got = solve(problem, init, self.TAO_CFG)
+            assert proposal_score(problem, got) <= proposal_score(problem, init)
+
+
 class TestWeighted01Loss:
     def test_perfect_separator_zero(self):
         problem = WeightedBinaryProblem(np.array([[-2.0], [2.0]]),
@@ -303,6 +404,23 @@ class TestWeighted01Loss:
             pred = np.where(t.predict_model(X) == 1, 1.0, -1.0)
             assert weighted_01_loss(LinearModel(w, w0), WeightedBinaryProblem(X, y, omega)) \
                 == float(np.sum(omega[pred != y]))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": np.nan}, "tol must be finite and > 0, got nan"),
+        ({"tol": np.inf}, "tol must be finite and > 0, got inf"),
+        ({"tol": 0.0}, "tol must be finite and > 0, got 0.0"),
+        ({"patience": 0}, "patience must be None or an integer >= 1, got 0"),
+        ({"patience": -3}, "got -3"),
+        ({"patience": 2.0}, "got 2.0"),
+        ({"patience": True}, "got True"),
+        ({"max_iter": 0}, "max_iter must be an integer >= 1, got 0"),
+        ({"max_iter": 2.5}, "max_iter must be an integer >= 1, got 2.5"),
+    ], ids=["tol_nan", "tol_inf", "tol_zero", "patience_zero", "patience_negative",
+            "patience_float", "patience_bool", "max_iter_zero", "max_iter_float"])
+    def test_config_validation(self, kwargs, message):
+        with pytest.raises(DataError, match=message):
+            SolverConfig(**kwargs)
+        assert SolverConfig(patience=1).patience == 1
 
     def test_problem_validation(self):
         for lam in (-1.0, np.nan, np.inf):

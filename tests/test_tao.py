@@ -264,6 +264,10 @@ def test_config_rejects_bad_lambda(lam):
 
 
 class TestLambdaUnit:
+    # lambda_unit is the surrogate's lambda_max, so the stump is fit by the
+    # surrogate minimizer (no patience), not by TAO's proposal config
+    SURROGATE_CFG = solver.SolverConfig(max_iter=200, tol=1e-8)
+
     def test_doubling_costs_doubles_unit(self, rng):
         for _ in range(5):
             ds = random_dataset(rng, n=80, cost_scale=2000.0)
@@ -279,7 +283,7 @@ class TestLambdaUnit:
             side = np.where(ds.y == 1, 1.0, -1.0)
             for factor, all_zero in ((1.01, True), (0.99, False)):
                 problem = solver.WeightedBinaryProblem(ds.X, side, ds.c, factor * unit)
-                fit = solver.solve(problem, init, tao.SOLVER_CFG)
+                fit = solver.solve(problem, init, self.SURROGATE_CFG)
                 assert (not np.any(fit.w)) == all_zero
 
     def test_zero_features_zero_unit(self):
@@ -331,11 +335,12 @@ class TestFixedPointAndSeparability:
 
 
 class TestSolveReuse:
-    # sha256 of to_json(tree) for _train(lam), recorded before solve reuse
-    # existed: reuse must not change a byte of the trained model
+    # sha256 of to_json(tree) for _train(lam) under TAO's proposal config,
+    # recorded with solve reuse disabled: reuse must not change a byte of
+    # the trained model
     GOLDEN = {
-        0.0: "b2eae11237b49e2641ee2a9ee81ad6054e8163647abed45a8a79c8a938bb0dae",
-        0.01: "cff0a354fd23cea201d3da5e73d7c25d0d0c62e0a289f6f7f72c0e3405537b85",
+        0.0: "cfb3f48021d101bfe1228aab54040cdee6814fc0dac569cfa0d1959978793691",
+        0.01: "71c328856bfb5023b48d4399900690b1d0281b4bee2a335da9ddffd5162c52f0",
     }
 
     @staticmethod
