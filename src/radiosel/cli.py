@@ -155,12 +155,14 @@ def cmd_train(args, run: _Run) -> int:
             for lam in lambdas]
     sweep_table = []
     best = None
-    for cfg in cfgs:
-        result = tao.train(train_ds, cfg, val=val_ds)
+    for cfg, result in zip(cfgs, tao.train_grid(train_ds, cfgs, val=val_ds)):
         val_cwa = metrics.cwa(result.tree, val_ds)
         sweep_table.append({"lambda": cfg.lam, "val_cwa": val_cwa,
                             "init_used": result.init_used,
-                            "n_leaves": result.tree.n_leaves()})
+                            "n_leaves": result.tree.n_leaves(),
+                            "solves": result.solver_stats["solves"],
+                            "iters": result.solver_stats["iters"],
+                            "cap_hits": result.solver_stats["cap_hits"]})
         # tie prefers the sparser model (larger lambda)
         if best is None or val_cwa > best[0] or (val_cwa == best[0] and cfg.lam > best[1]):
             best = (val_cwa, cfg.lam, cfg, result)

@@ -108,6 +108,10 @@ class Dataset:
             raise DataError("labels must be 0/1")
         if not np.all(np.isfinite(self.c) & (self.c > 0)):
             raise DataError("costs must be finite and > 0")
+        with np.errstate(over="ignore"):
+            total = float(np.add.reduce(self.c))
+        if not math.isfinite(total):
+            raise DataError("costs sum past the float range: rescale them")
 
     @property
     def n(self) -> int:
@@ -327,9 +331,14 @@ def load_dataset(path) -> Dataset:
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write a Dataset as CSV, one block of rows at a time. The file holds
-    raw features, so a standardized Dataset is rejected."""
+    raw features, so a standardized Dataset is rejected, and so is one whose
+    features load_dataset would reject; no file is created then."""
     if ds.scaler is not None:
         raise DataError("cannot save a standardized dataset: dataset CSVs hold raw features")
+    bad = _bad_features(*ds.X.T)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_feature_row(*ds.X[i].tolist(), i)
     path = Path(path)
     label_names = np.array(["zigbee", "lora"], dtype=object)
     with path.open("w", newline="\n", encoding="utf-8") as fh:

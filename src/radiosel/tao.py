@@ -15,19 +15,37 @@ rounding-level "improvements" never make the independently recomputed
 objective tick upward. Training stops at a fixed point (a pass that changes
 no node) or after max_passes.
 
-Solve reuse: within one optimize_tree call each decision node remembers the
-solver inputs of its last rejected proposal (care-set X, side, omega and the
-node's w, w0, compared by bytes so that -0.0/0.0 stay distinct). When a
-later visit finds the same inputs, the node is left unchanged without
-solving. This is exact: the solve and the accept test are pure functions of
-those inputs, lambda and the solver config, which are fixed within the call,
-so a repeated solve would be rejected again.
+Lockstep: optimize_trees advances independent trainings (jobs) together,
+pass by pass and, within a pass, level by level (each job's deepest level
+first). At each level step it builds the care set of every decision node
+of every job, sends those that need a solve to one solver.solve_many call,
+and then visits the level's nodes in id order with the exact accept test.
+Because the level's updates are independent and solve_many is batch
+invariant, each job's tree, history and stats are those it gets alone:
+optimize_tree is the one-job case, train runs best_of_both's two inits
+together, and train_grid trains a whole lambda grid in one call. The care
+sets of a level are dropped after its accept tests.
+
+Solve reuse: within one job each decision node remembers the solver inputs
+of its last rejected proposal: a SHA-256 digest of the bytes of the care-set
+X, side, omega and the node's w, w0, so that -0.0/0.0 stay distinct and a
+job holds 32 bytes per node rather than its care sets. When a later visit
+finds the same inputs, the node is left unchanged without solving. This is
+exact (up to a SHA-256 collision): the solve and the accept test are pure
+functions of those inputs, lambda and the solver config, which are fixed
+within the job, so a repeated solve would be rejected again.
+
+Telemetry: per pass, each job counts its solves, their iterations and loss
+evaluations, and the solves that hit max_iter (TaoResult.pass_stats). A
+NumericError from a solve names the job's lambda and init, the pass, the
+level and the node.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,6 +92,9 @@ class CareSet:
         return self.X.shape[0]
 
 
+STAT_KEYS = ("solves", "iters", "loss_evals", "cap_hits")
+
+
 @dataclass
 class TaoResult:
     tree: ObliqueTree
@@ -81,6 +102,10 @@ class TaoResult:
     init_used: str         # random | cart | warm
     stop_reason: str       # fixed_point | max_passes
     n_passes: int
+    pass_stats: list = field(default_factory=list)   # STAT_KEYS counts per pass
+    # STAT_KEYS summed over every optimization behind the result (both inits
+    # under best_of_both)
+    solver_stats: dict = field(default_factory=dict)
 
     def to_manifest(self, cfg: TaoConfig) -> dict:
         return {
@@ -95,7 +120,19 @@ class TaoResult:
             "init_used": self.init_used,
             "stop_reason": self.stop_reason,
             "n_passes": self.n_passes,
+            "pass_stats": self.pass_stats,
         }
+
+
+@dataclass
+class TaoJob:
+    """One training for optimize_trees: a start tree (copied, not changed),
+    its data and config, and a name for its init in results and errors."""
+
+    tree: ObliqueTree
+    ds: Dataset
+    cfg: TaoConfig
+    init: str = "warm"
 
 
 def objective(t: ObliqueTree, ds: Dataset, lam: float) -> float:
@@ -110,9 +147,10 @@ def lambda_unit(ds: Dataset) -> float:
     the L1-logistic stump with labels y and weights c at w = 0 and its best
     intercept logit(p), so it is the smallest lambda at which the stump
     keeps w = 0. It has the units of c: a lambda grid in multiples of it
-    follows the data's cost scale."""
+    follows the data's cost scale. Overflow is silent: the unit is then inf."""
     p = np.sum(ds.c[ds.y == 1]) / np.sum(ds.c)
-    return float(np.max(np.abs(ds.X.T @ (ds.c * (p - (ds.y == 1))))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(ds.X.T @ (ds.c * (p - (ds.y == 1))))))
 
 
 def build_care_set(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset) -> CareSet:
@@ -132,22 +170,33 @@ def build_care_set(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset)
     return CareSet(X[keep], side, np.abs(loss_left - loss_right)[keep])
 
 
+def _problem(care: CareSet, lam: float) -> solver.WeightedBinaryProblem:
+    return solver.WeightedBinaryProblem(care.X, care.side, care.omega, lam)
+
+
+def _accept(node: DecisionNode, problem, candidate: solver.LinearModel):
+    """The exact accept test: (w, w0) of the candidate if it is strictly
+    better under weighted 0/1 loss + L1 penalty, else None."""
+    lam = problem.lam
+    current = solver.LinearModel(node.w, node.w0)
+    cur_score = solver.weighted_01_loss(current, problem) + lam * float(np.sum(np.abs(node.w)))
+    cand_score = solver.weighted_01_loss(candidate, problem) \
+        + lam * float(np.sum(np.abs(candidate.w)))
+    margin = ACCEPT_MARGIN * max(1.0, float(np.sum(problem.omega)))
+    if cand_score < cur_score - margin:
+        return candidate.w.copy(), candidate.w0
+    return None
+
+
 def optimize_decision_node(t: ObliqueTree, nid: int, care: CareSet, lam: float):
     """Solver candidate for one node; returns (w, w0) if strictly better
     under weighted 0/1 loss + L1 penalty, else None (keep current)."""
     node = t.nodes[nid]
     if care.size == 0:
         return None
-    problem = solver.WeightedBinaryProblem(care.X, care.side, care.omega, lam)
-    current = solver.LinearModel(node.w, node.w0)
-    candidate = solver.solve(problem, current, SOLVER_CFG)
-    cur_score = solver.weighted_01_loss(current, problem) + lam * float(np.sum(np.abs(node.w)))
-    cand_score = solver.weighted_01_loss(candidate, problem) \
-        + lam * float(np.sum(np.abs(candidate.w)))
-    margin = ACCEPT_MARGIN * max(1.0, float(np.sum(care.omega)))
-    if cand_score < cur_score - margin:
-        return candidate.w.copy(), candidate.w0
-    return None
+    problem = _problem(care, lam)
+    return _accept(node, problem,
+                   solver.solve(problem, solver.LinearModel(node.w, node.w0), SOLVER_CFG))
 
 
 def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset):
@@ -167,19 +216,144 @@ def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset):
     return None
 
 
-def _decision_proposal(t, nid, reach_idx, ds, cfg, rejected: dict):
-    """optimize_decision_node, skipped when the node's solver inputs are
-    byte-identical to those of its last rejected proposal (see module doc)."""
-    node = t.nodes[nid]
-    care = build_care_set(t, nid, reach_idx, ds)
-    key = (care.X.tobytes(), care.side.tobytes(), care.omega.tobytes(),
-           node.w.tobytes(), np.float64(node.w0).tobytes())
-    if rejected.get(nid) == key:
-        return None
-    prop = optimize_decision_node(t, nid, care, cfg.lam)
-    if prop is None:
-        rejected[nid] = key
-    return prop
+class _Training:
+    """The state of one job in optimize_trees."""
+
+    def __init__(self, job: TaoJob):
+        self.job, self.cfg, self.ds = job, job.cfg, job.ds
+        self.tree = job.tree.copy()
+        self.history = [objective(self.tree, self.ds, self.cfg.lam)]
+        self.rejected = {}   # decision node id -> solver inputs of its last rejection
+        self.pass_stats = []
+        self.stop_reason = None
+
+    def begin_pass(self) -> None:
+        self.pass_stats.append(dict.fromkeys(STAT_KEYS, 0))
+        self.changed = False
+        self.e_debug = self.history[-1]
+        self.reach = {nid: idx for nid, idx in self.tree.reach_sets(self.ds.X).items()
+                      if isinstance(self.tree.nodes[nid], LeafNode)}
+        depths = self.tree.node_depths()
+        levels = {}   # depth -> node ids, deepest level first
+        for nid in sorted(depths, key=lambda n: (-depths[n], n)):
+            levels.setdefault(depths[nid], []).append(nid)
+        self.levels = list(levels.items())
+
+    def take_reach(self, nid: int) -> np.ndarray:
+        """The reach set of a decision node: the sorted union of its
+        children's, which partition it and are dropped. So a job holds each
+        row index once, not once per level, while other jobs run."""
+        node = self.tree.nodes[nid]
+        both = (self.reach.pop(node.left), self.reach.pop(node.right))
+        self.reach[nid] = np.sort(np.concatenate(both))
+        return self.reach[nid]
+
+    def where(self, depth: int, nid: int) -> str:
+        return (f"lambda {self.cfg.lam:g}, init {self.job.init}, pass {len(self.pass_stats)}, "
+                f"level {depth}, node {nid}")
+
+    def update(self, nid: int) -> None:
+        self.changed = True
+        if self.cfg.debug_checks:
+            e_now = objective(self.tree, self.ds, self.cfg.lam)
+            if e_now > self.e_debug:
+                raise NumericError(f"objective increased after updating node {nid}: "
+                                   f"{self.e_debug} -> {e_now}")
+            self.e_debug = e_now
+
+    def end_pass(self) -> None:
+        self.reach = self.levels = None
+        e_pass = objective(self.tree, self.ds, self.cfg.lam)
+        if e_pass > self.history[-1]:
+            raise NumericError(f"objective increased across a pass: "
+                               f"{self.history[-1]} -> {e_pass}")
+        self.history.append(e_pass)
+        if not self.changed:
+            self.stop_reason = "fixed_point"
+        elif len(self.pass_stats) == self.cfg.max_passes:
+            self.stop_reason = "max_passes"
+
+    def result(self) -> TaoResult:
+        totals = {k: sum(p[k] for p in self.pass_stats) for k in STAT_KEYS}
+        return TaoResult(treemod.prune(self.tree), self.history, self.job.init,
+                         self.stop_reason, len(self.pass_stats), self.pass_stats, totals)
+
+
+def _reuse_key(care: CareSet, node: DecisionNode) -> bytes:
+    """SHA-256 of the bytes of a node's solver inputs (see the module doc)."""
+    digest = hashlib.sha256()
+    for part in (care.X, care.side, care.omega, node.w, np.float64(node.w0)):
+        digest.update(part.tobytes())
+    return digest.digest()
+
+
+def _optimize_level(trainings, step: int) -> None:
+    """Visit the step-th deepest level of each training: one solve_many over
+    every decision node that needs a solve, then the nodes in id order."""
+    solves = []   # (training, node id, level, problem, reuse key)
+    for tr in trainings:
+        depth, nids = tr.levels[step]
+        for nid in nids:
+            node = tr.tree.nodes[nid]
+            if isinstance(node, LeafNode):
+                continue
+            care = build_care_set(tr.tree, nid, tr.take_reach(nid), tr.ds)
+            key = _reuse_key(care, node)
+            if tr.rejected.get(nid) == key:
+                continue
+            if care.size == 0:
+                tr.rejected[nid] = key
+                continue
+            solves.append((tr, nid, depth, _problem(care, tr.cfg.lam), key))
+    stats = []
+    candidates = solver.solve_many(
+        [problem for _, _, _, problem, _ in solves],
+        [solver.LinearModel(tr.tree.nodes[nid].w, tr.tree.nodes[nid].w0)
+         for tr, nid, _, _, _ in solves],
+        SOLVER_CFG, stats, [tr.where(depth, nid) for tr, nid, depth, _, _ in solves])
+    proposals = {}
+    for (tr, nid, _, problem, key), candidate, st in zip(solves, candidates, stats):
+        counts = tr.pass_stats[-1]
+        counts["solves"] += 1
+        counts["iters"] += st.iters
+        counts["loss_evals"] += st.loss_evals
+        counts["cap_hits"] += st.exit == "cap"
+        proposals[id(tr), nid] = _accept(tr.tree.nodes[nid], problem, candidate)
+        if proposals[id(tr), nid] is None:
+            tr.rejected[nid] = key
+    for tr in trainings:
+        for nid in tr.levels[step][1]:
+            node = tr.tree.nodes[nid]
+            if isinstance(node, LeafNode):
+                label = optimize_leaf(tr.tree, nid, tr.reach[nid], tr.ds)
+                if label is None:
+                    continue
+                node.label = label
+            else:
+                prop = proposals.get((id(tr), nid))
+                if prop is None:
+                    continue
+                node.w, node.w0 = prop
+            tr.update(nid)
+
+
+def optimize_trees(jobs) -> list:
+    """Run alternating passes for independent jobs in lockstep, one
+    TaoResult per job, each as optimize_tree gives it alone (see the module
+    doc). The jobs share one feature dimension."""
+    trainings = [_Training(job) for job in jobs]
+    if len({tr.ds.dim for tr in trainings}) > 1:
+        raise DataError("optimize_trees jobs must share one feature dimension")
+    active = trainings
+    while active:
+        for tr in active:
+            tr.begin_pass()
+        for step in range(max(len(tr.levels) for tr in active)):
+            _optimize_level([tr for tr in active if step < len(tr.levels)], step)
+        for tr in active:
+            tr.end_pass()
+        active = [tr for tr in active if tr.stop_reason is None]
+    return [tr.result() for tr in trainings]
 
 
 def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
@@ -188,53 +362,40 @@ def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:
     Final tree is pruned; objective history (init value plus one entry per
     pass) is monotonically nonincreasing, enforced with zero tolerance.
     """
-    work = t.copy()
-    history = [objective(work, ds, cfg.lam)]
-    stop_reason = "max_passes"
-    n_passes = 0
-    rejected = {}   # decision node id -> solver inputs of its last rejection
-    for _ in range(cfg.max_passes):
-        n_passes += 1
-        changed = False
-        e_debug = history[-1]
-        reach = work.reach_sets(ds.X)
-        depths = work.node_depths()
-        for nid in sorted(depths, key=lambda n: (-depths[n], n)):
-            node = work.nodes[nid]
-            if isinstance(node, LeafNode):
-                label = optimize_leaf(work, nid, reach[nid], ds)
-                if label is None:
-                    continue
-                node.label = label
-            else:
-                prop = _decision_proposal(work, nid, reach[nid], ds, cfg, rejected)
-                if prop is None:
-                    continue
-                node.w, node.w0 = prop
-            changed = True
-            if cfg.debug_checks:
-                e_now = objective(work, ds, cfg.lam)
-                if e_now > e_debug:
-                    raise NumericError(
-                        f"objective increased after updating node {nid}: "
-                        f"{e_debug} -> {e_now}")
-                e_debug = e_now
-        e_pass = objective(work, ds, cfg.lam)
-        if e_pass > history[-1]:
-            raise NumericError(f"objective increased across a pass: "
-                               f"{history[-1]} -> {e_pass}")
-        history.append(e_pass)
-        if not changed:
-            stop_reason = "fixed_point"
-            break
-    pruned = treemod.prune(work)
-    return TaoResult(pruned, history, "warm", stop_reason, n_passes)
+    return optimize_trees([TaoJob(t, ds, cfg)])[0]
 
 
 def _initial_tree(ds: Dataset, cfg: TaoConfig, policy: str) -> ObliqueTree:
     if policy == "random":
         return cart.random_complete(ds.dim, cfg.depth, cfg.seed)
     return cart.grow(ds, cfg.depth)
+
+
+def train_grid(ds: Dataset, cfgs, val: Dataset | None = None) -> list:
+    """train for each config, with every optimization in one lockstep
+    optimize_trees call; one TaoResult per config."""
+    if ds.n < 2:
+        raise DataError("need at least 2 training samples")
+    if len(np.unique(ds.y)) < 2:
+        raise DataError("single-class dataset: nothing to separate")
+    jobs = [TaoJob(_initial_tree(ds, cfg, policy), ds, cfg, policy)
+            for cfg in cfgs
+            for policy in (("random", "cart") if cfg.init_policy == "best_of_both"
+                           else (cfg.init_policy,))]
+    results = iter(optimize_trees(jobs))
+    chosen = []
+    for cfg in cfgs:
+        if cfg.init_policy != "best_of_both":
+            chosen.append(next(results))
+            continue
+        candidates = []
+        for res in (next(results), next(results)):
+            score = -metrics.cwa(res.tree, val) if val is not None else res.history[-1]
+            candidates.append((score, res.init_used, res))
+        candidates.sort(key=lambda item: (item[0], item[1]))  # tie prefers 'cart'
+        stats = {k: sum(res.solver_stats[k] for _, _, res in candidates) for k in STAT_KEYS}
+        chosen.append(replace(candidates[0][2], solver_stats=stats))
+    return chosen
 
 
 def train(ds: Dataset, cfg: TaoConfig, val: Dataset | None = None) -> TaoResult:
@@ -244,24 +405,4 @@ def train(ds: Dataset, cfg: TaoConfig, val: Dataset | None = None) -> TaoResult:
     tree with the lower validation error (higher CWA); without a validation
     set it falls back to the lower final training objective.
     """
-    if ds.n < 2:
-        raise DataError("need at least 2 training samples")
-    if len(np.unique(ds.y)) < 2:
-        raise DataError("single-class dataset: nothing to separate")
-    if cfg.init_policy in ("random", "cart"):
-        init = _initial_tree(ds, cfg, cfg.init_policy)
-        result = optimize_tree(init, ds, cfg)
-        return replace(result, init_used=cfg.init_policy)
-
-    candidates = []
-    for policy in ("random", "cart"):
-        res = replace(optimize_tree(_initial_tree(ds, cfg, policy), ds, cfg),
-                      init_used=policy)
-        if val is not None:
-            score = -metrics.cwa(res.tree, val)
-        else:
-            score = res.history[-1]
-        candidates.append((score, policy, res))
-    candidates.sort(key=lambda item: (item[0], item[1]))  # tie prefers 'cart'
-    return candidates[0][2]
-
+    return train_grid(ds, [cfg], val)[0]

@@ -59,7 +59,10 @@ class TestTrain:
             "seed": 7, "solver": {"max_iter": 200, "tol": 1e-8, "patience": 100}}
         assert training["stop_reason"] in ("fixed_point", "max_passes")
         assert set(training) == {"config", "objective_history", "init_used",
-                                 "stop_reason", "n_passes", "lambda_unit"}
+                                 "stop_reason", "n_passes", "pass_stats", "lambda_unit"}
+        assert len(training["pass_stats"]) == training["n_passes"]
+        assert all(set(row) == {"solves", "iters", "loss_evals", "cap_hits"}
+                   for row in training["pass_stats"])
 
     def test_model_has_scaler_for_raw_inference(self, model_dir):
         model = tree.load(model_dir / "model.json")
@@ -85,6 +88,71 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             main(["train"])  # --data missing
         assert exc.value.code == 2
+
+    # sha256 of model.json and of the manifest's training section (its
+    # solver stats left out) from the README's `simulate --seed 1` and
+    # `train --depth 4 --seed 1`, recorded when each training ran alone;
+    # per lambda, (solves, iterations, cap hits) as counted then by wrapping
+    # the solver's calls
+    README_MODEL = "3b4b3123dd3265d26a7b890720d0dd9c96f263c7171302b7b52fe02363befc09"
+    README_TRAINING = "7e80832de6fb6fb45ba5cf006247e92e392b4bf04d3ce9834a08747454b2c098"
+    README_SWEEP_STATS = [(51, 5853, 1), (55, 6274, 2), (57, 6438, 1), (69, 7752, 3),
+                          (43, 4144, 0)]
+
+    def test_readme_seed_1_train_pinned(self, tmp_path):
+        sim, out = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--seed", "1", "--out-dir", str(sim)]) == 0
+        assert main(["train", "--data", str(sim / "dataset.csv"), "--depth", "4",
+                     "--seed", "1", "--out-dir", str(out)]) == 0
+        assert _sha256(out / "model.json") == self.README_MODEL
+        doc = json.loads((out / "manifest.json").read_text())
+        training = {k: v for k, v in doc["training"].items() if k != "pass_stats"}
+        assert hashlib.sha256(json.dumps(training, sort_keys=True).encode()).hexdigest() \
+            == self.README_TRAINING
+        assert [(row["solves"], row["iters"], row["cap_hits"])
+                for row in doc["lambda_sweep"]] == self.README_SWEEP_STATS
+
+    @staticmethod
+    def scaled(data_csv, path, column, factor):
+        """data_csv with one column times factor, written as text: the
+        result need not pass Dataset's checks."""
+        lines = data_csv.read_text().splitlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(lines[0] + "\n")
+            for line in lines[1:]:
+                cells = line.split(",")
+                cells[column] = repr(float(cells[column]) * factor)
+                fh.write(",".join(cells) + "\n")
+        return str(path)
+
+    def test_huge_raw_features_train_quiet(self, tmp_path, data_csv):
+        data = self.scaled(data_csv, tmp_path / "d.csv", 1, 1e150)   # rssi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--data", data, "--raw-features", "--depth", "2",
+                         "--lambda", "0", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+
+    def test_non_finite_init_objective_exit_4_names_the_node(self, tmp_path, data_csv,
+                                                              capsys):
+        data = self.scaled(data_csv, tmp_path / "d.csv", 1, 1e306)
+        for grid in (["--lambda", "0"], []):   # the default grid's unit overflows
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["train", "--data", data, "--raw-features", "--depth", "2",
+                             "--init", "random", "--seed", "1", "--out-dir", str(tmp_path),
+                             *grid]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("numeric failure: lambda 0, init random, pass 1, level ")
+            assert ": non-finite objective at init" in err
+
+    def test_overflowing_total_cost_exit_3_quiet(self, tmp_path, data_csv, capsys):
+        costs = dataset.load_dataset(data_csv).c
+        data = self.scaled(data_csv, tmp_path / "d.csv", 5, 1e307 / float(costs.max()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--data", data, "--seed", "1",
+                         "--out-dir", str(tmp_path / "fit")]) == 3
+        assert "costs sum past the float range" in capsys.readouterr().err
 
     def test_beats_always_majority_baseline(self, data_csv, model_dir):
         # the trained selector must out-score predicting the cost-majority

@@ -27,7 +27,9 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 THROUGHPUT = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 AT_LEAST_ONE = st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)
 PRR = st.floats(min_value=0.0, max_value=1.0)
-COST = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+# up to 1/32 of the largest float, so that the costs of a dataset's 25 rows
+# sum to a finite total, as Dataset requires
+COST = st.floats(min_value=0.0, exclude_min=True, max_value=np.finfo(float).max / 32)
 # CSV-safe node ids: the writer does not quote, and the reader strips blanks
 NODE_ID = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"),
                                 blacklist_characters=',"'), min_size=1, max_size=6)

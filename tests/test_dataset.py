@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,31 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="standardized"):
             save_dataset(standardize(ds), tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("column, value, message", [
+        (0, 0.5, "row 2: hn must be >= 1, got 0.5"),
+        (2, 1.5, "row 2: prr must be in \\[0,1\\], got 1.5"),
+        (3, 0.5, "row 2: rnp must be >= 1, got 0.5"),
+    ], ids=["hn", "prr", "rnp"])
+    def test_out_of_domain_features_not_saved(self, tmp_path, column, value, message):
+        X = np.tile([3.0, -97.0, 0.8, 1.5], (4, 1))
+        X[2, column] = value
+        path = tmp_path / "d.csv"
+        with pytest.raises(DataError, match=message):
+            save_dataset(Dataset(X, np.array([0, 1, 0, 1]), np.ones(4)), path)
+        assert not path.exists()
+        # load_dataset names the same row and check
+        rows = "".join(f"{','.join(repr(v) for v in x.tolist())},zigbee,1\n" for x in X)
+        with pytest.raises(DataError, match=message):
+            load_dataset(write(path, HEADER + rows))
+
+    def test_overflowing_total_cost_rejected(self):
+        X, y = np.ones((3, 4)), np.array([0, 1, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="costs sum past the float range"):
+                Dataset(X, y, np.full(3, 1e308))
+        assert Dataset(X[:2], y[:2], np.full(2, 8e307)).n == 2   # 1.6e308 is finite
 
     def test_missing_column_named(self, tmp_path):
         p = write(tmp_path / "d.csv", "hn,rssi,prr,label,cost\n1,-90,0.9,zigbee,5\n")

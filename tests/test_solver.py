@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import boundary_adjacent_inputs, stump
 from radiosel import solver, tao
-from radiosel.errors import DataError
+from radiosel.errors import DataError, NumericError
 from radiosel.solver import (LinearModel, SolverConfig, WeightedBinaryProblem,
                              objective, smooth_gradient, smooth_loss,
                              soft_threshold, solve, weighted_01_loss)
@@ -265,8 +266,7 @@ class ReferenceFamilies:
 
 class TestMatchesReference(ReferenceFamilies):
     """solve as a surrogate minimizer (no patience) is byte-identical to
-    reference_solve, and makes one smooth_gradient call per iteration (the
-    benchmark counts them)."""
+    reference_solve."""
 
     TAO_CFG = SolverConfig(max_iter=200, tol=1e-8)
     SHORT_CFG = SolverConfig(max_iter=40, tol=1e-12)
@@ -294,34 +294,16 @@ class TestMatchesReference(ReferenceFamilies):
                 assert gw.tobytes() == (problem.X.T @ coeff).tobytes()
                 assert np.float64(gw0).tobytes() == np.float64(np.sum(coeff)).tobytes()
 
-    def test_separable_lambda_zero_hits_cap(self, rng, monkeypatch):
+    def test_separable_lambda_zero_hits_cap(self, rng):
         X = rng.normal(0, 1, size=(40, 4))
         y = np.where(X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 >= 0, 1.0, -1.0)
         problem = WeightedBinaryProblem(X, y, rng.uniform(1.0, 100.0, 40), 0.0)
         init = LinearModel(np.array([0.5, -0.5, 0.0, 0.1]), 0.0)
-        iters = []
-        real_gradient = solver.smooth_gradient
-
-        def counting_gradient(problem, model):
-            iters.append(1)
-            return real_gradient(problem, model)
-
-        monkeypatch.setattr(solver, "smooth_gradient", counting_gradient)
         self.assert_same(problem, init, self.TAO_CFG)
-        assert len(iters) == self.TAO_CFG.max_iter   # no minimizer: runs to the cap
-
-
-def count_gradients(monkeypatch):
-    """A list that grows by one on each smooth_gradient call (one per iteration)."""
-    iters = []
-    real_gradient = solver.smooth_gradient
-
-    def counting_gradient(problem, model):
-        iters.append(1)
-        return real_gradient(problem, model)
-
-    monkeypatch.setattr(solver, "smooth_gradient", counting_gradient)
-    return iters
+        stats = []
+        solve(problem, init, self.TAO_CFG, stats)
+        assert stats[0].iters == self.TAO_CFG.max_iter   # no minimizer: runs to the cap
+        assert stats[0].exit == "cap"
 
 
 class TestProposalMatchesReference(ReferenceFamilies):
@@ -331,7 +313,7 @@ class TestProposalMatchesReference(ReferenceFamilies):
     TAO_CFG = tao.SOLVER_CFG
     SHORT_CFG = SolverConfig(max_iter=40, tol=1e-12, patience=5)
 
-    def test_unbeaten_init_returned_bytes(self, rng, monkeypatch):
+    def test_unbeaten_init_returned_bytes(self, rng):
         # the init separates the points and has lambda 0, so no iterate
         # scores strictly lower: solve stops after `patience` iterations
         # and returns the init, signed zeros included
@@ -339,23 +321,24 @@ class TestProposalMatchesReference(ReferenceFamilies):
         init = LinearModel(np.array([1.0, -0.0, 0.0, -2.0]), -0.0)
         y = np.where(X @ init.w + init.w0 >= 0, 1.0, -1.0)
         problem = WeightedBinaryProblem(X, y, rng.uniform(1.0, 10.0, 50), 0.0)
-        iters = count_gradients(monkeypatch)
-        got = solve(problem, init, self.TAO_CFG)
+        stats = []
+        got = solve(problem, init, self.TAO_CFG, stats)
         assert got.w.tobytes() == init.w.tobytes()
         assert np.float64(got.w0).tobytes() == np.float64(init.w0).tobytes()
-        assert len(iters) == self.TAO_CFG.patience
+        assert stats[0].iters == self.TAO_CFG.patience
+        assert (stats[0].exit, stats[0].returned) == ("patience", 0)
         self.assert_same(problem, init, self.TAO_CFG)
 
-    def test_separable_lambda_zero_stops_before_cap(self, rng, monkeypatch):
+    def test_separable_lambda_zero_stops_before_cap(self, rng):
         # the care set of TestMatchesReference::test_separable_lambda_zero_hits_cap
         X = rng.normal(0, 1, size=(40, 4))
         y = np.where(X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 >= 0, 1.0, -1.0)
         problem = WeightedBinaryProblem(X, y, rng.uniform(1.0, 100.0, 40), 0.0)
         init = LinearModel(np.array([0.5, -0.5, 0.0, 0.1]), 0.0)
         assert weighted_01_loss(init, problem) > 0.0
-        iters = count_gradients(monkeypatch)
-        got = solve(problem, init, self.TAO_CFG)
-        assert len(iters) < self.TAO_CFG.max_iter
+        stats = []
+        got = solve(problem, init, self.TAO_CFG, stats)
+        assert stats[0].iters < self.TAO_CFG.max_iter
         assert weighted_01_loss(got, problem) == 0.0
         self.assert_same(problem, init, self.TAO_CFG)
 
@@ -365,6 +348,197 @@ class TestProposalMatchesReference(ReferenceFamilies):
             init = LinearModel(rng.normal(0, 2, 4), float(rng.normal(0, 2)))
             got = solve(problem, init, self.TAO_CFG)
             assert proposal_score(problem, got) <= proposal_score(problem, init)
+
+
+def reference_stats(problem, init, cfg):
+    """SolveStats of the loop as solve first ran it, one problem at a time:
+    one iteration per gradient, one loss evaluation per smooth_loss call
+    (the init's included), the stop taken and the returned iterate."""
+    w, w0 = np.asarray(init.w, dtype=float).copy(), float(init.w0)
+    f = smooth_loss(problem, LinearModel(w, w0))
+    F = f + problem.lam * float(np.sum(np.abs(w)))
+    best_score = proposal_score(problem, LinearModel(w, w0))
+    iters, evals, accepted, best_at, stale, step = 0, 1, 0, 0, 0, solver.INIT_STEP
+
+    def stats(exit):
+        return solver.SolveStats(iters, evals, exit,
+                                 accepted if cfg.patience is None else best_at)
+
+    for _ in range(cfg.max_iter):
+        gw, gw0 = smooth_gradient(problem, LinearModel(w, w0))
+        iters += 1
+        while step >= solver.MIN_STEP:
+            w_new = soft_threshold(w - step * gw, step * problem.lam)
+            w0_new = w0 - step * gw0
+            f_new = smooth_loss(problem, LinearModel(w_new, w0_new))
+            evals += 1
+            dw, dw0 = w_new - w, w0_new - w0
+            quad = f + float(gw @ dw) + gw0 * dw0 + (float(dw @ dw) + dw0 * dw0) / (2.0 * step)
+            if np.isfinite(f_new) and f_new <= quad:
+                break
+            step *= solver.STEP_SHRINK
+        else:
+            return stats("linesearch")
+        F_new = f_new + problem.lam * float(np.sum(np.abs(w_new)))
+        if F_new > F:
+            return stats("rounding")
+        rel_drop = (F - F_new) / max(abs(F), 1.0)
+        w, w0, f, F = w_new, w0_new, f_new, F_new
+        accepted += 1
+        if cfg.patience is not None:
+            score = proposal_score(problem, LinearModel(w, w0))
+            if score < best_score:
+                best_score, best_at, stale = score, accepted, 0
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    return stats("patience")
+        if rel_drop < cfg.tol:
+            return stats("tol")
+        step *= solver.STEP_GROW
+    return stats("cap")
+
+
+class TestSolveMany:
+    """A batch returns, per problem, the bytes and stats of solve on that
+    problem alone, and solve's stats are those of the loop as first run."""
+
+    CFGS = (tao.SOLVER_CFG, SolverConfig(max_iter=40, tol=1e-12, patience=5),
+            SolverConfig(max_iter=40, tol=1e-12))
+    # pairwise-sum block edges (8, 128, 8192) and their neighbours
+    ROW_COUNTS = (1, 7, 8, 9, 129, 8200)
+
+    @staticmethod
+    def _problem(rng, n):
+        """Weights over 12 decades, a random lambda (0 included), and X
+        C-ordered, Fortran-ordered or strided; rows on the init's plane
+        for a third of the problems. Returns (problem, init)."""
+        lam = float(rng.choice([0.0, 0.0, 0.01, 0.5, 20.0]))
+        init = LinearModel(rng.normal(0, 1, 4), float(rng.normal(0, 1)))
+        X = rng.normal(0, 2, size=(n, 4))
+        if rng.random() < 1 / 3:
+            # small dyadic coordinates keep every partial sum exact: margins
+            # at the init are +0 or -0
+            init = LinearModel(np.array([1.0, -2.0, 0.5, 3.0]), -1.5)
+            X = rng.integers(-8, 9, size=(n, 4)).astype(float)
+            X[:, 0] = 1.5 + 2.0 * X[:, 1] - 0.5 * X[:, 2] - 3.0 * X[:, 3]
+        layout = rng.integers(3)
+        if layout == 1:
+            X = np.asfortranarray(X)
+        elif layout == 2:
+            X = np.repeat(X, 2, axis=1)[:, ::2]
+        y = rng.choice([-1.0, 1.0], size=n)
+        omega = 10.0 ** rng.uniform(-6.0, 6.0, size=n)
+        return WeightedBinaryProblem(X, y, omega, lam), init
+
+    def assert_batch_matches(self, problems, inits, cfg, check_reference=True):
+        batch_stats, alone_stats = [], []
+        got = solver.solve_many(problems, inits, cfg, batch_stats)
+        for problem, init, model in zip(problems, inits, got):
+            alone = solve(problem, init, cfg, alone_stats)
+            assert model.w.tobytes() == alone.w.tobytes()
+            assert np.float64(model.w0).tobytes() == np.float64(alone.w0).tobytes()
+            if check_reference:
+                with np.errstate(all="ignore"):
+                    assert alone_stats[-1] == reference_stats(problem, init, cfg)
+        assert batch_stats == alone_stats
+
+    @pytest.mark.parametrize("cfg", CFGS, ids=["tao", "short_patience", "short_minimizer"])
+    def test_random_batches(self, cfg):
+        rng = np.random.default_rng(2718)
+        for _ in range(6):
+            k = int(rng.integers(1, 13))
+            sizes = [int(rng.choice(self.ROW_COUNTS[:5])) if rng.random() < 0.5
+                     else int(rng.integers(1, 200)) for _ in range(k)]
+            pairs = [self._problem(rng, n) for n in sizes]
+            self.assert_batch_matches([p for p, _ in pairs], [i for _, i in pairs], cfg)
+
+    def test_large_problem_between_small_ones(self):
+        rng = np.random.default_rng(31)
+        pairs = [self._problem(rng, n) for n in self.ROW_COUNTS]
+        self.assert_batch_matches([p for p, _ in pairs], [i for _, i in pairs],
+                                  tao.SOLVER_CFG, check_reference=False)
+
+    def test_separable_lambda_zero_cap_in_a_batch(self, rng):
+        X = rng.normal(0, 1, size=(40, 4))
+        y = np.where(X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 >= 0, 1.0, -1.0)
+        separable = WeightedBinaryProblem(X, y, rng.uniform(1.0, 100.0, 40), 0.0)
+        init = LinearModel(np.array([0.5, -0.5, 0.0, 0.1]), 0.0)
+        others = [random_problem(rng, n=n, lam=0.01) for n in (3, 60)]
+        inits = [init, LinearModel(np.zeros(4), 0.0), LinearModel(rng.normal(0, 1, 4), 1.0)]
+        cfg = SolverConfig(max_iter=200, tol=1e-8)
+        stats = []
+        solver.solve_many([separable, *others], inits, cfg, stats)
+        assert (stats[0].iters, stats[0].exit) == (cfg.max_iter, "cap")
+        self.assert_batch_matches([separable, *others], inits, cfg)
+
+    def test_underflowing_gradient_keeps_signed_zero_bias(self):
+        # margins past exp's range make every gradient coefficient -0.0,
+        # which the bias gradient must sum to +0.0 as np.add.reduce does
+        X = np.column_stack([np.arange(1.0, 31.0), np.ones((30, 3))])
+        problem = WeightedBinaryProblem(X, np.ones(30), np.ones(30), 0.0)
+        init = LinearModel(np.array([1000.0, 0.0, 0.0, 0.0]), -0.0)
+        near = random_problem(np.random.default_rng(3), n=20)
+        inits = [init, LinearModel(np.zeros(4), 0.0)]
+        for cfg in (tao.SOLVER_CFG, SolverConfig(max_iter=5, tol=1e-12)):
+            self.assert_batch_matches([problem, near], inits, cfg)
+            got = solve(problem, init, cfg)
+            ref = (reference_solve if cfg.patience is None else reference_propose)(
+                problem, init, cfg)
+            assert np.float64(got.w0).tobytes() == np.float64(ref.w0).tobytes()
+
+    def test_every_exit_reason(self):
+        """A batch whose problems stop for each of the five reasons."""
+        pairs = []
+        for seed in (6, 0):   # drawn to stop on rounding and on tol
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 30))
+            problem = WeightedBinaryProblem(rng.normal(0, 2, (n, 4)),
+                                            rng.choice([-1.0, 1.0], n),
+                                            rng.uniform(0.1, 5, n),
+                                            float(rng.choice([0.0, 0.1, 1.0])))
+            pairs.append((problem, LinearModel(rng.normal(0, 1, 4), 0.0)))
+        # every candidate overflows until the step is below MIN_STEP
+        huge = WeightedBinaryProblem(np.array([[1e200], [-1e200], [5e199]]) * np.ones(4),
+                                     np.array([1.0, -1.0, 1.0]), np.ones(3))
+        pairs.append((huge, LinearModel(np.zeros(4), 0.0)))
+        rng = np.random.default_rng(12345)
+        X = rng.normal(0, 1, size=(40, 4))
+        y = np.where(X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 >= 0, 1.0, -1.0)
+        pairs.append((WeightedBinaryProblem(X, y, rng.uniform(1.0, 100.0, 40), 0.0),
+                      LinearModel(np.array([0.5, -0.5, 0.0, 0.1]), 0.0)))   # separable
+        problems, inits = [p for p, _ in pairs], [i for _, i in pairs]
+        cfg = SolverConfig(max_iter=300, tol=1e-300)
+        stats = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # the kernel overflows silently
+            solver.solve_many(problems, inits, cfg, stats)
+        assert [st.exit for st in stats] == ["rounding", "tol", "linesearch", "cap"]
+        self.assert_batch_matches(problems, inits, cfg)
+        patience_cfg = SolverConfig(max_iter=300, tol=1e-300, patience=5)
+        solver.solve_many(problems[:1], inits[:1], patience_cfg, stats)
+        assert stats[-1].exit == "patience"
+        self.assert_batch_matches(problems, inits, patience_cfg)
+
+    def test_inputs_checked(self, rng):
+        a, b = random_problem(rng), random_problem(rng, dim=3)
+        with pytest.raises(DataError, match="problem 1 has dimension 3, the batch 4"):
+            solver.solve_many([a, b], [None, None])
+        with pytest.raises(DataError, match="2 problems but 1 inits"):
+            solver.solve_many([a, a], [None])
+        assert solver.solve_many([], []) == []
+
+    def test_non_finite_init_named(self):
+        huge = WeightedBinaryProblem(np.full((2, 4), 1e308), np.array([1.0, -1.0]),
+                                     np.ones(2))
+        fine = WeightedBinaryProblem(np.eye(4), np.array([1.0, -1.0, 1.0, -1.0]),
+                                     np.ones(4))
+        inits = [LinearModel(np.ones(4), 0.0)] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^b: non-finite objective at init"):
+                solver.solve_many([fine, huge, huge], inits, tao.SOLVER_CFG,
+                                  names=["a", "b", "c"])
 
 
 class TestWeighted01Loss:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import child, random_dataset, random_tree, stump
-from radiosel import metrics, solver, tao
+from radiosel import cart, metrics, solver, tao
 from radiosel.dataset import Dataset
-from radiosel.errors import DataError
+from radiosel.errors import DataError, NumericError
 from radiosel.tao import (CareSet, TaoConfig, build_care_set, lambda_unit, objective,
                           optimize_decision_node, optimize_leaf,
                           optimize_tree, train)
@@ -355,22 +355,89 @@ class TestSolveReuse:
 
     @pytest.mark.parametrize("lam", [0.0, 0.01])
     def test_no_repeated_solve_within_optimize_tree(self, lam, monkeypatch):
-        per_call = []   # one Counter of solver inputs per optimize_tree call
-        real_solve, real_optimize_tree = solver.solve, tao.optimize_tree
+        per_init = {}   # init named in the solve's label -> Counter of solver inputs
+        real_solve_many = solver.solve_many
 
-        def counting_solve(problem, init=None, cfg=None):
-            key = (problem.X.tobytes(), problem.y.tobytes(), problem.omega.tobytes(),
-                   init.w.tobytes(), np.float64(init.w0).tobytes())
-            per_call[-1][key] += 1
-            return real_solve(problem, init, cfg)
+        def counting_solve_many(problems, inits, cfg=None, stats=None, names=None):
+            for problem, init, name in zip(problems, inits, names):
+                key = (problem.X.tobytes(), problem.y.tobytes(), problem.omega.tobytes(),
+                       init.w.tobytes(), np.float64(init.w0).tobytes())
+                per_init.setdefault(name.split(", ")[1], Counter())[key] += 1
+            return real_solve_many(problems, inits, cfg, stats, names)
 
-        def tracking_optimize_tree(*args, **kwargs):
-            per_call.append(Counter())
-            return real_optimize_tree(*args, **kwargs)
+        monkeypatch.setattr(solver, "solve_many", counting_solve_many)
+        result = self._train(lam)
+        assert sorted(per_init) == ["init cart", "init random"]   # best_of_both
+        assert sum(sum(c.values()) for c in per_init.values()) \
+            == result.solver_stats["solves"] > 0
+        assert all(n == 1 for c in per_init.values() for n in c.values())
 
-        monkeypatch.setattr(solver, "solve", counting_solve)
-        monkeypatch.setattr(tao, "optimize_tree", tracking_optimize_tree)
-        self._train(lam)
-        assert len(per_call) == 2   # best_of_both: random and greedy init
-        assert sum(sum(c.values()) for c in per_call) > 0
-        assert all(n == 1 for c in per_call for n in c.values())
+
+class TestOptimizeTrees:
+    @staticmethod
+    def _jobs(rng):
+        """Jobs that differ in data, lambda, init, depth, max_passes and
+        debug_checks."""
+        datasets = [random_dataset(rng, n=90, cost_scale=2000.0),
+                    random_dataset(rng, n=60, cost_scale=50.0)]
+        jobs = []
+        for i, (lam, depth, passes, debug) in enumerate([
+                (0.0, 2, 20, False), (0.01, 3, 1, True), (0.5, 4, 3, False),
+                (0.01, 4, 20, True), (0.0, 3, 2, False), (2.0, 1, 20, False)]):
+            ds = datasets[i % 2]
+            cfg = TaoConfig(depth=depth, lam=lam, max_passes=passes, seed=i,
+                            debug_checks=debug)
+            if i % 3:
+                jobs.append(tao.TaoJob(cart.random_complete(ds.dim, depth, i), ds, cfg,
+                                       "random"))
+            else:
+                jobs.append(tao.TaoJob(cart.grow(ds, depth), ds, cfg, "cart"))
+        return jobs
+
+    def test_lockstep_matches_one_job_at_a_time(self, rng):
+        jobs = self._jobs(rng)
+        starts = [to_json(job.tree) for job in jobs]
+        together = tao.optimize_trees(jobs)
+        assert [to_json(job.tree) for job in jobs] == starts   # start trees untouched
+        assert {res.stop_reason for res in together} == {"fixed_point", "max_passes"}
+        for job, res in zip(jobs, together):
+            alone = tao.optimize_trees([job])[0]
+            assert to_json(res.tree) == to_json(alone.tree)
+            assert res.history == alone.history
+            assert (res.stop_reason, res.n_passes, res.init_used) \
+                == (alone.stop_reason, alone.n_passes, job.init)
+            assert res.pass_stats == alone.pass_stats
+            assert len(res.pass_stats) == res.n_passes <= job.cfg.max_passes
+            if res.stop_reason == "max_passes":
+                assert res.n_passes == job.cfg.max_passes
+            assert res.solver_stats == {k: sum(p[k] for p in res.pass_stats)
+                                        for k in tao.STAT_KEYS}
+            warm = optimize_tree(job.tree, job.ds, job.cfg)
+            assert to_json(warm.tree) == to_json(res.tree) and warm.init_used == "warm"
+
+    def test_train_grid_matches_train(self, rng):
+        ds, val = random_dataset(rng, n=80, cost_scale=900.0), random_dataset(rng, n=30)
+        cfgs = [TaoConfig(depth=3, lam=lam, seed=4, init_policy=policy)
+                for lam, policy in ((0.0, "best_of_both"), (0.01, "cart"),
+                                    (0.1, "random"), (0.01, "best_of_both"))]
+        for cfg, res in zip(cfgs, tao.train_grid(ds, cfgs, val=val)):
+            alone = train(ds, cfg, val=val)
+            assert to_json(res.tree) == to_json(alone.tree)
+            assert (res.history, res.init_used, res.pass_stats, res.solver_stats) \
+                == (alone.history, alone.init_used, alone.pass_stats, alone.solver_stats)
+
+    def test_jobs_share_a_dimension(self, rng):
+        a, b = random_dataset(rng, n=20), random_dataset(rng, n=20, dim=3)
+        jobs = [tao.TaoJob(cart.grow(ds, 2), ds, TaoConfig(depth=2)) for ds in (a, b)]
+        with pytest.raises(DataError, match="share one feature dimension"):
+            tao.optimize_trees(jobs)
+
+    def test_non_finite_objective_names_the_node(self):
+        # x0 + x1 overflows on every row: the loss at the node's init is inf
+        X = np.array([[1e308, 1e308, 0.0, 1.0], [-1e308, -1e308, 1.0, 0.0],
+                      [1e308, 1e308, 0.5, 0.5], [-1e308, -1e308, 1.0, 1.0]])
+        ds = Dataset(X, np.array([0, 1, 1, 0]), np.ones(4))
+        t = stump([1.0, 1.0, 0.0, 0.0], 0.0, left_label=1, right_label=0)
+        with pytest.raises(NumericError, match="^lambda 0.25, init warm, pass 1, level 0, "
+                                               "node 0: non-finite objective at init"):
+            optimize_tree(t, ds, TaoConfig(depth=1, lam=0.25))
