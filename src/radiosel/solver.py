@@ -48,15 +48,16 @@ one-problem batch:
   same pairwise sum to the segment's first element, the pad;
 - the branching (accept, stop, patience) is per problem in Python floats,
   which round as numpy's float64 does.
-After a round in which some problems stop, the stack is rebuilt from the
-others: it copies two columns, and the round loops then touch live rows
-only.
+After a round in which some problems stop, the stack is laid out again,
+in place, from the others: it copies two columns, and the round loops then
+touch live rows only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +161,7 @@ def objective(problem: WeightedBinaryProblem, model: LinearModel) -> float:
     return smooth_loss(problem, model) + problem.lam * float(np.sum(np.abs(model.w)))
 
 
-@dataclass
-class SolveStats:
+class SolveStats(NamedTuple):
     """What one solve did: iters gradient evaluations (proximal-gradient
     iterations), loss_evals smooth-loss evaluations (the init's included),
     the exit reason (tol, cap, patience, linesearch or rounding) and the
@@ -176,14 +176,20 @@ class SolveStats:
 class _Stack:
     """The rows of a batch's problems, stacked: the rows of the problem in
     slot s follow one pad row at pads[s] (see the module doc). Holds the
-    constant columns, the work buffers and each slot's views into them."""
+    constant columns and the work buffers, in one block allocated once per
+    batch, and each slot's views into them."""
 
     def __init__(self, problems):
+        self.block = np.empty((5, sum(p.X.shape[0] + 1 for p in problems)))
+        self.fill(problems)
+
+    def fill(self, problems) -> None:
+        """Lay out the rows of problems (the batch, or the problems still
+        iterating) at the start of the block."""
         self.sizes = np.array([p.X.shape[0] + 1 for p in problems])
         self.pads = np.cumsum(self.sizes) - self.sizes
-        m = int(self.sizes.sum())
-        self.neg_y, self.omega = np.zeros(m), np.zeros(m)
-        self.negm, self.L, self.buf = np.zeros(m), np.zeros(m), np.zeros(m)
+        self.neg_y, self.omega, self.negm, self.L, self.buf = \
+            self.block[:, :int(self.sizes.sum())]
         self.X, self.XT, self.negm_rows, self.buf_rows = [], [], [], []
         for p, pad in zip(problems, self.pads.tolist()):
             rows = slice(pad + 1, pad + 1 + p.X.shape[0])
@@ -192,10 +198,9 @@ class _Stack:
             self.XT.append(p.X.T)
             self.negm_rows.append(self.negm[rows])
             self.buf_rows.append(self.buf[rows])
-        # the kernel's sign flips, exact since y is +-1; +0.0 on the pads
+        # the kernel's sign flip, exact since y is +-1; +0.0 on the pads
         np.negative(self.neg_y, out=self.neg_y)
-        self.neg_omega_y = self.omega * self.neg_y
-        self.neg_omega_y[self.pads] = 0.0
+        self.neg_y[self.pads] = self.omega[self.pads] = 0.0
 
     def losses(self, W, w0) -> list:
         """Smooth loss at (W[s], w0[s]) for each slot s. The kernel terms
@@ -222,12 +227,14 @@ class _Stack:
         """Gradient of the smooth loss at the points of the last losses: the
         weight part into GW[s] for s in slots, the bias parts returned. The
         elementwise factor is computed on all rows: masking it off the other
-        slots' rows costs more than it saves."""
+        slots' rows costs more than it saves. Its sign flip is exact, so
+        sigma * -y * omega rounds as -omega * y * sigma."""
         C = self.buf
         np.minimum(self.negm, 0.0, out=C)
         C -= self.L
         np.exp(C, out=C)
-        C *= self.neg_omega_y
+        C *= self.neg_y
+        C *= self.omega   # +0.0 on the pads
         for s in slots:
             np.matmul(self.XT[s], self.buf_rows[s], out=GW[s])
         return np.add.reduceat(C, self.pads).tolist()
@@ -257,7 +264,6 @@ class _Lockstep:
     def __init__(self, problems, W, w0, cfg: SolverConfig):
         self.problems, self.cfg = problems, cfg
         self.slots = [_Slot(j, p.lam, v) for j, (p, v) in enumerate(zip(problems, w0))]
-        self.lam = np.array([[p.lam] for p in problems])
         self.W, self.GW, self.best_W = W, np.zeros_like(W), W.copy()
         self.stack = _Stack(problems)
         self.stopped = []
@@ -282,10 +288,10 @@ class _Lockstep:
 
     def _round(self) -> None:
         cfg, slots, W, GW = self.cfg, self.slots, self.W, self.GW
-        steps = np.array([sl.step for sl in slots])[:, None]
-        V = W - steps * GW
+        steps = np.array([[sl.step, sl.step * sl.lam] for sl in slots])
+        V = W - steps[:, :1] * GW
         A = np.abs(V)
-        A -= steps * self.lam
+        A -= steps[:, 1:]
         np.maximum(A, 0.0, out=A)
         Wn = np.sign(V)
         Wn *= A   # soft_threshold(V, step * lam), row by row
@@ -383,10 +389,9 @@ class _Lockstep:
             stopped, self.stopped = set(self.stopped), []
             keep = [s for s in range(len(self.slots)) if s not in stopped]
             self.slots = [self.slots[s] for s in keep]
-            self.lam, self.W, self.GW, self.best_W = \
-                self.lam[keep], self.W[keep], self.GW[keep], self.best_W[keep]
+            self.W, self.GW, self.best_W = self.W[keep], self.GW[keep], self.best_W[keep]
             if keep:
-                self.stack = _Stack([self.problems[sl.id] for sl in self.slots])
+                self.stack.fill([self.problems[sl.id] for sl in self.slots])
         return bool(self.slots)
 
 

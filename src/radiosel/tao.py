@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +125,7 @@ class TaoResult:
         }
 
 
-@dataclass
-class TaoJob:
+class TaoJob(NamedTuple):
     """One training for optimize_trees: a start tree (copied, not changed),
     its data and config, and a name for its init in results and errors."""
 

@@ -401,7 +401,8 @@ def reference_stats(problem, init, cfg):
 
 class TestSolveMany:
     """A batch returns, per problem, the bytes and stats of solve on that
-    problem alone, and solve's stats are those of the loop as first run."""
+    problem alone, and those are the bytes and stats of the loop as first
+    run (reference_solve or reference_propose, and reference_stats)."""
 
     CFGS = (tao.SOLVER_CFG, SolverConfig(max_iter=40, tol=1e-12, patience=5),
             SolverConfig(max_iter=40, tol=1e-12))
@@ -431,16 +432,19 @@ class TestSolveMany:
         omega = 10.0 ** rng.uniform(-6.0, 6.0, size=n)
         return WeightedBinaryProblem(X, y, omega, lam), init
 
-    def assert_batch_matches(self, problems, inits, cfg, check_reference=True):
+    def assert_batch_matches(self, problems, inits, cfg):
         batch_stats, alone_stats = [], []
         got = solver.solve_many(problems, inits, cfg, batch_stats)
         for problem, init, model in zip(problems, inits, got):
             alone = solve(problem, init, cfg, alone_stats)
             assert model.w.tobytes() == alone.w.tobytes()
             assert np.float64(model.w0).tobytes() == np.float64(alone.w0).tobytes()
-            if check_reference:
-                with np.errstate(all="ignore"):
-                    assert alone_stats[-1] == reference_stats(problem, init, cfg)
+            reference = reference_solve if cfg.patience is None else reference_propose
+            with np.errstate(all="ignore"):
+                assert alone_stats[-1] == reference_stats(problem, init, cfg)
+                expected = reference(problem, init, cfg)
+            assert model.w.tobytes() == expected.w.tobytes()
+            assert np.float64(model.w0).tobytes() == np.float64(expected.w0).tobytes()
         assert batch_stats == alone_stats
 
     @pytest.mark.parametrize("cfg", CFGS, ids=["tao", "short_patience", "short_minimizer"])
@@ -457,7 +461,7 @@ class TestSolveMany:
         rng = np.random.default_rng(31)
         pairs = [self._problem(rng, n) for n in self.ROW_COUNTS]
         self.assert_batch_matches([p for p, _ in pairs], [i for _, i in pairs],
-                                  tao.SOLVER_CFG, check_reference=False)
+                                  tao.SOLVER_CFG)
 
     def test_separable_lambda_zero_cap_in_a_batch(self, rng):
         X = rng.normal(0, 1, size=(40, 4))
