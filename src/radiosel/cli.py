@@ -99,9 +99,13 @@ def _parse_float_list(text: str, flag: str):
     if not values:
         raise DataError(f"{flag} expects at least one number, got {text!r}")
     for v in values:
-        if not math.isfinite(v):
-            raise DataError(f"{flag} entries must be finite, got {v!r}")
+        _finite(v, f"{flag} entries")
     return values
+
+
+def _finite(value: float, flag: str) -> None:
+    if not math.isfinite(value):
+        raise DataError(f"{flag} must be finite, got {value!r}")
 
 
 def _scenario(args, run: _Run) -> simulator.ScenarioConfig:
@@ -116,6 +120,7 @@ def _scenario(args, run: _Run) -> simulator.ScenarioConfig:
 
 def _selectors(args, run: _Run) -> list:
     """The four built-in selectors, then the --model tree if one is given."""
+    _finite(args.threshold_hn, "--threshold-hn")
     sel = [simulator.AlwaysSelector(0), simulator.AlwaysSelector(1),
            simulator.OracleSelector(), simulator.ThresholdSelector(args.threshold_hn)]
     if args.model:
@@ -189,6 +194,7 @@ def cmd_train(args, run: _Run) -> int:
 def cmd_eval(args, run: _Run) -> int:
     if args.kfold is not None and args.kfold < 2:
         raise DataError(f"--kfold {args.kfold}: k must be >= 2")
+    _finite(args.cost_threshold, "--cost-threshold")
     model_path, data_path = run.input(args.model), run.input(args.data)
     model = tree.load(model_path)
     ds = dataset.load_dataset(data_path)

@@ -10,13 +10,16 @@ small margins, which is the regime that makes per-sample costs matter.
 
 Feature columns are noisy observables of the latent channel state, never
 the realized throughputs themselves. All constants are frozen defaults of
-ScenarioConfig (config_version 1), tuned once at desk scale and pinned.
+ScenarioConfig (config_version 1), tuned once at desk scale and pinned. A
+replay reduces one selector's per-packet throughputs to a ReplayResult (means,
+oracle ratio and gap, single-radio gains, a 100-point CDF).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
@@ -92,17 +95,17 @@ class ScenarioConfig:
             raise DataError(f"{self.n_nodes} nodes but {len(self.distances_m)} distances")
         if any(d <= 0 for d in self.distances_m):
             raise DataError("distances must be > 0")
-        if self.packet_interval_s <= 0:
-            raise DataError("packet interval must be > 0")
-        if not self.gray_region_m[0] < self.gray_region_m[1]:
-            raise DataError("gray region bounds must be increasing")
+        for name in ("packet_interval_s", "hop_range_m"):
+            if getattr(self, name) <= 0:
+                raise DataError(f"{name} must be > 0")
+        if len(self.gray_region_m) != 2 or not self.gray_region_m[0] < self.gray_region_m[1]:
+            raise DataError("gray region bounds must be two increasing numbers")
+        for name in self.__dataclass_fields__:   # the noise scales and the hop overhead
+            if name.endswith(("std", "std_db", "sigma", "overhead")) and getattr(self, name) < 0:
+                raise DataError(f"{name} must be >= 0")
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        doc["distances_m"] = list(self.distances_m)
-        doc["gray_region_m"] = list(self.gray_region_m)
-        doc["lora_rate_tiers"] = [list(t) for t in self.lora_rate_tiers]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
@@ -110,17 +113,13 @@ class ScenarioConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise DataError(f"scenario file is not valid JSON: {e}") from e
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(doc) - known
-        if unknown:
-            raise DataError(f"unknown scenario fields: {sorted(unknown)}")
-        if "distances_m" in doc:
-            doc["distances_m"] = tuple(float(d) for d in doc["distances_m"])
-        if "gray_region_m" in doc:
-            doc["gray_region_m"] = tuple(float(v) for v in doc["gray_region_m"])
-        if "lora_rate_tiers" in doc:
-            doc["lora_rate_tiers"] = tuple((float(a), float(b)) for a, b in doc["lora_rate_tiers"])
-        return cls(**doc)
+        if not isinstance(doc, dict):
+            raise DataError("a scenario file holds one JSON object of fields")
+        defaults = asdict(cls())
+        if unknown := sorted(set(doc) - set(defaults)):
+            raise DataError(f"unknown scenario fields: {unknown}")
+        return cls(**{name: _typed_like(name, value, defaults[name])
+                      for name, value in doc.items()})
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
@@ -128,6 +127,28 @@ class ScenarioConfig:
         if not path.exists():
             raise DataError(f"no such scenario file: {path}")
         return cls.from_json(path.read_text(encoding="utf-8"))
+
+
+def _typed_like(name: str, value, default):
+    """A scenario file's value for a field, checked against the field's
+    default and typed like it: a non-bool int, a finite real, or a list
+    shaped like the default's tuple."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        inner = default[0] if isinstance(default[0], tuple) else None
+        kind = f"a list of {len(inner)}-number lists" if inner else "a list of numbers"
+        if isinstance(value, list) and (inner is None or all(
+                isinstance(v, list) and len(v) == len(inner) for v in value)):
+            return tuple(_typed_like(name, v, inner or 0.0) for v in value)
+    elif isinstance(default, int):
+        kind = "an integer"
+        if number and isinstance(value, int):
+            return value
+    else:
+        kind = "a finite number"
+        if number and abs(value) <= sys.float_info.max:   # not nan, inf or a huge int
+            return float(value)
+    raise DataError(f"scenario field {name!r} must be {kind}, got {value!r}")
 
 
 def _lora_rate(cfg: ScenarioConfig, rssi: np.ndarray) -> np.ndarray:
@@ -241,9 +262,6 @@ class ThresholdSelector:
 @dataclass
 class ReplayResult:
     selector: str
-    choices: np.ndarray
-    achieved_bps: np.ndarray
-    oracle_bps: np.ndarray
     mean_throughput_bps: float
     oracle_mean_bps: float
     performance_ratio: float
@@ -258,28 +276,21 @@ def replay(traces: Trace, selector) -> ReplayResult:
     radio's recorded value, the oracle takes the per-packet max."""
     if not len(traces):
         raise DataError("no trace records to replay")
-    choices = np.asarray(selector.choose(traces), dtype=int)
     tpz, tpl = traces.tp_zigbee, traces.tp_lora
-    achieved = np.where(choices == 0, tpz, tpl)
-    oracle = np.maximum(tpz, tpl)
+    achieved = np.where(np.asarray(selector.choose(traces), dtype=int) == 0, tpz, tpl)
     mean_achieved = float(np.mean(achieved))
-    mean_oracle = float(np.mean(oracle))
-    best_single = max(float(np.mean(tpz)), float(np.mean(tpl)))
-    worst_single = min(float(np.mean(tpz)), float(np.mean(tpl)))
+    mean_oracle = float(np.mean(np.maximum(tpz, tpl)))
+    worst_single, best_single = sorted((float(np.mean(tpz)), float(np.mean(tpl))))
     percentiles = range(1, 101)
-    cdf = list(zip(percentiles, np.percentile(achieved, percentiles).tolist()))
     return ReplayResult(
         selector=selector.name,
-        choices=choices,
-        achieved_bps=achieved,
-        oracle_bps=oracle,
         mean_throughput_bps=mean_achieved,
         oracle_mean_bps=mean_oracle,
         performance_ratio=mean_achieved / mean_oracle,
         oracle_gap_bps=mean_oracle - mean_achieved,
         gain_vs_best_single_pct=100.0 * (mean_achieved - best_single) / best_single,
         gain_vs_worst_single_pct=100.0 * (mean_achieved - worst_single) / worst_single,
-        cdf=cdf,
+        cdf=list(zip(percentiles, np.percentile(achieved, percentiles).tolist())),
     )
 
 
@@ -316,7 +327,8 @@ def _stale_traces(traces: Trace, cfg: ScenarioConfig, interval_s: float,
     p_stale = staleness_probability(cfg, interval_s)
     if p_stale == 0.0:
         return traces
-    lag = 1 + int(mean_wait_s(cfg, interval_s) / interval_s)
+    # capped: a lag as long as a node's series maps stale packets to its first
+    lag = 1 + int(min(mean_wait_s(cfg, interval_s) / interval_s, len(traces)))
     rng = np.random.default_rng(np.random.SeedSequence([seed, int(interval_s * 1000), 0xA5]))
     order = np.argsort(traces.node, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(traces.node,

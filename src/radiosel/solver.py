@@ -28,10 +28,11 @@ gradient at an accepted point reuses its terms. This is bit-identical to
 evaluating logaddexp once for each: ytil is +-1, so the factors -ytil and
 -omega*ytil only flip signs, which is exact, as is negating a rounded result;
 and a signed zero in negm reaches the output only through max(+-0, 0) + L
-with L = log(2) > 0, which loses its sign. The kernel runs under
+with L = log(2) > 0, which loses its sign. _Stack holds the one copy of the
+kernel (smooth_loss and smooth_gradient are its one-problem calls), run under
 np.errstate(all="ignore"): a candidate that overflows has a non-finite loss,
-which the line search rejects, while a non-finite objective at the init or
-a non-finite gradient raises NumericError.
+which the line search rejects, while a non-finite objective at the init or a
+non-finite gradient raises NumericError.
 
 Batches. solve_many runs one loop over a batch of problems in lockstep
 rounds: in each round every unfinished problem evaluates one line-search
@@ -137,24 +138,18 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _terms(problem: WeightedBinaryProblem, model: LinearModel):
-    """(negm, L): negm = -ytil * (X w + w0) and L = log1p(exp(-|negm|))."""
-    negm = -problem.y * (problem.X @ model.w + model.w0)
-    return negm, np.logaddexp(0.0, -np.abs(negm))
-
-
 def smooth_loss(problem: WeightedBinaryProblem, model: LinearModel) -> float:
     """Weighted logistic loss, the differentiable part of the objective."""
-    negm, L = _terms(problem, model)
-    return float(np.add.reduce(problem.omega * (np.maximum(negm, 0.0) + L)))
+    with np.errstate(all="ignore"):
+        return _Stack([problem]).losses([model.w], [model.w0])[0]
 
 
 def smooth_gradient(problem: WeightedBinaryProblem, model: LinearModel):
     """(grad_w, grad_w0) of smooth_loss."""
-    negm, L = _terms(problem, model)
-    # sigma(-m) = exp(min(negm, 0) - L) <= 1: overflow-free for any m
-    coeff = -problem.omega * problem.y * np.exp(np.minimum(negm, 0.0) - L)
-    return problem.X.T @ coeff, float(np.add.reduce(coeff))
+    stack, gw = _Stack([problem]), np.empty((1, problem.dim))
+    with np.errstate(all="ignore"):
+        stack.losses([model.w], [model.w0])
+        return gw[0], stack.gradients([0], gw)[0]
 
 
 def objective(problem: WeightedBinaryProblem, model: LinearModel) -> float:

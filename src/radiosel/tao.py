@@ -69,12 +69,13 @@ class TaoConfig:
     debug_checks: bool = False    # recompute+assert objective after every node
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise DataError("depth must be >= 1")
+        for name in ("depth", "max_passes"):
+            if not solver._is_count(getattr(self, name)):
+                raise DataError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not math.isfinite(self.lam) or self.lam < 0:
             raise DataError(f"lambda must be finite and >= 0, got {self.lam!r}")
-        if self.max_passes < 1:
-            raise DataError("max_passes must be >= 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.init_policy not in ("random", "cart", "best_of_both"):
             raise DataError(f"unknown init policy {self.init_policy!r}")
 

@@ -239,39 +239,24 @@ class ObliqueTree:
 def prune(tree: ObliqueTree) -> ObliqueTree:
     """Collapse all-zero hyperplanes into the child selected by sign(w0).
 
-    Repeats to fixpoint; predictions are unchanged on every input. Node ids
-    of surviving nodes are preserved.
+    One pass from the root: an all-zero node resolves to what its selected
+    child resolves to. Predictions are unchanged on every input; surviving
+    nodes keep their ids and arena order.
     """
-    nodes = {i: n for i, n in tree.copy().nodes.items()}
-    root = tree.root
-    changed = True
-    while changed:
-        changed = False
-        for nid in sorted(nodes):
-            node = nodes[nid]
-            if isinstance(node, DecisionNode) and not np.any(node.w != 0.0):
-                keep = node.left if node.w0 < 0 else node.right
-                for other in nodes.values():
-                    if isinstance(other, DecisionNode):
-                        if other.left == nid:
-                            other.left = keep
-                        if other.right == nid:
-                            other.right = keep
-                if root == nid:
-                    root = keep
-                del nodes[nid]
-                changed = True
-                break
-    reachable = set()
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        reachable.add(nid)
+    nodes, kept = tree.copy().nodes, set()
+
+    def resolve(nid: int) -> int:
         node = nodes[nid]
         if isinstance(node, DecisionNode):
-            stack.extend((node.left, node.right))
-    nodes = {i: n for i, n in nodes.items() if i in reachable}
-    return ObliqueTree(nodes, root, scaler=tree.scaler, lam=tree.lam)
+            if not np.any(node.w != 0.0):
+                return resolve(node.left if node.w0 < 0 else node.right)
+            node.left, node.right = resolve(node.left), resolve(node.right)
+        kept.add(nid)
+        return nid
+
+    root = resolve(tree.root)
+    return ObliqueTree({i: n for i, n in nodes.items() if i in kept}, root,
+                       scaler=tree.scaler, lam=tree.lam)
 
 
 def _tree_to_dict(tree: ObliqueTree) -> dict:

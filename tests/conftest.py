@@ -38,6 +38,20 @@ def leaf_tree(label):
     return ObliqueTree({0: LeafNode(label)}, 0)
 
 
+def check_replay(result, traces, selector):
+    """result is replay(traces, selector): its mean, ratio and CDF equal,
+    bit for bit, those of the per-packet throughputs that selector.choose
+    and the trace's columns give. Returns (choices, achieved, oracle)."""
+    choices = np.asarray(selector.choose(traces))
+    achieved = np.where(choices == 0, traces.tp_zigbee, traces.tp_lora)
+    oracle = np.maximum(traces.tp_zigbee, traces.tp_lora)
+    mean = float(np.mean(achieved))
+    assert result.mean_throughput_bps == mean
+    assert result.performance_ratio == mean / float(np.mean(oracle))
+    assert result.cdf == [(p, float(np.percentile(achieved, p))) for p in range(1, 101)]
+    return choices, achieved, oracle
+
+
 def boundary_adjacent_inputs(tree, rng, per_node=50, eps_rel=1e-6):
     """Model-space points solving w.x + w0 = +-eps for every hyperplane."""
     rows = []

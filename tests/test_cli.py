@@ -254,6 +254,16 @@ class TestEval:
         assert len(lines) == 1 + 1 + 5 + 2
         assert sum("fold" in ln for ln in lines) == 5
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_cost_threshold_exit_3(self, tmp_path, data_csv, model_dir, capsys,
+                                              value):
+        out = tmp_path / "eval"
+        rc = main(["eval", "--model", str(model_dir / "model.json"), "--data", str(data_csv),
+                   f"--cost-threshold={value}", "--out-dir", str(out)])
+        assert rc == 3
+        assert f"--cost-threshold must be finite, got {value}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("k", ["0", "1", "-2"])
     def test_kfold_below_two_exit_3_before_output(self, tmp_path, data_csv, model_dir,
                                                    capsys, k):
@@ -290,11 +300,35 @@ class TestSimulate:
         selectors = {r.split(",")[0] for r in rows[1:]}
         assert "tree" in selectors and "oracle" in selectors
 
-    def test_bad_scenario_exit_3(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ('{"bogus": true}', "unknown scenario fields: ['bogus']"),
+        ('[1, 2]', "one JSON object"),
+        ('{"n_packets": 1.5}', "'n_packets' must be an integer, got 1.5"),
+        ('{"n_nodes": true}', "'n_nodes' must be an integer, got True"),
+        ('{"distances_m": "abc"}', "'distances_m' must be a list of numbers, got 'abc'"),
+        ('{"lora_rate_tiers": [[1]]}', "'lora_rate_tiers' must be a list of 2-number lists"),
+        ('{"packet_interval_s": "x"}', "'packet_interval_s' must be a finite number, got 'x'"),
+        ('{"prr_floor": NaN}', "'prr_floor' must be a finite number, got nan"),
+        ('{"gray_region_m": [500]}', "gray region bounds must be two increasing numbers"),
+        ('{"hop_range_m": 0}', "hop_range_m must be > 0"),
+        ('{"zigbee_hop_overhead": -1}', "zigbee_hop_overhead must be >= 0"),
+        ('{"shadowing_std_db": -1}', "shadowing_std_db must be >= 0"),
+    ], ids=["unknown_field", "not_an_object", "int_float", "int_bool", "list_string",
+            "pair_width", "real_string", "real_nan", "gray_region_width", "hop_range_zero",
+            "hop_overhead_negative", "std_negative"])
+    def test_bad_scenario_exit_3(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"bogus": true}')
-        rc = main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path)])
+        bad.write_text(text)
+        rc = main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")])
         assert rc == 3
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_exit_3(self, tmp_path, capsys, value):
+        rc = main(["simulate", f"--threshold-hn={value}", "--out-dir", str(tmp_path)])
+        assert rc == 3
+        assert f"--threshold-hn must be finite, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_packets", [-1, 0])
     def test_no_packets_exit_3(self, tmp_path, capsys, n_packets):
@@ -331,6 +365,15 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "interval_s,selector,performance_ratio,mean_latency_ms"
         assert len(lines) - 1 == 6 * 4  # 4 built-in selectors
+
+    def test_tiny_intervals_cap_the_lag(self, tmp_path):
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--intervals", "1e-300,1e-320", "--seed", "1",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 4
+        assert all(0.0 < float(ratio) <= 1.0 for _, _, ratio, _ in rows)
 
     def test_oracle_rows_ratio_one(self, tmp_path):
         out = tmp_path / "sw2"

@@ -263,6 +263,22 @@ def test_config_rejects_bad_lambda(lam):
         TaoConfig(lam=lam)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"depth": 0}, "depth must be an integer >= 1, got 0"),
+    ({"depth": 2.0}, "depth must be an integer >= 1, got 2.0"),
+    ({"depth": True}, "depth must be an integer >= 1, got True"),
+    ({"max_passes": 0}, "max_passes must be an integer >= 1, got 0"),
+    ({"max_passes": 1.5}, "max_passes must be an integer >= 1, got 1.5"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"seed": False}, "seed must be an integer >= 0, got False"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+], ids=["depth_zero", "depth_float", "depth_bool", "max_passes_zero", "max_passes_float",
+        "seed_float", "seed_bool", "seed_negative"])
+def test_config_validation(kwargs, message):
+    with pytest.raises(DataError, match=message):
+        TaoConfig(**kwargs)
+
+
 class TestLambdaUnit:
     # lambda_unit is the surrogate's lambda_max, so the stump is fit by the
     # surrogate minimizer (no patience), not by TAO's proposal config

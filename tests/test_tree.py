@@ -144,6 +144,25 @@ class TestPrune:
         assert p.n_leaves() == 1
         assert p.nodes[p.root].label == 1
 
+    def test_zero_chain_from_root_keeps_ids_and_arena_order(self):
+        # root 0 -> 1 (w0 < 0 goes left) -> 4 (w0 = 0 goes right) -> 6, a
+        # real hyperplane whose right child 8 is zero again and resolves to 9
+        zero = np.zeros(4)
+        nodes = {0: DecisionNode(zero, -1.0, 1, 2), 2: LeafNode(1),
+                 1: DecisionNode(zero, 0.0, 3, 4), 3: LeafNode(0),
+                 4: DecisionNode(zero, 2.0, 5, 6), 5: LeafNode(1),
+                 6: DecisionNode(np.array([1.0, 0, 0, 0]), 0.5, 7, 8),
+                 9: LeafNode(1), 8: DecisionNode(zero, -3.0, 9, 10),
+                 7: LeafNode(0), 10: LeafNode(0)}
+        t = ObliqueTree(nodes, 0)
+        p = prune(t)
+        assert p.root == 6 and list(p.nodes) == [6, 9, 7]
+        expected = ObliqueTree({6: DecisionNode(np.array([1.0, 0, 0, 0]), 0.5, 7, 9),
+                                7: LeafNode(0), 9: LeafNode(1)}, 6)
+        assert to_json(p) == to_json(expected)
+        X = np.random.default_rng(0).normal(0, 2, size=(200, 4))
+        assert np.array_equal(t.predict_model(X), p.predict_model(X))
+
 
 class TestPersistence:
     def test_round_trip_byte_identical(self, tmp_path, rng):
