@@ -366,6 +366,13 @@ def cmd_export(args, run: _Run) -> int:
 
 # ---------- parser ----------
 
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, as numpy's generators take it."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radiosel", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0, help="random seed, an integer >= 0")
 
     p = sub.add_parser("train", help="train a cost-sensitive oblique tree")
     common(p)
@@ -382,11 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--data", help="labeled dataset CSV")
     src.add_argument("--traces", help="raw dual-radio trace CSV (labeled on the fly)")
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="fix the L1 strength and skip the sweep")
-    p.add_argument("--sweep-lambdas", default=None,
-                   help="comma-separated lambda grid (default: 0 and 1e-6, 1e-5, "
-                        "1e-4, 1e-3 times the training split's lambda_max)")
+    lam = p.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="lam", type=float, default=None,
+                     help="fix the L1 strength and skip the sweep")
+    lam.add_argument("--sweep-lambdas", default=None,
+                     help="comma-separated lambda grid (default: 0 and 1e-6, 1e-5, "
+                          "1e-4, 1e-3 times the training split's lambda_max)")
     p.add_argument("--init", choices=("random", "cart", "best_of_both"),
                    default="best_of_both")
     p.add_argument("--passes", type=int, default=20)

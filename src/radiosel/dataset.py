@@ -4,6 +4,9 @@ A sample is (feature vector, radio label, misclassification cost in bps).
 The cost of a trace record is the throughput the transmitter forfeits by
 picking the slower radio, so zero-cost ties carry no training signal and
 are dropped at labeling time.
+
+The CSV readers read a file once and check each block of records, as it
+is parsed, against one ordered table of rules per record kind.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ TRACE_COLUMNS = TRACE_HEADER[1:]
 _DATASET_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
 _TRACE_ROW = "%s" + ",%.17g" * len(TRACE_COLUMNS) + "\n"
 _LABEL_CODES = {"zigbee": 0, "lora": 1}
+_UNKNOWN_LABEL = "unknown radio label {!r} (expected 'zigbee' or 'lora')"
 # Records per block that the CSV readers parse and the writers format at a
 # time: memory is the loaded arrays plus one block of cell strings.
 CHUNK_ROWS = 2048
@@ -45,7 +49,7 @@ class RadioClass(enum.IntEnum):
     def from_name(cls, name: str) -> "RadioClass":
         code = _LABEL_CODES.get(name.strip().lower())
         if code is None:
-            raise DataError(f"unknown radio label {name!r} (expected 'zigbee' or 'lora')")
+            raise DataError(_UNKNOWN_LABEL.format(name))
         return cls(code)
 
 
@@ -182,22 +186,27 @@ class Trace:
         return np.column_stack((self.hn, self.rssi, self.prr, self.rnp))
 
 
-def _bad_features(hn, rssi, prr, rnp) -> np.ndarray:
-    """Row mask of the failures _check_feature_row reports."""
+def _feature_rules(hn, rssi, prr, rnp) -> list:
+    """The feature rules of a record, in the order a row is checked: pairs
+    of a bad-row mask over the columns and the message of a failing row,
+    given its index in the file and in the columns."""
     finite = np.isfinite(hn) & np.isfinite(rssi) & np.isfinite(prr) & np.isfinite(rnp)
-    return ~finite | (hn < 1) | ~((prr >= 0.0) & (prr <= 1.0)) | (rnp < 1)
+    return [(~finite, lambda i, j: f"row {i}: non-finite feature value"),
+            (hn < 1, lambda i, j: f"row {i}: hn must be >= 1, got {float(hn[j])}"),
+            (~((prr >= 0.0) & (prr <= 1.0)),
+             lambda i, j: f"row {i}: prr must be in [0,1], got {float(prr[j])}"),
+            (rnp < 1, lambda i, j: f"row {i}: rnp must be >= 1, got {float(rnp[j])}")]
 
 
-def _check_feature_row(hn: float, rssi: float, prr: float, rnp: float, row: int) -> None:
-    vals = (hn, rssi, prr, rnp)
-    if not all(math.isfinite(v) for v in vals):
-        raise DataError(f"row {row}: non-finite feature value")
-    if hn < 1:
-        raise DataError(f"row {row}: hn must be >= 1, got {hn}")
-    if not (0.0 <= prr <= 1.0):
-        raise DataError(f"row {row}: prr must be in [0,1], got {prr}")
-    if rnp < 1:
-        raise DataError(f"row {row}: rnp must be >= 1, got {rnp}")
+def _first_error(rules, start: int = 0) -> tuple[int, str] | None:
+    """(row, message) of the first row that fails one of the rules, with
+    the message of the first rule it fails, or None if every row passes.
+    start is the file index of the columns' first row."""
+    failures = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
+    if not failures:
+        return None
+    j, k = min(failures)
+    return start + j, rules[k][1](start + j, j)
 
 
 def _header_error(path: Path, header, expected_header) -> DataError | None:
@@ -230,7 +239,7 @@ def _read_blocks(path, expected_header):
     if not path.exists():
         raise DataError(f"no such file: {path}")
     width = len(expected_header)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             error = _header_error(path, next(reader, None), expected_header)
@@ -256,89 +265,73 @@ def _read_blocks(path, expected_header):
         raise error
 
 
-def _read_record(path, expected_header, row: int) -> list[str]:
-    """Data record `row` (blank lines skipped) of a file that read without
-    error, read again from the file: the error path's lookup, so that no
-    block outlives its parsing."""
-    for block in _read_blocks(path, expected_header):
-        if row < len(block):
-            return block[row]
-        row -= len(block)
-    raise DataError(f"{path}: file changed while reading")
-
-
-def _parse_float(s: str, row: int, col: str) -> float:
-    try:
-        return float(s)
-    except ValueError:
-        raise DataError(f"row {row}: cannot parse {col}={s!r} as number")
-
-
-def _parse_columns(cells_by_column) -> tuple[list[np.ndarray], np.ndarray]:
-    """float() of every cell of each column, and the mask of rows holding a
-    cell that float() rejects; rejected cells read as NaN."""
+def _parse_columns(names, cells_by_column) -> tuple[list[np.ndarray], list]:
+    """float() of every cell of each named column, cells that float()
+    rejects reading as NaN, and the parse rule of each column that holds
+    such a cell: the mask of those rows and the message naming the cell."""
     n = len(cells_by_column[0])
-    columns, bad = [], np.zeros(n, dtype=bool)
-    for cells in cells_by_column:
+    columns, rules = [], []
+    for name, cells in zip(names, cells_by_column):
         try:
             columns.append(np.fromiter(map(float, cells), dtype=float, count=n))
         except ValueError:
-            values = np.full(n, np.nan)
-            for i, s in enumerate(cells):
+            values, bad = np.full(n, np.nan), np.zeros(n, dtype=bool)
+            for j, s in enumerate(cells):
                 try:
-                    values[i] = float(s)
+                    values[j] = float(s)
                 except ValueError:
-                    bad[i] = True
+                    bad[j] = True
             columns.append(values)
-    return columns, bad
-
-
-def _check_dataset_row(raw, i: int) -> None:
-    """The checks of one dataset record, in the order they report errors."""
-    hn, rssi, prr, rnp = (_parse_float(s, i, col) for s, col in zip(raw[:4], FEATURE_NAMES))
-    _check_feature_row(hn, rssi, prr, rnp, i)
-    cost = _parse_float(raw[5], i, "cost")
-    if not math.isfinite(cost) or cost <= 0:
-        raise DataError(f"row {i}: cost must be finite and > 0, got {raw[5]}")
-    RadioClass.from_name(raw[4])
+            rules.append((bad, lambda i, j, name=name, cells=cells:
+                          f"row {i}: cannot parse {name}={cells[j]!r} as number"))
+    return columns, rules
 
 
 def load_dataset(path) -> Dataset:
     """Read a `hn,rssi,prr,rnp,label,cost` CSV into a Dataset.
 
     Features are returned raw; `standardize` fits and applies a z-scaler.
-    The file is parsed one block of records at a time. The checks run on
-    whole columns; the first failing row is then read again and checked
-    alone, so the error names that row and its first failed check.
+    The file is read once, one block of records at a time, and each block
+    is checked against the rules while its cells are at hand: the error
+    names the first failing row and its first failed check.
     """
-    blocks = []
+    blocks, error, start = [], None, 0
     for records in _read_blocks(path, DATASET_HEADER):
-        hn, rssi, prr, rnp, labels, cost = zip(*records)
-        columns, bad = _parse_columns((hn, rssi, prr, rnp, cost))
+        if error is not None:
+            continue   # _read_blocks still reads on: its errors come first
+        *feature_cells, labels, cost_cells = zip(*records)
+        features, parse_features = _parse_columns(FEATURE_NAMES, feature_cells)
+        (c,), parse_cost = _parse_columns(("cost",), (cost_cells,))
         codes = {s: _LABEL_CODES.get(s.strip().lower(), -1) for s in set(labels)}
         y = np.fromiter(map(codes.__getitem__, labels), dtype=int, count=len(labels))
-        blocks.append((*columns, y, bad))
+        error = _first_error([
+            *parse_features, *_feature_rules(*features), *parse_cost,
+            (~np.isfinite(c) | (c <= 0),
+             lambda i, j: f"row {i}: cost must be finite and > 0, got {cost_cells[j]}"),
+            (y < 0, lambda i, j: _UNKNOWN_LABEL.format(labels[j]))], start)
+        blocks.append((*features, c, y))
+        start += len(records)
     if not blocks:
         raise DataError(f"{path}: empty dataset")
-    hn, rssi, prr, rnp, c, y, bad = (np.concatenate(parts) for parts in zip(*blocks))
+    if error is not None:
+        raise DataError(error[1])
+    hn, rssi, prr, rnp, c, y = (np.concatenate(parts) for parts in zip(*blocks))
     del blocks
-    bad |= _bad_features(hn, rssi, prr, rnp) | ~np.isfinite(c) | (c <= 0) | (y < 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        _check_dataset_row(_read_record(path, DATASET_HEADER, i), i)
     return Dataset(np.column_stack((hn, rssi, prr, rnp)), y, c)
 
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write a Dataset as CSV, one block of rows at a time. The file holds
-    raw features, so a standardized Dataset is rejected, and so is one whose
-    features load_dataset would reject; no file is created then."""
+    the raw FEATURE_NAMES features, so a standardized Dataset is rejected,
+    and so is one of another width or whose features load_dataset would
+    reject; no file is created then."""
     if ds.scaler is not None:
         raise DataError("cannot save a standardized dataset: dataset CSVs hold raw features")
-    bad = _bad_features(*ds.X.T)
-    if bad.any():
-        i = int(np.argmax(bad))
-        _check_feature_row(*ds.X[i].tolist(), i)
+    if ds.dim != len(FEATURE_NAMES):
+        raise DataError(f"dataset CSVs hold the features {','.join(FEATURE_NAMES)}, got {ds.dim}")
+    error = _first_error(_feature_rules(*ds.X.T))
+    if error is not None:
+        raise DataError(error[1])
     path = Path(path)
     label_names = np.array(["zigbee", "lora"], dtype=object)
     with path.open("w", newline="\n", encoding="utf-8") as fh:
@@ -350,60 +343,55 @@ def save_dataset(ds: Dataset, path) -> None:
                                   ds.c[rows].tolist())))
 
 
-def _check_trace_row(raw, i: int, prev_t: float | None) -> None:
-    """The checks of one trace record, in the order they report errors;
-    prev_t is the time of the node's previous record, if any."""
-    t = _parse_float(raw[1], i, "t")
-    tpz = _parse_float(raw[2], i, "tp_zigbee")
-    tpl = _parse_float(raw[3], i, "tp_lora")
-    if not (math.isfinite(tpz) and math.isfinite(tpl)) or tpz < 0 or tpl < 0:
-        raise DataError(f"row {i}: throughputs must be finite and >= 0")
-    hn, rssi, prr, rnp = (_parse_float(s, i, col) for s, col in zip(raw[4:], FEATURE_NAMES))
-    _check_feature_row(hn, rssi, prr, rnp, i)
-    if not math.isfinite(t):
-        raise DataError(f"row {i}: t must be finite, got {t}")
-    if prev_t is not None and t < prev_t:
-        raise DataError(f"row {i}: t decreases for node {raw[0].strip()}")
-
-
 def load_traces(path) -> Trace:
     """Read a `node_id,t,tp_zigbee,tp_lora,hn,rssi,prr,rnp` trace CSV.
 
-    Node ids are stripped and coded in order of first appearance. As in
-    load_dataset, blocks of records are parsed as they are read, and the
-    first failing row is read again and checked alone to name the error.
+    Node ids are stripped and coded in order of first appearance. Checks
+    run as in load_dataset, except "t decreases", which spans blocks and is
+    checked on the joined rows, after the row's own checks.
     """
     names: dict[str, int] = {}
-    blocks = []
+    blocks, error, start = [], None, 0
     for records in _read_blocks(path, TRACE_HEADER):
+        if error is not None:
+            continue
         node_cells, *cells = zip(*records)
         node = np.fromiter((names.setdefault(s.strip(), len(names)) for s in node_cells),
                            dtype=np.intp, count=len(node_cells))
-        columns, bad = _parse_columns(cells)
-        blocks.append((node, *columns, bad))
+        (t, tpz, tpl), parse_times = _parse_columns(TRACE_COLUMNS[:3], cells[:3])
+        features, parse_features = _parse_columns(FEATURE_NAMES, cells[3:])
+        error = _first_error([
+            *parse_times,
+            (~(np.isfinite(tpz) & np.isfinite(tpl)) | (tpz < 0) | (tpl < 0),
+             lambda i, j: f"row {i}: throughputs must be finite and >= 0"),
+            *parse_features, *_feature_rules(*features),
+            (~np.isfinite(t), lambda i, j: f"row {i}: t must be finite, got {float(t[j])}")],
+            start)
+        blocks.append((node, t, tpz, tpl, *features))
+        start += len(records)
     if not blocks:
         raise DataError(f"{path}: empty trace file")
-    node, *columns, bad = (np.concatenate(parts) for parts in zip(*blocks))
+    node, t, *columns = (np.concatenate(parts) for parts in zip(*blocks))
     del blocks
-    t, tpz, tpl, hn, rssi, prr, rnp = columns
-    bad |= ~(np.isfinite(tpz) & np.isfinite(tpl)) | (tpz < 0) | (tpl < 0)
-    bad |= _bad_features(hn, rssi, prr, rnp) | ~np.isfinite(t)
     # a row is out of order when its t is below the node's previous row's t
     order = np.argsort(node, kind="stable")
     prev, cur = order[:-1], order[1:]
-    bad[cur[(node[cur] == node[prev]) & (t[cur] < t[prev])]] = True
-    if bad.any():
-        i = int(np.argmax(bad))
-        earlier = np.flatnonzero(node[:i] == node[i])
-        _check_trace_row(_read_record(path, TRACE_HEADER, i), i,
-                         float(t[earlier[-1]]) if earlier.size else None)
-    return Trace(tuple(names), node, *columns)
+    decreases = cur[(node[cur] == node[prev]) & (t[cur] < t[prev])]
+    if decreases.size:
+        i = int(decreases.min())
+        if error is None or i < error[0]:   # on one row, the row's own checks win
+            error = i, f"row {i}: t decreases for node {list(names)[node[i]]}"
+    if error is not None:
+        raise DataError(error[1])
+    return Trace(tuple(names), node, t, *columns)
 
 
 def save_traces(traces: Trace, path) -> None:
-    """Write a trace as CSV, one block of rows at a time."""
+    """Write a trace as CSV, one block of rows at a time. Node ids are
+    quoted as csv.QUOTE_MINIMAL quotes them."""
     path = Path(path)
-    names = np.asarray(traces.names, dtype=object)
+    names = np.array(['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+                      for s in traces.names], dtype=object)
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
         for lo in range(0, len(traces), CHUNK_ROWS):

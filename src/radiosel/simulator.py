@@ -91,6 +91,8 @@ class ScenarioConfig:
             raise DataError("a scenario needs at least one node")
         if self.n_packets < 1:
             raise DataError("a scenario needs at least one packet per node")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if len(self.distances_m) != self.n_nodes:
             raise DataError(f"{self.n_nodes} nodes but {len(self.distances_m)} distances")
         if any(d <= 0 for d in self.distances_m):

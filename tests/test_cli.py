@@ -89,6 +89,15 @@ class TestTrain:
             main(["train"])  # --data missing
         assert exc.value.code == 2
 
+    def test_lambda_and_sweep_lambdas_exit_2(self, tmp_path, data_csv, capsys):
+        """One fixed lambda and a grid cannot both be given."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data_csv), "--lambda", "0.5",
+                  "--sweep-lambdas", "0,1e-3", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "not allowed with argument --lambda" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     # sha256 of model.json and of the manifest's training section (its
     # solver stats left out) from the README's `simulate --seed 1` and
     # `train --depth 4 --seed 1`, recorded when each training ran alone;
@@ -313,9 +322,10 @@ class TestSimulate:
         ('{"hop_range_m": 0}', "hop_range_m must be > 0"),
         ('{"zigbee_hop_overhead": -1}', "zigbee_hop_overhead must be >= 0"),
         ('{"shadowing_std_db": -1}', "shadowing_std_db must be >= 0"),
+        ('{"seed": -1}', "seed must be >= 0, got -1"),
     ], ids=["unknown_field", "not_an_object", "int_float", "int_bool", "list_string",
             "pair_width", "real_string", "real_nan", "gray_region_width", "hop_range_zero",
-            "hop_overhead_negative", "std_negative"])
+            "hop_overhead_negative", "std_negative", "seed_negative"])
     def test_bad_scenario_exit_3(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -329,6 +339,17 @@ class TestSimulate:
         rc = main(["simulate", f"--threshold-hn={value}", "--out-dir", str(tmp_path)])
         assert rc == 3
         assert f"--threshold-hn must be finite, got {value}" in capsys.readouterr().err
+
+    def test_replay_node_ids_that_need_quotes(self, tmp_path):
+        """A replayed trace whose node ids hold "," or '"' is written so
+        that it loads back."""
+        trace = dataset.Trace(("a,b", 'c"d'), [0, 1, 0, 1], [0.0, 0.0, 1.0, 1.0],
+                              [5000.0, 800.0, 4000.0, 900.0], [3000.0] * 4, [2.0] * 4,
+                              [-95.0] * 4, [0.8] * 4, [1.4] * 4)
+        dataset.save_traces(trace, tmp_path / "in.csv")
+        assert main(["simulate", "--traces", str(tmp_path / "in.csv"),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        assert dataset.load_traces(tmp_path / "o" / "trace.csv") == trace
 
     @pytest.mark.parametrize("n_packets", [-1, 0])
     def test_no_packets_exit_3(self, tmp_path, capsys, n_packets):
@@ -579,3 +600,23 @@ def test_console_entry_point(tmp_path):
     rc = subprocess.run([sys.executable, "-m", "radiosel.cli", "--version"],
                         capture_output=True, text=True)
     assert rc.returncode == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "train", "eval", "stability",
+                                     "export"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_is_a_usage_error(tmp_path, data_csv, model_dir, capsys, command, seed):
+    """--seed takes an integer >= 0; anything else exits 2 before any output."""
+    argv = {"simulate": [], "sweep": ["--intervals", "3"],
+            "train": ["--data", str(data_csv)],
+            "eval": ["--model", str(model_dir / "model.json"), "--data", str(data_csv),
+                     "--kfold", "5"],
+            "stability": ["--data", str(data_csv)],
+            "export": ["--model", str(model_dir / "model.json")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--seed", seed, "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected an integer >= 0, got '{seed}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

@@ -594,3 +594,93 @@ test_corrupted_traces_in_blocks = in_three_row_blocks(
 test_corrupted_dataset_in_blocks = in_three_row_blocks(
     properties.TestCorruptedFiles.test_dataset_matches_reference,
     data=st.data(), ds=properties.datasets())
+
+
+class TestSingleRead:
+    """Each loader reads its file once, on a valid file and on a failing
+    one, so that the error is found in the same read as the rows."""
+
+    CASES = {
+        "traces": (load_traces, trace_lines(9), None),
+        "traces_bad_prr": (load_traces, edited(trace_lines(9), r4="n1,4,5000,3000,2,-95,2,1.4"),
+                           "row 4: prr must be in [0,1], got 2.0"),
+        "traces_t_decreases": (load_traces,
+                               edited(trace_lines(9), r7="n1,0,5000,3000,2,-95,1,1.4"),
+                               "row 7: t decreases for node n1"),
+        "dataset": (load_dataset, dataset_lines(9), None),
+        "dataset_bad_prr": (load_dataset, edited(dataset_lines(9), r5="1,-90,1.5,1.1,zigbee,10"),
+                            "row 5: prr must be in [0,1], got 1.5"),
+    }
+
+    @pytest.mark.parametrize("rows", [2, None])
+    @pytest.mark.parametrize("name", CASES)
+    def test_read_blocks_called_once(self, tmp_path, monkeypatch, rows, name):
+        loader, lines, message = self.CASES[name]
+        header = TRACE_HEADER_LINE if loader is load_traces else HEADER
+        p = write(tmp_path / "f.csv", header + "\n".join(lines) + "\n")
+        if rows is not None:
+            monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        reads = []
+        read_blocks = dataset._read_blocks
+
+        def counted(path, expected_header):
+            reads.append(path)
+            return read_blocks(path, expected_header)
+
+        monkeypatch.setattr(dataset, "_read_blocks", counted)
+        kind, got = properties.outcome(loader, p)
+        assert reads == [p]
+        assert (got if kind == "error" else None) == message
+
+    def test_file_rewritten_after_read_does_not_change_the_outcome(self, tmp_path,
+                                                                  monkeypatch):
+        """A file that changes once it has been read is judged on what was
+        read: a bad row found in the read is reported."""
+        p = write(tmp_path / "d.csv", HEADER + "1,-90,0.9,1.1,zigbee,10\n"
+                  "1,-90,1.5,1.1,zigbee,10\n")
+        read_blocks = dataset._read_blocks
+
+        def rewriting(path, expected_header):
+            yield from read_blocks(path, expected_header)
+            write(p, HEADER + "1,-90,0.9,1.1,zigbee,10\n" * 2)
+
+        monkeypatch.setattr(dataset, "_read_blocks", rewriting)
+        with pytest.raises(DataError) as err:
+            load_dataset(p)
+        assert str(err.value) == "row 1: prr must be in [0,1], got 1.5"
+
+
+@pytest.mark.parametrize("loader,text", [
+    (load_traces, TRACE_HEADER_LINE + "n00,0,5000,3000,2,-95,0.8,1.4\n"),
+    (load_dataset, HEADER + "1,-90,0.9,1.1,zigbee,10\n"),
+], ids=["traces", "dataset"])
+def test_utf8_bom_is_skipped(tmp_path, loader, text):
+    """A file saved as "CSV UTF-8" starts with a byte order mark; it loads
+    as the same file without one."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert same_outcome(properties.outcome(loader, marked), properties.outcome(loader, plain))
+    assert properties.outcome(loader, marked)[0] == "ok"
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_save_dataset_needs_the_four_features(tmp_path, width):
+    path = tmp_path / "d.csv"
+    ds = Dataset(np.ones((2, width)), [0, 1], [1.0, 2.0])
+    with pytest.raises(DataError, match=f"hold the features hn,rssi,prr,rnp, got {width}$"):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
+def test_node_ids_quoted_as_csv_needs(tmp_path):
+    """Node ids holding "," or '"' are quoted and load back; others are
+    written as they are."""
+    trace = Trace(("a,b", 'say "hi"', "n00"), [0, 1, 2], [0.0, 1.0, 2.0],
+                  [5.0] * 3, [3.0] * 3, [2.0] * 3, [-95.0] * 3, [0.5] * 3, [1.5] * 3)
+    path = tmp_path / "t.csv"
+    save_traces(trace, path)
+    assert path.read_text() == (TRACE_HEADER_LINE + '"a,b",0,5,3,2,-95,0.5,1.5\n'
+                                '"say ""hi""",1,5,3,2,-95,0.5,1.5\n'
+                                "n00,2,5,3,2,-95,0.5,1.5\n")
+    assert load_traces(path) == trace
