@@ -23,9 +23,11 @@ def _majority_label(y: np.ndarray, c: np.ndarray) -> int:
     return 1 if w_lora > w_zigbee else 0
 
 
-def _best_split(X, y, c, min_leaf_weight):
+def _best_split(X, y, c):
     """(feature, threshold, score) of the best cost-weighted Gini split,
-    or None. Ties resolved to the lowest feature index, then threshold."""
+    or None when every feature is constant. Ties resolved to the lowest
+    feature index, then threshold. Costs are positive, so both children of
+    every candidate split carry positive weight."""
     total = float(np.sum(c))
     best = None
     for j in range(X.shape[1]):
@@ -42,13 +44,9 @@ def _best_split(X, y, c, min_leaf_weight):
         wl = wl0 + wl1
         wr0, wr1 = cw0[-1] - wl0, cw1[-1] - wl1
         wr = wr0 + wr1
-        ok = (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
-        if not np.any(ok):
-            continue
         gini_l = wl - (wl0 * wl0 + wl1 * wl1) / wl
         gini_r = wr - (wr0 * wr0 + wr1 * wr1) / wr
         score = (gini_l + gini_r) / total
-        score[~ok] = np.inf
         k = int(np.argmin(score))  # first minimum: lowest threshold wins ties
         if best is None or score[k] < best[2]:
             tau = (v[distinct[k]] + v[distinct[k] + 1]) / 2.0
@@ -56,9 +54,9 @@ def _best_split(X, y, c, min_leaf_weight):
     return best
 
 
-def grow(ds: Dataset, max_depth: int, min_leaf_weight: float = 0.0) -> ObliqueTree:
-    """Greedy recursive partitioning; stops at depth, purity, or when no
-    split leaves both children with cost-weight >= min_leaf_weight."""
+def grow(ds: Dataset, max_depth: int) -> ObliqueTree:
+    """Greedy recursive partitioning; stops at depth, purity, or when the
+    node's samples share one value on every feature."""
     if ds.n < 2:
         raise DataError("need at least 2 samples to grow a tree")
     if max_depth < 0:
@@ -80,7 +78,7 @@ def grow(ds: Dataset, max_depth: int, min_leaf_weight: float = 0.0) -> ObliqueTr
         pure = np.all(y == y[0])
         split = None
         if depth < max_depth and not pure:
-            split = _best_split(ds.X[idx], y, c, min_leaf_weight)
+            split = _best_split(ds.X[idx], y, c)
         if split is None:
             nodes[nid] = LeafNode(_majority_label(y, c))
             continue

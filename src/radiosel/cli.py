@@ -305,7 +305,7 @@ def cmd_stability(args, run: _Run) -> int:
     rep = stability.stability_run(train_ds, test_ds, cfg,
                                   fractions=fractions, seed=args.seed)
 
-    names = ds.feature_names
+    names = dataset.feature_names(ds.dim)
     rows = []
     for stage in rep.stages:
         for nid in stage.tree.decision_ids():
@@ -383,23 +383,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed", type=_seed, default=0, help="random seed, an integer >= 0")
 
+    def training(p, init):   # train's and stability's tree options, TaoConfig's defaults
+        p.add_argument("--depth", type=int, default=tao.TaoConfig.depth)
+        p.add_argument("--init", choices=tao.INIT_POLICIES, default=init)
+        p.add_argument("--passes", type=int, default=tao.TaoConfig.max_passes)
+        p.add_argument("--raw-features", action="store_true",
+                       help="skip feature standardization")
+
+    def replaying(p):   # simulate's and sweep's scenario and selector options
+        p.add_argument("--scenario", default=None, help="scenario JSON (default built-in)")
+        p.add_argument("--model", default=None, help="tree model to replay")
+        p.add_argument("--threshold-hn", type=float, default=3.0,
+                       help="hop count from which the threshold baseline picks LoRa")
+
     p = sub.add_parser("train", help="train a cost-sensitive oblique tree")
     common(p)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="labeled dataset CSV")
     src.add_argument("--traces", help="raw dual-radio trace CSV (labeled on the fly)")
-    p.add_argument("--depth", type=int, default=3)
+    training(p, init=tao.TaoConfig.init_policy)
     lam = p.add_mutually_exclusive_group()
     lam.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="fix the L1 strength and skip the sweep")
     lam.add_argument("--sweep-lambdas", default=None,
                      help="comma-separated lambda grid (default: 0 and 1e-6, 1e-5, "
                           "1e-4, 1e-3 times the training split's lambda_max)")
-    p.add_argument("--init", choices=("random", "cart", "best_of_both"),
-                   default="best_of_both")
-    p.add_argument("--passes", type=int, default=20)
-    p.add_argument("--raw-features", action="store_true",
-                   help="skip feature standardization")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a dataset")
@@ -408,23 +416,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--kfold", type=int, default=None)
     p.add_argument("--location", default=None, help="label for the metrics rows")
-    p.add_argument("--cost-threshold", type=float, default=200.0)
+    p.add_argument("--cost-threshold", type=float, default=metrics.HIGH_COST_THRESHOLD_BPS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="generate a trace and replay selectors")
     common(p)
-    p.add_argument("--scenario", default=None, help="scenario JSON (default built-in)")
+    replaying(p)
     p.add_argument("--traces", default=None,
                    help="replay this existing trace CSV instead of generating")
-    p.add_argument("--model", default=None, help="tree model to replay")
-    p.add_argument("--threshold-hn", type=float, default=3.0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="performance ratio vs packet interval")
     common(p)
-    p.add_argument("--scenario", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--threshold-hn", type=float, default=3.0)
+    replaying(p)
     p.add_argument("--intervals", default=",".join(str(v) for v in DEFAULT_INTERVALS))
     p.set_defaults(func=cmd_sweep)
 
@@ -432,11 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--fractions", default="0.5,0.75,1.0")
-    p.add_argument("--depth", type=int, default=3)
+    training(p, init="cart")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--init", choices=("random", "cart", "best_of_both"), default="cart")
-    p.add_argument("--passes", type=int, default=20)
-    p.add_argument("--raw-features", action="store_true")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("export", help="emit the IF/ELSE program and weight report")

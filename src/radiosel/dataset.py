@@ -39,6 +39,12 @@ _UNKNOWN_LABEL = "unknown radio label {!r} (expected 'zigbee' or 'lora')"
 CHUNK_ROWS = 2048
 
 
+def feature_names(dim: int) -> tuple:
+    """Names of dim feature columns: FEATURE_NAMES for the four
+    selector-visible features, x0, x1, ... for any other width."""
+    return FEATURE_NAMES if dim == len(FEATURE_NAMES) else tuple(f"x{j}" for j in range(dim))
+
+
 class RadioClass(enum.IntEnum):
     """Binary radio label. Encoding fixed project-wide: Zigbee=0, Lora=1."""
 
@@ -92,7 +98,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     c: np.ndarray
-    feature_names: tuple = FEATURE_NAMES
     scaler: Scaler | None = None
 
     def __post_init__(self):
@@ -127,8 +132,7 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(self.X[idx], self.y[idx], self.c[idx],
-                       feature_names=self.feature_names, scaler=self.scaler)
+        return Dataset(self.X[idx], self.y[idx], self.c[idx], scaler=self.scaler)
 
 
 @dataclass(eq=False)
@@ -388,7 +392,13 @@ def load_traces(path) -> Trace:
 
 def save_traces(traces: Trace, path) -> None:
     """Write a trace as CSV, one block of rows at a time. Node ids are
-    quoted as csv.QUOTE_MINIMAL quotes them."""
+    quoted as csv.QUOTE_MINIMAL quotes them. A node id with leading or
+    trailing whitespace, which load_traces would strip, is rejected, and
+    no file is created then."""
+    for s in traces.names:
+        if s != s.strip():
+            raise DataError(f"node id {s!r} has leading or trailing whitespace, "
+                            f"which the trace reader strips")
     path = Path(path)
     names = np.array(['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
                       for s in traces.names], dtype=object)
@@ -401,24 +411,16 @@ def save_traces(traces: Trace, path) -> None:
                                   *(getattr(traces, c)[rows].tolist() for c in TRACE_COLUMNS))))
 
 
-def label_traces(traces: Trace, tie_policy: str = "drop") -> Dataset:
+def label_traces(traces: Trace) -> Dataset:
     """Derive labels and costs from realized throughputs.
 
     Label = radio with the higher throughput; cost = |tp_zigbee - tp_lora|.
-    Ties (cost 0) are dropped under the default policy or rejected under
-    tie_policy="error".
+    Ties (cost 0) carry no training signal and are dropped.
     """
     if not len(traces):
         raise DataError("no trace records")
-    if tie_policy not in ("drop", "error"):
-        raise DataError(f"unknown tie policy {tie_policy!r}")
     diff = traces.tp_zigbee - traces.tp_lora
-    tie = diff == 0.0
-    if tie_policy == "error" and tie.any():
-        i = int(np.argmax(tie))
-        raise DataError(f"tied throughputs at node {traces.names[traces.node[i]]}, "
-                        f"t={float(traces.t[i])}")
-    keep = ~tie
+    keep = diff != 0.0
     if not keep.any():
         raise DataError("all trace records tied: empty dataset")
     diff = diff[keep]
@@ -432,12 +434,11 @@ def standardize(ds: Dataset) -> Dataset:
         raise DataError("dataset already standardized")
     mean = ds.X.mean(axis=0)
     std = ds.X.std(axis=0)
-    for j, s in enumerate(std):
+    for name, s in zip(feature_names(ds.dim), std):
         if s <= 0:
-            raise DataError(f"constant feature column {ds.feature_names[j]!r}: cannot standardize")
+            raise DataError(f"constant feature column {name!r}: cannot standardize")
     scaler = Scaler(mean=mean, std=std)
-    return Dataset(scaler.transform(ds.X), ds.y.copy(), ds.c.copy(),
-                   feature_names=ds.feature_names, scaler=scaler)
+    return Dataset(scaler.transform(ds.X), ds.y.copy(), ds.c.copy(), scaler=scaler)
 
 
 def _stratified_counts(n: int, fractions) -> list[int]:
@@ -481,11 +482,20 @@ def split(ds: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> tuple:
 
 
 def stratified_kfold_indices(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
-    """Index arrays of k disjoint stratified folds covering the dataset."""
+    """Index arrays of k disjoint stratified folds covering the dataset.
+
+    k == N (leave-one-out) is allowed as a boundary case; otherwise each
+    class present needs >= k samples.
+    """
     if k < 2:
         raise DataError("k must be >= 2")
     if k > ds.n:
         raise DataError(f"k={k} exceeds dataset size {ds.n}")
+    if k != ds.n:
+        for cls in (0, 1):
+            count = int(np.sum(ds.y == cls))
+            if 0 < count < k:
+                raise DataError(f"class {cls} has {count} samples, fewer than k={k}")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES
+from .dataset import FEATURE_NAMES, feature_names
 from .errors import DataError
 from .tree import LeafNode, ObliqueTree, to_json
 
@@ -28,11 +28,11 @@ _LABEL_CODE = {"ZIGBEE": 0, "LORA": 1}
 
 
 def feature_names_for(tree: ObliqueTree) -> tuple:
-    """Raw feature names; a leaf-only model takes its width from its scaler."""
+    """Raw feature names, dataset.feature_names of the model's width; a
+    leaf-only model takes its width from its scaler, or reads FEATURE_NAMES
+    without one."""
     dim = tree.dim if tree.dim is not None or tree.scaler is None else len(tree.scaler.mean)
-    if dim is None or dim == len(FEATURE_NAMES):
-        return FEATURE_NAMES
-    return tuple(f"x{j}" for j in range(dim))
+    return FEATURE_NAMES if dim is None else feature_names(dim)
 
 
 def _condition_text(a: np.ndarray, a0: float, names) -> str:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, stratified_kfold_indices
-from .errors import DataError
 from .tree import ObliqueTree
 
 HIGH_COST_THRESHOLD_BPS = 200.0
@@ -97,18 +96,9 @@ def kfold_cwa(ds: Dataset, trainer, k: int = 5, seed: int = 0) -> KFoldResult:
     """Stratified k-fold evaluation of a trainer callable Dataset -> tree.
 
     Reports per-fold train/test CWA plus tree size stats; mean and sample
-    (n-1) stddev are exposed on the result. k == N (leave-one-out) is
-    allowed as a boundary case; otherwise each class needs >= k samples.
+    (n-1) stddev are exposed on the result. The folds, and the checks on k,
+    are those of dataset.stratified_kfold_indices.
     """
-    if k < 2:
-        raise DataError("k must be >= 2")
-    if k > ds.n:
-        raise DataError(f"k={k} exceeds dataset size {ds.n}")
-    if k != ds.n:
-        for cls in (0, 1):
-            count = int(np.sum(ds.y == cls))
-            if 0 < count < k:
-                raise DataError(f"class {cls} has {count} samples, fewer than k={k}")
     folds = stratified_kfold_indices(ds, k, seed)
     all_idx = np.arange(ds.n)
     train_cwa, test_cwa, depths, leaves = [], [], [], []

@@ -4,13 +4,15 @@ The generator stands in for a field deployment: short-range radio packets
 hop toward the gateway (per-hop capacity shared across hops, retransmission
 inflation driven by packet reception ratio), long-range packets go single
 hop at a rate tier set by received signal strength under log-distance path
-loss with shadowing. Nodes between the gray-region bounds see competitive
-throughputs, so the winning radio there flips packet to packet with mostly
-small margins, which is the regime that makes per-sample costs matter.
+loss with shadowing. Nodes in the contested band, 500-1200 m from the
+gateway under the default constants, see competitive throughputs, so the
+winning radio there flips packet to packet with mostly small margins, which
+is the regime that makes per-sample costs matter.
 
 Feature columns are noisy observables of the latent channel state, never
 the realized throughputs themselves. All constants are frozen defaults of
-ScenarioConfig (config_version 1), tuned once at desk scale and pinned. A
+ScenarioConfig (config_version 1), tuned once at desk scale and pinned; the
+random draws come from the seed that generate and interval_sweep require. A
 replay reduces one selector's per-packet throughputs to a ReplayResult (means,
 oracle ratio and gap, single-radio gains, a 100-point CDF).
 """
@@ -47,9 +49,6 @@ class ScenarioConfig:
     distances_m: tuple = DEFAULT_DISTANCES_M
     packet_interval_s: float = 3.0
     n_packets: int = 120
-    payload_bytes: int = 29
-    seed: int = 0
-    gray_region_m: tuple = (500.0, 1200.0)
 
     # short-range (multi-hop) side
     hop_range_m: float = 300.0
@@ -91,8 +90,6 @@ class ScenarioConfig:
             raise DataError("a scenario needs at least one node")
         if self.n_packets < 1:
             raise DataError("a scenario needs at least one packet per node")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
         if len(self.distances_m) != self.n_nodes:
             raise DataError(f"{self.n_nodes} nodes but {len(self.distances_m)} distances")
         if any(d <= 0 for d in self.distances_m):
@@ -100,8 +97,6 @@ class ScenarioConfig:
         for name in ("packet_interval_s", "hop_range_m"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be > 0")
-        if len(self.gray_region_m) != 2 or not self.gray_region_m[0] < self.gray_region_m[1]:
-            raise DataError("gray region bounds must be two increasing numbers")
         for name in self.__dataclass_fields__:   # the noise scales and the hop overhead
             if name.endswith(("std", "std_db", "sigma", "overhead")) and getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
@@ -169,13 +164,13 @@ def hop_count(cfg: ScenarioConfig, distance_m: float) -> int:
     return max(1, math.ceil(distance_m / cfg.hop_range_m))
 
 
-def generate(cfg: ScenarioConfig, seed: int | None = None) -> Trace:
+def generate(cfg: ScenarioConfig, seed: int) -> Trace:
     """Deterministic trace: per node, n_packets scheduled every interval.
 
     Nodes are named n00, n01, ... in the order of cfg.distances_m, and each
     node's rows form one block, blocks in that order.
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     per_node = []   # one tuple of columns per node, in dataset.TRACE_COLUMNS order
     m = cfg.n_packets
     t = np.arange(m) * cfg.packet_interval_s
@@ -238,12 +233,13 @@ class TreeSelector:
     """Routes the feature columns through a trained tree (never sees
     the throughput columns)."""
 
-    def __init__(self, tree: ObliqueTree, name: str = "tree"):
+    name = "tree"
+
+    def __init__(self, tree: ObliqueTree):
         if tree.dim is not None and tree.dim != len(FEATURE_NAMES):
             raise DataError(f"model expects {tree.dim} features, traces carry "
                             f"{len(FEATURE_NAMES)}")
         self.tree = tree
-        self.name = name
 
     def choose(self, traces: Trace) -> np.ndarray:
         return self.tree.predict_many(traces.features())
@@ -253,7 +249,7 @@ class ThresholdSelector:
     """Distance-threshold baseline on its observable proxy: picks the
     long-range radio when hop count >= threshold."""
 
-    def __init__(self, hn_threshold: float = 3.0):
+    def __init__(self, hn_threshold: float):
         self.hn_threshold = float(hn_threshold)
         self.name = f"threshold_hn{self.hn_threshold:g}"
 
@@ -353,8 +349,7 @@ class SweepRow:
     mean_latency_ms: float
 
 
-def interval_sweep(cfg: ScenarioConfig, intervals, *selectors,
-                   seed: int | None = None) -> list[SweepRow]:
+def interval_sweep(cfg: ScenarioConfig, intervals, *selectors, seed: int) -> list[SweepRow]:
     """Replay the selectors at each packet-generation interval.
 
     Shorter intervals raise queue occupancy, which adds queuing wait to the
@@ -365,7 +360,6 @@ def interval_sweep(cfg: ScenarioConfig, intervals, *selectors,
     """
     if any(i <= 0 for i in intervals):
         raise DataError("intervals must be positive")
-    seed = cfg.seed if seed is None else seed
     groups = [[] for _ in selectors]
     for interval in map(float, intervals):
         cfg_i = replace(cfg, packet_interval_s=interval)

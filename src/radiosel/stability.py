@@ -79,10 +79,10 @@ def stability_run(train_ds: Dataset, test_ds: Dataset, cfg: tao.TaoConfig,
     field data is reported, never asserted.
     """
     fractions = [float(f) for f in fractions]
-    if any(b <= a for a, b in zip(fractions, fractions[1:])):
-        raise DataError("fractions must be strictly increasing")
-    if abs(fractions[-1] - 1.0) > 1e-12:
-        raise DataError("last fraction must be 1.0")
+    if not (fractions and fractions[0] > 0 and abs(fractions[-1] - 1.0) <= 1e-12
+            and all(a < b for a, b in zip(fractions, fractions[1:]))):
+        # for f < 0, ceil(f * n) is a negative slice bound: it takes rows from the end
+        raise DataError(f"fractions must rise strictly from above 0 to 1.0, got {fractions}")
     subsets = _nested_subsets(train_ds, fractions, seed)
 
     stages = []

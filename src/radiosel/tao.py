@@ -57,6 +57,7 @@ from .tree import DecisionNode, LeafNode, ObliqueTree
 
 ACCEPT_MARGIN = 1e-9   # relative to a node's reaching cost; see the module doc
 SOLVER_CFG = solver.SolverConfig(max_iter=200, tol=1e-8, patience=100)
+INIT_POLICIES = ("random", "cart", "best_of_both")
 
 
 @dataclass
@@ -64,7 +65,7 @@ class TaoConfig:
     depth: int = 3
     lam: float = 0.0
     max_passes: int = 20
-    init_policy: str = "best_of_both"   # random | cart | best_of_both
+    init_policy: str = "best_of_both"   # one of INIT_POLICIES
     seed: int = 0
     debug_checks: bool = False    # recompute+assert objective after every node
 
@@ -76,7 +77,7 @@ class TaoConfig:
             raise DataError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.init_policy not in ("random", "cart", "best_of_both"):
+        if self.init_policy not in INIT_POLICIES:
             raise DataError(f"unknown init policy {self.init_policy!r}")
 
 

@@ -96,16 +96,6 @@ class TestGrow:
             errors = [training_error(grow(ds, max_depth=d), ds) for d in range(6)]
             assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
-    def test_min_leaf_weight_respected(self, rng):
-        ds = tiny_dataset(rng, 50)
-        min_w = 10.0
-        t = grow(ds, max_depth=5, min_leaf_weight=min_w)
-        reach = t.reach_sets(ds.X)
-        for leaf in t.leaf_ids():
-            if leaf == t.root:
-                continue
-            assert float(np.sum(ds.c[reach[leaf]])) >= min_w
-
     def test_deterministic_tie_break(self):
         # features 0 and 1 are identical separators; feature 0 must win
         X = np.zeros((4, 4))

@@ -318,14 +318,15 @@ class TestSimulate:
         ('{"lora_rate_tiers": [[1]]}', "'lora_rate_tiers' must be a list of 2-number lists"),
         ('{"packet_interval_s": "x"}', "'packet_interval_s' must be a finite number, got 'x'"),
         ('{"prr_floor": NaN}', "'prr_floor' must be a finite number, got nan"),
-        ('{"gray_region_m": [500]}', "gray region bounds must be two increasing numbers"),
+        ('{"gray_region_m": [500]}', "unknown scenario fields: ['gray_region_m']"),
         ('{"hop_range_m": 0}', "hop_range_m must be > 0"),
         ('{"zigbee_hop_overhead": -1}', "zigbee_hop_overhead must be >= 0"),
         ('{"shadowing_std_db": -1}', "shadowing_std_db must be >= 0"),
-        ('{"seed": -1}', "seed must be >= 0, got -1"),
+        ('{"seed": -1}', "unknown scenario fields: ['seed']"),
+        ('{"payload_bytes": 29}', "unknown scenario fields: ['payload_bytes']"),
     ], ids=["unknown_field", "not_an_object", "int_float", "int_bool", "list_string",
             "pair_width", "real_string", "real_nan", "gray_region_width", "hop_range_zero",
-            "hop_overhead_negative", "std_negative", "seed_negative"])
+            "hop_overhead_negative", "std_negative", "seed_negative", "payload_bytes"])
     def test_bad_scenario_exit_3(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -416,6 +417,13 @@ class TestStabilityCmd:
         assert (out / "stability_table.txt").exists()
         doc = json.loads((out / "manifest.json").read_text())
         assert len(doc["stability"]["signatures"]) == 3
+
+    def test_non_positive_fraction_exit_3(self, tmp_path, data_csv, capsys):
+        out = tmp_path / "st"
+        assert main(["stability", "--data", str(data_csv), "--fractions=-0.5,1",
+                     "--out-dir", str(out)]) == 3
+        assert "got [-0.5, 1.0]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestExportCmd:

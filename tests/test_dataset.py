@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -147,13 +148,6 @@ class TestLabelTraces:
         with pytest.raises(DataError, match="tied"):
             label_traces(make_trace([3000], [3000]))
 
-    def test_tie_policy_error(self):
-        trace = make_trace([1, 3000, 3000], [2, 3000, 5], node=[0, 1, 1],
-                           t=[0.0, 2.5, 3.0], names=("n0", "n1"))
-        with pytest.raises(DataError) as err:
-            label_traces(trace, tie_policy="error")
-        assert str(err.value) == "tied throughputs at node n1, t=2.5"
-
     def test_empty_trace(self):
         with pytest.raises(DataError, match="no trace records"):
             label_traces(make_trace([], []))
@@ -234,6 +228,16 @@ class TestStandardize:
                      np.array([0, 1]), np.array([1.0, 1.0]))
         with pytest.raises(DataError, match="rssi"):
             standardize(ds)
+
+    @pytest.mark.parametrize("width, name", [(5, "x4"), (2, "x1")])
+    def test_constant_column_of_other_widths_named(self, rng, width, name):
+        """Only four columns read as hn,rssi,prr,rnp; other widths name the
+        columns x0, x1, ... as the exported programs do."""
+        X = rng.normal(0, 1, (6, width))
+        X[:, -1] = 2.0
+        with pytest.raises(DataError, match=f"constant feature column '{name}'"):
+            standardize(Dataset(X, np.arange(6) % 2, np.ones(6)))
+        assert dataset.feature_names(width)[-1] == name
 
 
 def random_ds(rng, n=50):
@@ -684,3 +688,15 @@ def test_node_ids_quoted_as_csv_needs(tmp_path):
                                 '"say ""hi""",1,5,3,2,-95,0.5,1.5\n'
                                 "n00,2,5,3,2,-95,0.5,1.5\n")
     assert load_traces(path) == trace
+
+
+@pytest.mark.parametrize("bad", [" a", "b ", "c\t"])
+def test_save_traces_rejects_node_ids_the_reader_strips(tmp_path, bad):
+    """load_traces strips node ids, so an id with outer whitespace would
+    load back as another node (or merge with one): no file is written."""
+    trace = Trace(("a", bad), [0, 1], [0.0, 1.0], [5.0] * 2, [3.0] * 2, [2.0] * 2,
+                  [-95.0] * 2, [0.5] * 2, [1.5] * 2)
+    path = tmp_path / "t.csv"
+    with pytest.raises(DataError, match=re.escape(f"node id {bad!r} has leading or trailing")):
+        save_traces(trace, path)
+    assert not path.exists()

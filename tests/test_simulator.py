@@ -97,7 +97,7 @@ class TestGenerate:
     def test_gray_region_has_more_near_ties(self, cfg):
         probe = replace(cfg, n_packets=670)  # ~10k packets
         rs = generate(probe, seed=0)
-        lo, hi = cfg.gray_region_m
+        lo, hi = 500.0, 1200.0   # the contested band of the module docstring
         inside, outside = [], []
         for node_id, tpz, tpl in zip(rs.node_ids(), rs.tp_zigbee, rs.tp_lora):
             d = cfg.distances_m[int(node_id[1:])]
@@ -221,4 +221,67 @@ class TestIntervalSweep:
 
     def test_rejects_bad_interval(self, cfg):
         with pytest.raises(DataError):
-            interval_sweep(cfg, [0.0], AlwaysSelector(0))
+            interval_sweep(cfg, [0.0], AlwaysSelector(0), seed=0)
+
+
+class PrrSelector:
+    """Reads the PRR feature, which staleness corrupts, so the staleness
+    fields reach the sweep rows (hop count, the threshold baseline's
+    feature, is never made stale)."""
+
+    name = "prr"
+
+    def choose(self, traces):
+        return (traces.prr < 0.6).astype(int)
+
+
+GUARD_BASE = ScenarioConfig(n_packets=40)
+# One value per field that binds: rnp_cap's default of 30, for one, never
+# does. n_nodes must agree with distances_m, so it drops the farthest node.
+GUARD_PERTURBED = {
+    "n_nodes": {"n_nodes": 14, "distances_m": GUARD_BASE.distances_m[:14]},
+    "distances_m": {"distances_m": (200.0,) + GUARD_BASE.distances_m[1:]},
+    "packet_interval_s": {"packet_interval_s": 2.0},
+    "n_packets": {"n_packets": 41},
+    "hop_range_m": {"hop_range_m": 250.0},
+    "zigbee_hop_capacity_bps": {"zigbee_hop_capacity_bps": 12000.0},
+    "zigbee_hop_overhead": {"zigbee_hop_overhead": 0.3},
+    "prr_intercept": {"prr_intercept": 1.0},
+    "prr_slope_per_m": {"prr_slope_per_m": 5e-4},
+    "prr_noise_std": {"prr_noise_std": 0.05},
+    "prr_floor": {"prr_floor": 0.3},
+    "prr_ceil": {"prr_ceil": 0.9},
+    "rnp_sigma": {"rnp_sigma": 0.07},
+    "rnp_cap": {"rnp_cap": 1.5},
+    "lora_tx_power_dbm": {"lora_tx_power_dbm": 15.0},
+    "path_loss_ref_db": {"path_loss_ref_db": 32.0},
+    "path_loss_exponent": {"path_loss_exponent": 2.8},
+    "shadowing_std_db": {"shadowing_std_db": 3.0},
+    "lora_rate_tiers": {"lora_rate_tiers": ((-85.0, 5000.0),) + GUARD_BASE.lora_rate_tiers[1:]},
+    "lora_base_rate_bps": {"lora_base_rate_bps": 800.0},
+    "throughput_jitter_sigma": {"throughput_jitter_sigma": 0.06},
+    "rssi_meas_std_db": {"rssi_meas_std_db": 3.0},
+    "prr_meas_std": {"prr_meas_std": 0.05},
+    "rnp_meas_sigma": {"rnp_meas_sigma": 0.06},
+    "service_time_s": {"service_time_s": 0.9},
+    "stale_occupancy_floor": {"stale_occupancy_floor": 0.4},
+    "stale_prob_max": {"stale_prob_max": 0.5},
+}
+
+
+def _guard_outputs(cfg):
+    return (generate(cfg, seed=0),
+            interval_sweep(cfg, [5.0, 1.3, 1.05], PrrSelector(), seed=0))
+
+
+def test_guard_covers_every_scenario_field():
+    assert set(GUARD_PERTURBED) == set(ScenarioConfig.__dataclass_fields__) - {"config_version"}
+
+
+@pytest.mark.parametrize("field", sorted(GUARD_PERTURBED))
+def test_every_scenario_field_changes_an_output(field):
+    """A scenario field that changes neither the trace nor the sweep rows
+    is a setting a user can write to no effect."""
+    trace, rows = _guard_outputs(replace(GUARD_BASE, **GUARD_PERTURBED[field]))
+    base_trace, base_rows = _guard_outputs(GUARD_BASE)
+    assert not (trace == base_trace and rows == base_rows)

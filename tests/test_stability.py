@@ -57,10 +57,9 @@ class TestStabilityRun:
     def test_fraction_validation(self, field_data):
         train_ds, test_ds = field_data
         cfg = tao.TaoConfig(depth=1)
-        with pytest.raises(DataError):
-            stability_run(train_ds, test_ds, cfg, fractions=(0.75, 0.5, 1.0))
-        with pytest.raises(DataError):
-            stability_run(train_ds, test_ds, cfg, fractions=(0.5, 0.75))
+        for fractions in ((0.75, 0.5, 1.0), (0.5, 0.75), (-0.5, 1.0), (0.0, 1.0), ()):
+            with pytest.raises(DataError, match="fractions must rise strictly from above 0"):
+                stability_run(train_ds, test_ds, cfg, fractions=fractions)
 
     def test_single_class_input_errors(self, rng):
         # ceil allocation keeps every present class in every subset, so the

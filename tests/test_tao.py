@@ -193,8 +193,7 @@ class TestTrain:
             pts = gen.normal(0, 0.15, size=(10, 2)) + [cx, cy]
             rows.append(pts)
             labels += [lbl] * 10
-        ds = Dataset(np.vstack(rows), np.array(labels), np.full(40, 3.0),
-                     feature_names=("a", "b"))
+        ds = Dataset(np.vstack(rows), np.array(labels), np.full(40, 3.0))
         cfg = TaoConfig(depth=2, lam=0.0, init_policy="best_of_both", seed=1)
         res = train(ds, cfg)
         assert metrics.cwa(res.tree, ds) == 100.0
