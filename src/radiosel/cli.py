@@ -160,7 +160,8 @@ def cmd_train(args, run: _Run) -> int:
             for lam in lambdas]
     sweep_table = []
     best = None
-    for cfg, result in zip(cfgs, tao.train_grid(train_ds, cfgs, val=val_ds)):
+    for cfg, result in zip(cfgs, tao.train_grid([(train_ds, cfg) for cfg in cfgs],
+                                                val=val_ds)):
         val_cwa = metrics.cwa(result.tree, val_ds)
         sweep_table.append({"lambda": cfg.lam, "val_cwa": val_cwa,
                             "init_used": result.init_used,
@@ -212,16 +213,23 @@ def cmd_eval(args, run: _Run) -> int:
           f"({breakdown.loss_low:.0f} bps lost)")
 
     if args.kfold is not None:
-        lam = model.lam if model.lam is not None else 0.0
-        depth = max(1, model.depth)
+        results = []   # one TaoResult per fold
 
-        def trainer(train_ds):
-            cfg = tao.TaoConfig(depth=depth, lam=lam, seed=args.seed,
-                                init_policy="cart")
-            return tao.train(train_ds, cfg).tree
+        def trainer(train_sets):   # all folds in one lockstep run
+            cfg = tao.TaoConfig(depth=max(1, model.depth),
+                                lam=model.lam if model.lam is not None else 0.0,
+                                seed=args.seed, init_policy="cart")
+            results.extend(tao.train_grid([(part, cfg) for part in train_sets],
+                                          labels=[f"fold {i}" for i in range(len(train_sets))]))
+            return [res.tree for res in results]
 
         fold_ds = dataset.standardize(ds) if model.scaler is not None else ds
         kres = metrics.kfold_cwa(fold_ds, trainer, k=args.kfold, seed=args.seed)
+        run.doc["kfold"] = [{"solves": res.solver_stats["solves"],
+                             "iters": res.solver_stats["iters"],
+                             "cap_hits": res.solver_stats["cap_hits"],
+                             "n_passes": res.n_passes, "stop_reason": res.stop_reason}
+                            for res in results]
         for i in range(kres.k):
             rows.append([model_name, location, f"fold{i}-test",
                          f"{kres.test_cwa[i]:.6f}", "0",

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, stratified_kfold_indices
+from .errors import DataError
 from .tree import ObliqueTree
 
 HIGH_COST_THRESHOLD_BPS = 200.0
@@ -93,23 +94,27 @@ class KFoldResult:
 
 
 def kfold_cwa(ds: Dataset, trainer, k: int = 5, seed: int = 0) -> KFoldResult:
-    """Stratified k-fold evaluation of a trainer callable Dataset -> tree.
+    """Stratified k-fold evaluation of a batch trainer: a callable that
+    takes the k training splits in fold order, each the complement of its
+    fold with rows in dataset order, and returns one tree per split. So a
+    trainer can train all folds together, as eval --kfold does in one
+    lockstep TAO run (see tao's module doc).
 
     Reports per-fold train/test CWA plus tree size stats; mean and sample
     (n-1) stddev are exposed on the result. The folds, and the checks on k,
-    are those of dataset.stratified_kfold_indices.
+    are those of dataset.stratified_kfold_indices. Each fold's test split
+    is built only after training, so the k training splits are the only
+    copies of the data alive while the trainer runs.
     """
     folds = stratified_kfold_indices(ds, k, seed)
-    all_idx = np.arange(ds.n)
+    train_sets = [ds.subset(np.delete(np.arange(ds.n), fold)) for fold in folds]
+    models = list(trainer(train_sets))
+    if len(models) != len(folds):
+        raise DataError(f"trainer returned {len(models)} trees for {len(folds)} folds")
     train_cwa, test_cwa, depths, leaves = [], [], [], []
-    for fold in folds:
-        mask = np.ones(ds.n, dtype=bool)
-        mask[fold] = False
-        train_ds = ds.subset(all_idx[mask])
-        test_ds = ds.subset(fold)
-        model = trainer(train_ds)
+    for fold, train_ds, model in zip(folds, train_sets, models):
         train_cwa.append(cwa(model, train_ds))
-        test_cwa.append(cwa(model, test_ds))
+        test_cwa.append(cwa(model, ds.subset(fold)))
         depths.append(model.depth)
         leaves.append(model.n_leaves())
     return KFoldResult(np.array(train_cwa), np.array(test_cwa),

@@ -23,8 +23,10 @@ and then visits the level's nodes in id order with the exact accept test.
 Because the level's updates are independent and solve_many is batch
 invariant, each job's tree, history and stats are those it gets alone:
 optimize_tree is the one-job case, train runs best_of_both's two inits
-together, and train_grid trains a whole lambda grid in one call. The care
-sets of a level are dropped after its accept tests.
+together, and train_grid trains any list of (dataset, config) runs in one
+call: radiosel train's lambda grid on one split, or eval --kfold's k
+training splits at the model's lambda and depth. The care sets of a level
+are dropped after its accept tests.
 
 Solve reuse: within one job each decision node remembers the solver inputs
 of its last rejected proposal: a SHA-256 digest of the bytes of the care-set
@@ -37,8 +39,8 @@ within the job, so a repeated solve would be rejected again.
 
 Telemetry: per pass, each job counts its solves, their iterations and loss
 evaluations, and the solves that hit max_iter (TaoResult.pass_stats). A
-NumericError from a solve names the job's lambda and init, the pass, the
-level and the node.
+NumericError from a solve names the job's label (such as "fold 0") if it
+has one, its lambda and init, the pass, the level and the node.
 """
 
 from __future__ import annotations
@@ -129,12 +131,14 @@ class TaoResult:
 
 class TaoJob(NamedTuple):
     """One training for optimize_trees: a start tree (copied, not changed),
-    its data and config, and a name for its init in results and errors."""
+    its data and config, a name for its init in results and errors, and a
+    label that tells apart jobs sharing lambda and init in errors."""
 
     tree: ObliqueTree
     ds: Dataset
     cfg: TaoConfig
     init: str = "warm"
+    label: str = ""
 
 
 def objective(t: ObliqueTree, ds: Dataset, lam: float) -> float:
@@ -251,8 +255,9 @@ class _Training:
         return self.reach[nid]
 
     def where(self, depth: int, nid: int) -> str:
-        return (f"lambda {self.cfg.lam:g}, init {self.job.init}, pass {len(self.pass_stats)}, "
-                f"level {depth}, node {nid}")
+        at = (f"lambda {self.cfg.lam:g}, init {self.job.init}, pass {len(self.pass_stats)}, "
+              f"level {depth}, node {nid}")
+        return f"{self.job.label}, {at}" if self.job.label else at
 
     def update(self, nid: int) -> None:
         self.changed = True
@@ -373,20 +378,24 @@ def _initial_tree(ds: Dataset, cfg: TaoConfig, policy: str) -> ObliqueTree:
     return cart.grow(ds, cfg.depth)
 
 
-def train_grid(ds: Dataset, cfgs, val: Dataset | None = None) -> list:
-    """train for each config, with every optimization in one lockstep
-    optimize_trees call; one TaoResult per config."""
-    if ds.n < 2:
-        raise DataError("need at least 2 training samples")
-    if len(np.unique(ds.y)) < 2:
-        raise DataError("single-class dataset: nothing to separate")
-    jobs = [TaoJob(_initial_tree(ds, cfg, policy), ds, cfg, policy)
-            for cfg in cfgs
+def train_grid(runs, val: Dataset | None = None, labels=None) -> list:
+    """train for each (dataset, config) run, with every optimization in one
+    lockstep optimize_trees call; one TaoResult per run. Every dataset is
+    checked before any tree is grown. labels, one per run, name the runs'
+    jobs in errors."""
+    runs = list(runs)
+    for ds, _ in runs:
+        if ds.n < 2:
+            raise DataError("need at least 2 training samples")
+        if len(np.unique(ds.y)) < 2:
+            raise DataError("single-class dataset: nothing to separate")
+    jobs = [TaoJob(_initial_tree(ds, cfg, policy), ds, cfg, policy, label)
+            for (ds, cfg), label in zip(runs, labels or [""] * len(runs))
             for policy in (("random", "cart") if cfg.init_policy == "best_of_both"
                            else (cfg.init_policy,))]
     results = iter(optimize_trees(jobs))
     chosen = []
-    for cfg in cfgs:
+    for _, cfg in runs:
         if cfg.init_policy != "best_of_both":
             chosen.append(next(results))
             continue
@@ -407,4 +416,4 @@ def train(ds: Dataset, cfg: TaoConfig, val: Dataset | None = None) -> TaoResult:
     tree with the lower validation error (higher CWA); without a validation
     set it falls back to the lower final training objective.
     """
-    return train_grid(ds, [cfg], val)[0]
+    return train_grid([(ds, cfg)], val)[0]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -262,6 +263,40 @@ class TestEval:
         # header + all + 5 folds + train/test summaries
         assert len(lines) == 1 + 1 + 5 + 2
         assert sum("fold" in ln for ln in lines) == 5
+
+    def test_kfold_manifest_rows(self, tmp_path, data_csv, model_dir):
+        out = tmp_path / "evalk"
+        assert main(["eval", "--model", str(model_dir / "model.json"),
+                     "--data", str(data_csv), "--kfold", "4", "--seed", "2",
+                     "--out-dir", str(out)]) == 0
+        rows = json.loads((out / "manifest.json").read_text())["kfold"]
+        assert len(rows) == 4
+        # each fold's row holds the counts of training its split alone
+        model = tree.load(model_dir / "model.json")
+        ds = dataset.standardize(dataset.load_dataset(data_csv))
+        folds = dataset.stratified_kfold_indices(ds, 4, seed=2)
+        cfg = tao.TaoConfig(depth=model.depth, lam=model.lam, seed=2, init_policy="cart")
+        for fold, row in zip(folds, rows):
+            alone = tao.train(ds.subset(np.setdiff1d(np.arange(ds.n), fold)), cfg)
+            assert row == {**{k: alone.solver_stats[k] for k in ("solves", "iters", "cap_hits")},
+                           "n_passes": alone.n_passes, "stop_reason": alone.stop_reason}
+
+    def test_non_finite_fold_training_exit_4_names_the_fold(self, tmp_path, data_csv, capsys):
+        lines = data_csv.read_text().splitlines()
+        top = max(abs(float(line.split(",")[1])) for line in lines[1:])
+        data = TestTrain.scaled(data_csv, tmp_path / "d.csv", 1, 1e308 / top)   # rssi
+        model = tmp_path / "model.json"   # raw features: the folds train on the 1e308s
+        tree.save(ObliqueTree({0: DecisionNode([1.0, 0.0, 0.0, 0.0], -2.5, 1, 2),
+                               1: DecisionNode([0.0, 0.0, 1.0, 0.0], -0.5, 3, 4),
+                               2: LeafNode(1), 3: LeafNode(0), 4: LeafNode(1)}, 0), model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--model", str(model), "--data", data, "--kfold", "5",
+                         "--out-dir", str(tmp_path / "ev")]) == 4
+        err = capsys.readouterr().err
+        assert re.match(r"numeric failure: fold 0, lambda 0, init cart, pass 1, "
+                        r"level \d+, node \d+: non-finite ", err), err
+        assert not (tmp_path / "ev" / "manifest.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_cost_threshold_exit_3(self, tmp_path, data_csv, model_dir, capsys,

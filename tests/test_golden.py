@@ -3,7 +3,8 @@ outputs at fixed seeds. The digests were recorded on the row-by-row trace
 code; a change to trace generation, labelling, CSV writing, replay or
 staleness injection that moves a single byte fails here. The export
 digests were recorded on the first program format with a standardization
-prologue (program v2)."""
+prologue (program v2). The k-fold eval digests were recorded on the
+fold-at-a-time trainer, before the folds trained in lockstep."""
 
 import hashlib
 
@@ -28,6 +29,10 @@ SWEEP_101_NODES = "8ab66217ee3bd5ccddcaa480c80f6a3a1b4a3dc8c167dac04ea89edd519b4
 EXPORT = {
     "program.txt": "b2fce2713f5417ecb54170b07e03be2777f71315664ed4cccfad68d8f2ce3830",
     "report.csv": "8ad99bb8f47ef8e587b0924bd2d01ef5632d7b7a5b80c06376612ef6460998a1",
+}
+EVAL_KFOLD = {
+    "metrics.csv": "88b9cefcc92ee80597a422e684468029c616ea94732e8c16859ceab89ffa94ab",
+    "breakdown.csv": "8f1bd60bd69176acc2e9cd7165acb90c60a33740b1c0f9ab4fdb03327ccd27f0",
 }
 
 
@@ -79,3 +84,11 @@ def test_export_outputs(tmp_path, model_path):
     out = tmp_path / "ex"
     assert main(["export", "--model", str(model_path), "--out-dir", str(out)]) == 0
     assert {name: sha256(out / name) for name in EXPORT} == EXPORT
+
+
+def test_eval_kfold_outputs(tmp_path, model_path):
+    sim, out = tmp_path / "sim", tmp_path / "ev"
+    assert main(["simulate", "--seed", "7", "--out-dir", str(sim)]) == 0
+    assert main(["eval", "--model", str(model_path), "--data", str(sim / "dataset.csv"),
+                 "--kfold", "5", "--seed", "3", "--out-dir", str(out)]) == 0
+    assert {name: sha256(out / name) for name in EVAL_KFOLD} == EVAL_KFOLD

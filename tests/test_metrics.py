@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import leaf_tree, random_dataset, random_tree, stump
-from radiosel.dataset import Dataset
+from radiosel.dataset import Dataset, stratified_kfold_indices
 from radiosel.errors import DataError
 from radiosel.metrics import (ErrorBreakdown, cwa, error_breakdown, kfold_cwa,
                               predictions)
@@ -99,12 +99,16 @@ class TestErrorBreakdown:
 
 
 class ConstantTrainer:
-    """Trainer returning a single-leaf majority-cost model."""
+    """Batch trainer returning a single-leaf majority-cost model per split;
+    it records the splits of each call."""
 
-    def __call__(self, ds):
-        w0 = float(np.sum(ds.c[ds.y == 0]))
-        w1 = float(np.sum(ds.c[ds.y == 1]))
-        return leaf_tree(0 if w0 >= w1 else 1)
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, train_sets):
+        self.calls.append(train_sets)
+        return [leaf_tree(int(np.sum(ds.c[ds.y == 1]) > np.sum(ds.c[ds.y == 0])))
+                for ds in train_sets]
 
 
 class TestKFold:
@@ -117,7 +121,6 @@ class TestKFold:
         c = rng.uniform(1, 10, n)
         ds = Dataset(X, y, c)
         res = kfold_cwa(ds, ConstantTrainer(), k=5, seed=1)
-        from radiosel.dataset import stratified_kfold_indices
         folds = stratified_kfold_indices(ds, 5, seed=1)
         for i, fold in enumerate(folds):
             share = 100.0 * float(np.sum(c[fold][y[fold] == 0])) / float(np.sum(c[fold]))
@@ -141,6 +144,24 @@ class TestKFold:
         ds = Dataset(X, y, np.ones(20))
         with pytest.raises(DataError, match="fewer than"):
             kfold_cwa(ds, ConstantTrainer(), k=5, seed=0)
+
+    def test_trainer_called_once_with_the_fold_complements_in_order(self, rng):
+        ds = random_dataset(rng, n=45)
+        trainer = ConstantTrainer()
+        kfold_cwa(ds, trainer, k=5, seed=4)
+        assert len(trainer.calls) == 1
+        folds = stratified_kfold_indices(ds, 5, seed=4)
+        splits = trainer.calls[0]
+        assert len(splits) == 5
+        for fold, split in zip(folds, splits):
+            rest = np.setdiff1d(np.arange(ds.n), fold)
+            assert np.array_equal(split.X, ds.X[rest])
+            assert np.array_equal(split.y, ds.y[rest]) and np.array_equal(split.c, ds.c[rest])
+
+    def test_trainer_must_return_one_tree_per_fold(self, rng):
+        ds = random_dataset(rng, n=40)
+        with pytest.raises(DataError, match="trainer returned 4 trees for 5 folds"):
+            kfold_cwa(ds, lambda train_sets: ConstantTrainer()(train_sets)[:4], k=5, seed=0)
 
     def test_sample_stddev(self, rng):
         ds = random_dataset(rng, n=50)

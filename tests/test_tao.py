@@ -430,16 +430,61 @@ class TestOptimizeTrees:
             warm = optimize_tree(job.tree, job.ds, job.cfg)
             assert to_json(warm.tree) == to_json(res.tree) and warm.init_used == "warm"
 
-    def test_train_grid_matches_train(self, rng):
-        ds, val = random_dataset(rng, n=80, cost_scale=900.0), random_dataset(rng, n=30)
-        cfgs = [TaoConfig(depth=3, lam=lam, seed=4, init_policy=policy)
-                for lam, policy in ((0.0, "best_of_both"), (0.01, "cart"),
-                                    (0.1, "random"), (0.01, "best_of_both"))]
-        for cfg, res in zip(cfgs, tao.train_grid(ds, cfgs, val=val)):
+    @staticmethod
+    def _assert_train_grid_matches_train(runs, val=None):
+        for (ds, cfg), res in zip(runs, tao.train_grid(runs, val=val), strict=True):
             alone = train(ds, cfg, val=val)
             assert to_json(res.tree) == to_json(alone.tree)
-            assert (res.history, res.init_used, res.pass_stats, res.solver_stats) \
-                == (alone.history, alone.init_used, alone.pass_stats, alone.solver_stats)
+            assert (res.history, res.init_used, res.stop_reason, res.n_passes,
+                    res.pass_stats, res.solver_stats) \
+                == (alone.history, alone.init_used, alone.stop_reason, alone.n_passes,
+                    alone.pass_stats, alone.solver_stats)
+
+    def test_train_grid_matches_train(self, rng):
+        ds, val = random_dataset(rng, n=80, cost_scale=900.0), random_dataset(rng, n=30)
+        self._assert_train_grid_matches_train(
+            [(ds, TaoConfig(depth=3, lam=lam, seed=4, init_policy=policy))
+             for lam, policy in ((0.0, "best_of_both"), (0.01, "cart"),
+                                 (0.1, "random"), (0.01, "best_of_both"))], val=val)
+
+    def test_train_grid_over_datasets_matches_train(self, rng):
+        # eval --kfold's shape: one config over several training splits,
+        # plus runs that differ in both dataset and config
+        datasets = [random_dataset(rng, n=n, cost_scale=scale)
+                    for n, scale in ((70, 900.0), (50, 30.0), (90, 5000.0), (40, 1.0))]
+        cfg = TaoConfig(depth=3, lam=0.01, seed=2, init_policy="cart")
+        self._assert_train_grid_matches_train([(ds, cfg) for ds in datasets])
+        self._assert_train_grid_matches_train(
+            [(ds, TaoConfig(depth=depth, lam=lam, seed=i, init_policy=policy, max_passes=passes))
+             for i, (ds, depth, lam, policy, passes) in enumerate(zip(
+                 datasets, (2, 4, 3, 1), (0.0, 0.1, 0.01, 0.5),
+                 ("best_of_both", "random", "cart", "best_of_both"), (20, 2, 20, 20)))],
+            val=datasets[0])
+
+    def test_train_grid_checks_every_dataset_before_growing(self, rng, monkeypatch):
+        good = random_dataset(rng, n=30)
+        one_class = Dataset(good.X, np.zeros(good.n, dtype=int), good.c)
+        grown = []
+        monkeypatch.setattr(tao, "_initial_tree", lambda *args: grown.append(args))
+        cfg = TaoConfig(depth=2, init_policy="cart")
+        for bad, message in ((good.subset([0]), "at least 2 training samples"),
+                             (one_class, "single-class")):
+            with pytest.raises(DataError, match=message):
+                tao.train_grid([(good, cfg), (good, cfg), (bad, cfg)])
+        assert grown == []
+
+    def test_labels_tell_apart_jobs_in_errors(self, rng):
+        # x0 + x1 overflows on every row of the second job's data
+        X = np.array([[1e308, 1e308, 0.0, 1.0], [-1e308, -1e308, 1.0, 0.0],
+                      [1e308, 1e308, 0.5, 0.5], [-1e308, -1e308, 1.0, 1.0]])
+        t = stump([1.0, 1.0, 0.0, 0.0], 0.0, left_label=1, right_label=0)
+        cfg = TaoConfig(depth=1)
+        jobs = [tao.TaoJob(t, random_dataset(rng, n=20), cfg, label="fold 0"),
+                tao.TaoJob(t, Dataset(X, np.array([0, 1, 1, 0]), np.ones(4)), cfg,
+                           label="fold 1")]
+        with pytest.raises(NumericError, match="^fold 1, lambda 0, init warm, pass 1, "
+                                               "level 0, node 0: non-finite objective"):
+            tao.optimize_trees(jobs)
 
     def test_jobs_share_a_dimension(self, rng):
         a, b = random_dataset(rng, n=20), random_dataset(rng, n=20, dim=3)
