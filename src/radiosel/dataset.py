@@ -6,7 +6,13 @@ picking the slower radio, so zero-cost ties carry no training signal and
 are dropped at labeling time.
 
 The CSV readers read a file once and check each block of records, as it
-is parsed, against one ordered table of rules per record kind.
+is parsed, against one ordered table of rules per record kind. A block
+comes as columns of cell strings. While every line of a block is a plain
+record (the header's number of commas, no quote, CR or NUL), the block is
+split on its commas; from the first block holding any other line (quoted
+cells, CRLF line ends, blank lines, a wrong width) to the end of the file,
+csv.reader reads the records. The writers' files are plain unless a node id
+needs quoting.
 """
 
 from __future__ import annotations
@@ -50,13 +56,6 @@ class RadioClass(enum.IntEnum):
 
     ZIGBEE = 0
     LORA = 1
-
-    @classmethod
-    def from_name(cls, name: str) -> "RadioClass":
-        code = _LABEL_CODES.get(name.strip().lower())
-        if code is None:
-            raise DataError(_UNKNOWN_LABEL.format(name))
-        return cls(code)
 
 
 @dataclass(frozen=True)
@@ -229,25 +228,59 @@ def _header_error(path: Path, header, expected_header) -> DataError | None:
     return None
 
 
+def _plain_columns(lines, width: int) -> list | None:
+    """Columns of cell strings of lines that are all plain records, or None
+    if one is not. A plain record has width - 1 commas, holds no '"', '\\r'
+    or NUL (which csv.reader rejects before Python 3.11) and is no longer
+    than csv.field_size_limit(), so csv.reader would split it on its commas
+    into the same cells. Only the columns outlive the call."""
+    n = len(lines)
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or list(map(str.count, lines, itertools.repeat(",", n))).count(width - 1) != n):
+        return None
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    cells = text.replace("\n", ",").split(",")
+    return [cells[k:width * n:width] for k in range(width)]
+
+
 def _read_blocks(path, expected_header):
     """Data records of a CSV whose header must be expected_header, yielded
-    in blocks of at most CHUNK_ROWS records read from the file.
+    as columns of cell strings, in blocks of at most CHUNK_ROWS records
+    read from the file.
 
-    Blank lines are skipped. Errors are raised only once the whole file is
-    read, in the order a whole-file reader reports them: a decode or CSV
-    syntax error anywhere, then an empty file or a bad header, then the
-    first record of the wrong width, indexed among all records after the
-    header, blank lines included. Nothing is yielded after a header or
-    width error, so a caller sees no block of a file that will fail."""
+    The header is read by csv.reader. Then each block of CHUNK_ROWS lines
+    is split on its commas while every line in it is a plain record (see
+    _plain_columns). From the first block that holds another line (quoted
+    cells, CRLF line ends, blank lines, a wrong width, a very long line) to
+    the end of the file, records come from csv.reader, blank ones skipped.
+
+    Errors are raised only once the whole file is read, in the order a
+    whole-file reader reports them: a decode or CSV syntax error anywhere,
+    then an empty file or a bad header, then the first record of the wrong
+    width, indexed among all records after the header, blank lines
+    included. Nothing is yielded after a header or width error, so a
+    caller sees no block of a file that will fail."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     width = len(expected_header)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader, before = csv.reader(fh), 0   # before: lines read ahead of the reader's first
         try:
             error = _header_error(path, next(reader, None), expected_header)
             start = 0
+            if error is None:
+                while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+                    columns = _plain_columns(lines, width)
+                    if columns is None:
+                        before = reader.line_num + start   # one line per plain record
+                        reader = csv.reader(itertools.chain(lines, fh))
+                        break
+                    start += len(lines)
+                    del lines
+                    yield columns
             while error is None and (records := list(itertools.islice(reader, CHUNK_ROWS))):
                 kept = []
                 for i, raw in enumerate(records, start):
@@ -258,13 +291,14 @@ def _read_blocks(path, expected_header):
                                           f"got {len(raw)}")
                         break
                 if kept and error is None:
-                    yield kept
+                    yield list(zip(*kept))
                 start += len(records)
             collections.deque(reader, maxlen=0)  # a later decode or syntax error comes first
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: not a UTF-8 CSV file: {e}") from e
         except csv.Error as e:
-            raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {e}") from e
+            raise DataError(f"{path}: malformed CSV at line {before + reader.line_num}: "
+                            f"{e}") from e
     if error is not None:
         raise error
 
@@ -300,10 +334,9 @@ def load_dataset(path) -> Dataset:
     names the first failing row and its first failed check.
     """
     blocks, error, start = [], None, 0
-    for records in _read_blocks(path, DATASET_HEADER):
+    for *feature_cells, labels, cost_cells in _read_blocks(path, DATASET_HEADER):
         if error is not None:
             continue   # _read_blocks still reads on: its errors come first
-        *feature_cells, labels, cost_cells = zip(*records)
         features, parse_features = _parse_columns(FEATURE_NAMES, feature_cells)
         (c,), parse_cost = _parse_columns(("cost",), (cost_cells,))
         codes = {s: _LABEL_CODES.get(s.strip().lower(), -1) for s in set(labels)}
@@ -314,7 +347,8 @@ def load_dataset(path) -> Dataset:
              lambda i, j: f"row {i}: cost must be finite and > 0, got {cost_cells[j]}"),
             (y < 0, lambda i, j: _UNKNOWN_LABEL.format(labels[j]))], start)
         blocks.append((*features, c, y))
-        start += len(records)
+        start += len(labels)
+        del feature_cells, labels, cost_cells   # before the next block is read
     if not blocks:
         raise DataError(f"{path}: empty dataset")
     if error is not None:
@@ -356,12 +390,14 @@ def load_traces(path) -> Trace:
     """
     names: dict[str, int] = {}
     blocks, error, start = [], None, 0
-    for records in _read_blocks(path, TRACE_HEADER):
+    for node_cells, *cells in _read_blocks(path, TRACE_HEADER):
         if error is not None:
             continue
-        node_cells, *cells = zip(*records)
-        node = np.fromiter((names.setdefault(s.strip(), len(names)) for s in node_cells),
-                           dtype=np.intp, count=len(node_cells))
+        codes = dict.fromkeys(node_cells)
+        for s in codes:
+            codes[s] = names.setdefault(s.strip(), len(names))
+        node = np.fromiter(map(codes.__getitem__, node_cells), dtype=np.intp,
+                           count=len(node_cells))
         (t, tpz, tpl), parse_times = _parse_columns(TRACE_COLUMNS[:3], cells[:3])
         features, parse_features = _parse_columns(FEATURE_NAMES, cells[3:])
         error = _first_error([
@@ -372,7 +408,8 @@ def load_traces(path) -> Trace:
             (~np.isfinite(t), lambda i, j: f"row {i}: t must be finite, got {float(t[j])}")],
             start)
         blocks.append((node, t, tpz, tpl, *features))
-        start += len(records)
+        start += len(node_cells)
+        del node_cells, cells   # before the next block is read
     if not blocks:
         raise DataError(f"{path}: empty trace file")
     node, t, *columns = (np.concatenate(parts) for parts in zip(*blocks))

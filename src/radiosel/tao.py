@@ -381,16 +381,18 @@ def _initial_tree(ds: Dataset, cfg: TaoConfig, policy: str) -> ObliqueTree:
 def train_grid(runs, val: Dataset | None = None, labels=None) -> list:
     """train for each (dataset, config) run, with every optimization in one
     lockstep optimize_trees call; one TaoResult per run. Every dataset is
-    checked before any tree is grown. labels, one per run, name the runs'
-    jobs in errors."""
+    checked before any tree is grown. labels, one per run, name the runs
+    in errors: a dataset check's and a NumericError from the run's jobs."""
     runs = list(runs)
-    for ds, _ in runs:
+    labels = labels or [""] * len(runs)
+    for (ds, _), label in zip(runs, labels):
+        prefix = f"{label}: " if label else ""
         if ds.n < 2:
-            raise DataError("need at least 2 training samples")
+            raise DataError(f"{prefix}need at least 2 training samples")
         if len(np.unique(ds.y)) < 2:
-            raise DataError("single-class dataset: nothing to separate")
+            raise DataError(f"{prefix}single-class dataset: nothing to separate")
     jobs = [TaoJob(_initial_tree(ds, cfg, policy), ds, cfg, policy, label)
-            for (ds, cfg), label in zip(runs, labels or [""] * len(runs))
+            for (ds, cfg), label in zip(runs, labels)
             for policy in (("random", "cart") if cfg.init_policy == "best_of_both"
                            else (cfg.init_policy,))]
     results = iter(optimize_trees(jobs))

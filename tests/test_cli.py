@@ -298,6 +298,21 @@ class TestEval:
                         r"level \d+, node \d+: non-finite ", err), err
         assert not (tmp_path / "ev" / "manifest.json").exists()
 
+    def test_single_class_fold_exit_3_names_the_fold(self, tmp_path, model_dir, capsys):
+        """Leave-one-out over one lora row: the fold holding it leaves a
+        training split of one class."""
+        data = tmp_path / "d.csv"
+        data.write_text("hn,rssi,prr,rnp,label,cost\n1,-90,0.9,1.1,zigbee,10\n"
+                        "2,-80,0.8,1.2,zigbee,20\n3,-70,0.7,1.3,lora,30\n"
+                        "4,-60,0.6,1.4,zigbee,40\n")
+        folds = dataset.stratified_kfold_indices(dataset.load_dataset(data), 4, seed=0)
+        lora_fold = next(i for i, fold in enumerate(folds) if fold.tolist() == [2])
+        assert main(["eval", "--model", str(model_dir / "model.json"), "--data", str(data),
+                     "--kfold", "4", "--out-dir", str(tmp_path / "ev")]) == 3
+        assert (f"data error: fold {lora_fold}: single-class dataset: nothing to separate"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ev" / "manifest.json").exists()
+
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_cost_threshold_exit_3(self, tmp_path, data_csv, model_dir, capsys,
                                               value):

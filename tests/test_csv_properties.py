@@ -2,9 +2,11 @@
 
 Round trips are exact on arbitrary valid rows, and a corrupted file either
 loads or raises DataError with exactly the outcome of a row-by-row
-reference reader that checks each record in turn.
+reference reader that tokenizes the whole file with csv.reader and checks
+each record in turn.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -13,8 +15,8 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from radiosel.dataset import (DATASET_HEADER, FEATURE_NAMES, TRACE_COLUMNS,
-                              TRACE_HEADER, Dataset, RadioClass, Trace, _read_blocks,
-                              load_dataset, load_traces, save_dataset, save_traces)
+                              TRACE_HEADER, Dataset, Trace, load_dataset, load_traces,
+                              save_dataset, save_traces)
 from radiosel.errors import DataError
 
 # Derandomized, so a failing example repeats on every run; shrinking is off
@@ -77,9 +79,46 @@ def check_features(hn, rssi, prr, rnp, row):
         raise DataError(f"row {row}: rnp must be >= 1, got {rnp}")
 
 
+LABELS = {"zigbee": 0, "lora": 1}
+
+
+def reference_records(path, expected_header):
+    """The data records of a whole-file csv.reader read, blank ones dropped.
+    Errors in order: a decode or CSV syntax error anywhere in the file, an
+    empty file, a bad header, then the first record of the wrong width,
+    indexed among all records after the header, blank lines included."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            records = list(reader)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not a UTF-8 CSV file: {e}")
+        except csv.Error as e:
+            raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {e}")
+    if not records:
+        raise DataError(f"{path}: empty file, expected header {','.join(expected_header)}")
+    header = [h.strip() for h in records[0]]
+    for name in expected_header:
+        if name not in header:
+            raise DataError(f"{path}: missing column {name!r}")
+    for name in header:
+        if name not in expected_header:
+            raise DataError(f"{path}: unexpected column {name!r}")
+    if tuple(header) != tuple(expected_header):
+        raise DataError(f"{path}: columns must be ordered {','.join(expected_header)}")
+    width, rows = len(expected_header), []
+    for i, raw in enumerate(records[1:]):
+        if not raw or len(raw) == 1 and not raw[0].strip():   # a blank line
+            continue
+        if len(raw) != width:
+            raise DataError(f"{path}: row {i}: expected {width} fields, got {len(raw)}")
+        rows.append(raw)
+    return rows
+
+
 def reference_load_traces(path):
     """Row-by-row trace reader: every check on one record before the next."""
-    rows = [raw for block in _read_blocks(path, TRACE_HEADER) for raw in block]
+    rows = reference_records(path, TRACE_HEADER)
     if not rows:
         raise DataError(f"{path}: empty trace file")
     names, node, columns, last_t = {}, [], [], {}
@@ -104,7 +143,7 @@ def reference_load_traces(path):
 
 def reference_load_dataset(path):
     """Row-by-row dataset reader: every check on one record before the next."""
-    rows = [raw for block in _read_blocks(path, DATASET_HEADER) for raw in block]
+    rows = reference_records(path, DATASET_HEADER)
     if not rows:
         raise DataError(f"{path}: empty dataset")
     X, y, c = [], [], []
@@ -114,7 +153,10 @@ def reference_load_dataset(path):
         cost = parse_float(raw[5], i, "cost")
         if not math.isfinite(cost) or cost <= 0:
             raise DataError(f"row {i}: cost must be finite and > 0, got {raw[5]}")
-        y.append(int(RadioClass.from_name(raw[4])))
+        label = LABELS.get(raw[4].strip().lower())
+        if label is None:
+            raise DataError(f"unknown radio label {raw[4]!r} (expected 'zigbee' or 'lora')")
+        y.append(label)
         X.append(features)
         c.append(cost)
     return Dataset(np.array(X), y, c)

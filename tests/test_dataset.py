@@ -1,3 +1,4 @@
+import csv
 import re
 import tracemalloc
 import warnings
@@ -553,6 +554,117 @@ class TestErrorPrecedence:
         width = len(header.split(","))
         assert self.load(monkeypatch, loader, p, rows) == (
             f"{p}: row {self.N}: expected {width} fields, got 2")
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, None])
+class TestPlainAndCsvLines:
+    """Plain lines are split on their commas, and csv.reader reads from the
+    first block holding another line to the end of the file. Files of N
+    records put that line at record LATE, after two blocks of the default
+    size, and the outcome is csv.reader's whatever the block size."""
+
+    N, LATE = 5000, 4100
+    LOADERS = [(load_traces, TRACE_HEADER_LINE, trace_lines),
+               (load_dataset, HEADER, dataset_lines)]
+    IDS = ["traces", "dataset"]
+    REFERENCE = {load_traces: properties.reference_load_traces,
+                 load_dataset: properties.reference_load_dataset}
+
+    def load(self, monkeypatch, loader, path, rows):
+        if rows is not None:
+            monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        return properties.outcome(loader, path)
+
+    @pytest.mark.parametrize("crlf_from", [0, LATE])
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_crlf_loads_as_its_lf_twin(self, tmp_path, monkeypatch, rows, crlf_from, loader,
+                                       header, lines):
+        body = lines(self.N)
+        lf = write(tmp_path / "lf.csv", header + "\n".join(body) + "\n")
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes((header + "\n".join(body[:crlf_from]) + "\n" * (crlf_from > 0)
+                          + "".join(line + "\r\n" for line in body[crlf_from:])).encode())
+        expected = properties.outcome(loader, lf)
+        assert expected[0] == "ok"
+        assert same_outcome(self.load(monkeypatch, loader, crlf, rows), expected)
+
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_crlf_cell_is_named_without_its_line_end(self, tmp_path, monkeypatch, rows,
+                                                     loader, header, lines):
+        body = lines(self.N)
+        body[self.LATE] = body[self.LATE].rsplit(",", 1)[0] + ",x"
+        p = tmp_path / "f.csv"
+        p.write_bytes((header + "".join(line + "\r\n" for line in body)).encode())
+        name = header.strip().split(",")[-1]
+        assert self.load(monkeypatch, loader, p, rows) == (
+            "error", f"row {self.LATE}: cannot parse {name}='x' as number")
+
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_widths_off_both_ways_in_one_block(self, tmp_path, monkeypatch, rows, loader,
+                                               header, lines):
+        """One line too wide and the next too narrow hold the right number
+        of commas between them, but not each."""
+        body = lines(self.N)
+        body[self.LATE - 1] += ",9"
+        body[self.LATE] = body[self.LATE].rsplit(",", 1)[0]
+        p = write(tmp_path / "f.csv", header + "\n".join(body) + "\n")
+        width = len(header.split(","))
+        assert self.load(monkeypatch, loader, p, rows) == (
+            "error", f"{p}: row {self.LATE - 1}: expected {width} fields, got {width + 1}")
+
+    def test_quoted_line_break_in_a_late_node_id(self, tmp_path, monkeypatch, rows):
+        body = trace_lines(self.N)
+        body[self.LATE] = '"a\nb",4100,5000,3000,2,-95,0.8,1.4'
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n".join(body) + "\n")
+        kind, got = self.load(monkeypatch, load_traces, p, rows)
+        assert kind == "ok"
+        assert got.names == ("n0", "n1", "n2", "a\nb")
+        assert got.node_ids()[self.LATE] == "a\nb" and len(got) == self.N
+        assert same_outcome((kind, got), properties.outcome(properties.reference_load_traces, p))
+
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_field_past_the_limit_with_the_right_commas(self, tmp_path, monkeypatch, rows,
+                                                        loader, header, lines):
+        body = lines(self.N)
+        long = "1" * (csv.field_size_limit() + 1)
+        body[self.LATE] = body[self.LATE].rsplit(",", 1)[0] + "," + long
+        p = write(tmp_path / "f.csv", header + "\n".join(body) + "\n")
+        expected = (f"{p}: malformed CSV at line {self.LATE + 2}: "
+                    f"field larger than field limit ({csv.field_size_limit()})")
+        assert self.load(monkeypatch, loader, p, rows) == ("error", expected)
+        assert properties.outcome(self.REFERENCE[loader], p) == ("error", expected)
+
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_bad_header_then_syntax_error(self, tmp_path, monkeypatch, rows, loader, header,
+                                          lines):
+        """The whole file goes through csv.reader after a bad header, so a
+        later syntax error wins over the header's."""
+        body = lines(self.N)
+        body[self.LATE] = "x" * (csv.field_size_limit() + 1)
+        p = write(tmp_path / "f.csv", header.replace("rssi", "rss") + "\n".join(body) + "\n")
+        assert self.load(monkeypatch, loader, p, rows) == (
+            "error", f"{p}: malformed CSV at line {self.LATE + 2}: "
+                     f"field larger than field limit ({csv.field_size_limit()})")
+
+    def test_syntax_error_line_counts_every_line_read(self, tmp_path, monkeypatch, rows):
+        """A line break inside a quoted cell is a line of its own."""
+        body = trace_lines(self.N)
+        body[self.LATE] = '"a\n\nb",4100,5000,3000,2,-95,0.8,1.4'
+        body[self.LATE + 100] = "n1," + "1" * (csv.field_size_limit() + 1) + ",1,1,1,1,1,1"
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n".join(body) + "\n")
+        assert self.load(monkeypatch, load_traces, p, rows) == (
+            "error", f"{p}: malformed CSV at line {self.LATE + 100 + 2 + 2}: "
+                     f"field larger than field limit ({csv.field_size_limit()})")
+
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_nul_byte(self, tmp_path, monkeypatch, rows, loader, header, lines):
+        """A NUL starts a node id or a number. csv.reader takes it as a
+        character from Python 3.11 on and rejects its line before."""
+        body = lines(self.N)
+        body[self.LATE] = "\0" + body[self.LATE]
+        p = write(tmp_path / "f.csv", header + "\n".join(body) + "\n")
+        assert same_outcome(self.load(monkeypatch, loader, p, rows),
+                            properties.outcome(self.REFERENCE[loader], p))
 
 
 def test_load_memory_is_arrays_plus_a_block(tmp_path, monkeypatch, rng):
