@@ -3,8 +3,11 @@
 Every subcommand runs inside one scaffold, `_Run`: it creates --out-dir,
 hashes each input as the command names it and each output as the command
 writes it, and on success writes a run manifest (config, input/output
-hashes, seed, wall time, plus any section the command adds) into --out-dir.
-Identical arguments and seed reproduce byte-identical primary outputs.
+hashes, seed, wall time, numpy's version and SIMD dispatch targets, plus
+any section the command adds) into --out-dir. Identical arguments and seed
+reproduce byte-identical primary outputs under the same numpy version and
+dispatch targets: numpy picks its float64 exp and log1p kernels by the CPU's
+SIMD level, and they round apart from level to level.
 
 Exit codes: 0 ok, 2 usage, 3 data or file error, 4 numeric failure.
 """
@@ -21,6 +24,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from . import __version__, dataset, export, metrics, simulator, stability, tao, tree
 from .errors import DataError, NumericError, RadioselError
@@ -58,6 +62,8 @@ class _Run:
             "subcommand": args.subcommand,
             "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
             "seed": getattr(args, "seed", None),
+            "numpy": {"version": np.__version__,
+                      "simd_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__[t]]},
             "inputs": {},
             "outputs": {},
         }

@@ -19,20 +19,21 @@ selects; the caller's exact accept test decides. Each solve can report its
 SolveStats: iterations, loss evaluations, why it stopped and which iterate
 it returned.
 
-Kernel. Let negm_n = -ytil_n (w.x_n + w0) and L_n = log1p(exp(-|negm_n|)).
-numpy's logaddexp computes logaddexp(0, +-negm) as max(+-negm, 0) + L through
-the same log1p(exp(.)) call, so one logaddexp per point gives both the loss
-term max(negm, 0) + L and the gradient factor
-sigma(-m) = exp(-(max(-negm, 0) + L)) = exp(min(negm, 0) - L), and the
-gradient at an accepted point reuses its terms. This is bit-identical to
-evaluating logaddexp once for each: ytil is +-1, so the factors -ytil and
--omega*ytil only flip signs, which is exact, as is negating a rounded result;
-and a signed zero in negm reaches the output only through max(+-0, 0) + L
-with L = log(2) > 0, which loses its sign. _Stack holds the one copy of the
-kernel (smooth_loss and smooth_gradient are its one-problem calls), run under
-np.errstate(all="ignore"): a candidate that overflows has a non-finite loss,
-which the line search rejects, while a non-finite objective at the init or a
-non-finite gradient raises NumericError.
+Kernel. Per row, negm_n = -ytil_n (w.x_n + w0) and one exp,
+E_n = exp(-|negm_n|). The loss term is max(negm, 0) + log1p(E), and the
+gradient factor sigma(negm) = 1 / (1 + exp(-negm)) is
+(negm > 0 ? 1 : E) / (1 + E), with no transcendental call: it reuses the E
+of the accepted point's losses. Both agree with the softplus formulas
+logaddexp(0, negm) and exp(-logaddexp(0, -negm)) within a few ULP, infinities
+and NaN exactly. ytil is +-1, so the factors -ytil and -omega*ytil only flip
+signs, which is exact, and a signed zero in negm reaches the output only
+through max(+-0, 0) + log(2) and the test negm > 0, which lose its sign.
+The bytes follow numpy's float64 exp and log1p, which it picks by the CPU's
+SIMD level (the CLI manifests record the level). _Stack holds the one copy
+of the kernel (smooth_loss and smooth_gradient are its one-problem calls),
+run under np.errstate(all="ignore"): a candidate that overflows has a
+non-finite loss, which the line search rejects, while a non-finite
+objective at the init or a non-finite gradient raises NumericError.
 
 Batches. solve_many runs one loop over a batch of problems in lockstep
 rounds: in each round every unfinished problem evaluates one line-search
@@ -42,7 +43,9 @@ one-problem batch:
 - each problem keeps its own BLAS products X @ w and X.T @ coeff;
 - every other row-wise step runs once over the stacked rows of all the
   problems, and the weight-vector steps over (problems, D) arrays, with
-  np.vecdot as the 1-d dot product row by row;
+  np.vecdot as the 1-d dot product row by row; these steps are elementwise,
+  and numpy's SIMD exp and log1p give an element the same bytes in a full
+  lane as in the tail, so a row's bytes do not depend on where it sits;
 - the sums over rows are one np.add.reduceat over the stack, in which each
   problem's rows follow one pad row of weight +0.0: np.add.reduce adds
   the pairwise sum of the rows to its identity 0.0, and reduceat adds the
@@ -175,7 +178,7 @@ class _Stack:
     batch, and each slot's views into them."""
 
     def __init__(self, problems):
-        self.block = np.empty((5, sum(p.X.shape[0] + 1 for p in problems)))
+        self.block = np.empty((6, sum(p.X.shape[0] + 1 for p in problems)))
         self.fill(problems)
 
     def fill(self, problems) -> None:
@@ -183,7 +186,7 @@ class _Stack:
         iterating) at the start of the block."""
         self.sizes = np.array([p.X.shape[0] + 1 for p in problems])
         self.pads = np.cumsum(self.sizes) - self.sizes
-        self.neg_y, self.omega, self.negm, self.L, self.buf = \
+        self.neg_y, self.omega, self.negm, self.E, self.L, self.buf = \
             self.block[:, :int(self.sizes.sum())]
         self.X, self.XT, self.negm_rows, self.buf_rows = [], [], [], []
         for p, pad in zip(problems, self.pads.tolist()):
@@ -199,15 +202,16 @@ class _Stack:
 
     def losses(self, W, w0) -> list:
         """Smooth loss at (W[s], w0[s]) for each slot s. The kernel terms
-        stay in negm and L."""
-        negm, L, P = self.negm, self.L, self.buf
+        stay in negm and E."""
+        negm, E, L, P = self.negm, self.E, self.L, self.buf
         for X, w, out in zip(self.X, W, self.negm_rows):
             np.matmul(X, w, out=out)
         negm += np.array(w0).repeat(self.sizes)
         negm *= self.neg_y
         negm[self.pads] = 1.0   # any finite value > 0: scores keeps the pads
-        np.copysign(negm, -1.0, out=L)   # -|negm|
-        np.logaddexp(0.0, L, out=L)
+        np.copysign(negm, -1.0, out=E)   # -|negm|
+        np.exp(E, out=E)
+        np.log1p(E, out=L)
         np.maximum(negm, 0.0, out=P)
         P += L
         P *= self.omega
@@ -224,10 +228,12 @@ class _Stack:
         elementwise factor is computed on all rows: masking it off the other
         slots' rows costs more than it saves. Its sign flip is exact, so
         sigma * -y * omega rounds as -omega * y * sigma."""
-        C = self.buf
-        np.minimum(self.negm, 0.0, out=C)
-        C -= self.L
-        np.exp(C, out=C)
+        C, D, E = self.buf, self.L, self.E   # L's row is free once the losses are summed
+        # E <= 1, so max(E, sign(negm)) is 1 where negm > 0 and E elsewhere
+        np.sign(self.negm, out=C)
+        np.maximum(E, C, out=C)
+        np.add(E, 1.0, out=D)
+        C /= D
         C *= self.neg_y
         C *= self.omega   # +0.0 on the pads
         for s in slots:

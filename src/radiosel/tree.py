@@ -58,10 +58,11 @@ def scores(w: np.ndarray, w0: float, X: np.ndarray) -> np.ndarray:
     as IEEE comparisons say.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.zeros(X.shape[0])
+        s, term = np.zeros(X.shape[0]), np.empty(X.shape[0])
         for j in np.flatnonzero(w):
-            s += w[j] * X[:, j]
-        return s + w0
+            s += np.multiply(w[j], X[:, j], out=term)
+        s += w0
+        return s
 
 
 class ObliqueTree:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from radiosel import dataset, simulator, tao, tree
 from radiosel.cli import _sha256, main
@@ -104,7 +106,7 @@ class TestTrain:
     # `train --depth 4 --seed 1`, recorded when each training ran alone;
     # per lambda, (solves, iterations, cap hits) as counted then by wrapping
     # the solver's calls
-    README_MODEL = "3b4b3123dd3265d26a7b890720d0dd9c96f263c7171302b7b52fe02363befc09"
+    README_MODEL = "1c01b5728ce1136e49275beb34aec2dc58d07c82c16e56b5b5ac794626ac6e32"
     README_TRAINING = "7e80832de6fb6fb45ba5cf006247e92e392b4bf04d3ce9834a08747454b2c098"
     README_SWEEP_STATS = [(51, 5853, 1), (55, 6274, 2), (57, 6438, 1), (69, 7752, 3),
                           (43, 4144, 0)]
@@ -618,7 +620,7 @@ def _scenario_file(tmp_path):
     return path
 
 
-MANIFEST_KEYS = {"tool", "version", "subcommand", "config", "seed", "inputs",
+MANIFEST_KEYS = {"tool", "version", "subcommand", "config", "seed", "numpy", "inputs",
                  "outputs", "wall_time_s"}
 
 
@@ -658,6 +660,46 @@ def test_console_entry_point(tmp_path):
     rc = subprocess.run([sys.executable, "-m", "radiosel.cli", "--version"],
                         capture_output=True, text=True)
     assert rc.returncode == 0
+
+
+AVX2_ONLY = "AVX512_SPR AVX512_ICL X86_V4"   # NPY_DISABLE_CPU_FEATURES
+
+
+@pytest.mark.skipif(not ("X86_V4" in __cpu_dispatch__ and __cpu_features__["X86_V4"]),
+                    reason="X86_V4 is not enabled on this CPU: no SIMD level to disable")
+def test_same_bytes_per_simd_level(tmp_path):
+    """simulate and a small train, run twice at the default SIMD level and
+    once with the AVX-512 targets disabled: the reruns at one level write
+    the same bytes, and the manifests name the two levels apart."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(simulator.ScenarioConfig(n_packets=60).to_json())
+    src = str(Path(tree.__file__).resolve().parents[1])
+
+    def run(name, disable):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if disable:
+            env["NPY_DISABLE_CPU_FEATURES"] = disable
+        out = tmp_path / name
+        for argv in (["simulate", "--scenario", str(scenario), "--out-dir", str(out / "sim")],
+                     ["train", "--data", str(out / "sim" / "dataset.csv"), "--depth", "2",
+                      "--lambda", "0.01", "--out-dir", str(out / "fit")]):
+            proc = subprocess.run([sys.executable, "-m", "radiosel.cli", *argv, "--seed", "3"],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                 if p.is_file() and p.name != "manifest.json"}
+        levels = [json.loads((out / step / "manifest.json").read_text())["numpy"]
+                  for step in ("sim", "fit")]
+        assert levels[0] == levels[1]
+        return files, levels[0]
+
+    (first, default), (again, default_again), (_, avx2) = \
+        run("a", None), run("b", None), run("c", AVX2_ONLY)
+    assert {"sim/trace.csv", "sim/dataset.csv", "fit/model.json"} <= set(first)
+    assert first == again and default == default_again
+    assert "X86_V4" in default["simd_dispatch"] and "X86_V4" not in avx2["simd_dispatch"]
+    assert avx2["version"] == default["version"] == np.__version__
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "train", "eval", "stability",

@@ -12,18 +12,24 @@ from radiosel.solver import (LinearModel, SolverConfig, WeightedBinaryProblem,
                              soft_threshold, solve, weighted_01_loss)
 
 
+def reference_terms(problem, model):
+    """The solver's row kernel written out for one problem: with
+    negm = -margin and E = exp(-|negm|), the loss terms max(negm, 0) +
+    log1p(E) and the gradient factors sigma(negm) = (negm > 0 ? 1 : E) / (1 + E)."""
+    negm = -problem.y * (problem.X @ model.w + model.w0)
+    E = np.exp(-np.abs(negm))
+    return np.maximum(negm, 0.0) + np.log1p(E), np.where(negm > 0, 1.0, E) / (1.0 + E)
+
+
 def reference_iterates(problem, init, cfg):
     """The proximal-gradient loop as first written (soft_threshold call,
     LinearModel per iterate, np.sum wrappers). Yields the init and then each
     accepted iterate; stops as solve does without a patience."""
     def loss(model):
-        margins = problem.y * (problem.X @ model.w + model.w0)
-        return float(np.sum(problem.omega * np.logaddexp(0.0, -margins)))
+        return float(np.sum(problem.omega * reference_terms(problem, model)[0]))
 
     def gradient(model):
-        margins = problem.y * (problem.X @ model.w + model.w0)
-        sig = np.exp(-np.logaddexp(0.0, margins))
-        coeff = -problem.omega * problem.y * sig
+        coeff = -problem.omega * problem.y * reference_terms(problem, model)[1]
         return problem.X.T @ coeff, float(np.sum(coeff))
 
     w = np.asarray(init.w, dtype=float).copy()
@@ -133,6 +139,42 @@ class TestGradient:
         gw, gw0 = smooth_gradient(problem, model)
         assert np.all(np.isfinite(gw)) and np.isfinite(gw0)
         assert smooth_loss(problem, model) >= 0.0
+
+
+def ulp_distance(a, b):
+    """|a - b| in units in the last place: the distance between their bit
+    patterns laid on one monotone integer line (+0 and -0 coincide)."""
+    ia, ib = (np.asarray(v, dtype=float).view(np.int64) for v in (a, b))
+    ia, ib = (np.where(i < 0, np.iinfo(np.int64).min - i, i) for i in (ia, ib))
+    return np.abs(ia - ib)
+
+
+class TestKernelAccuracy:
+    EDGES = (0.0, 1e-300, 37.0, 40.0, 800.0, np.inf)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="the gradient reference needs an extended long double")
+    def test_within_few_ulp_of_logaddexp_formulas(self, rng):
+        """On one-point problems (the loss is the term, the bias gradient
+        minus the factor), the loss term agrees with libm's logaddexp(0, -m)
+        and the gradient factor with exp(-logaddexp(0, m)) within 4 ULP,
+        infinities and NaN exactly. The factor's reference runs in long
+        double: in float64 the sum m + log1p(exp(-m)) alone loses up to 32
+        ULP of exp's result at m = 33."""
+        margins = np.concatenate([self.EDGES, np.negative(self.EDGES), [np.nan],
+                                  rng.uniform(-50.0, 50.0, 500),
+                                  rng.uniform(-760.0, 760.0, 500)])
+        problem = WeightedBinaryProblem(np.ones((1, 1)), np.ones(1), np.ones(1))
+        models = [LinearModel([m], -0.0) for m in margins]   # margin m + -0.0 == m
+        loss = np.array([smooth_loss(problem, model) for model in models])
+        sig = np.array([-smooth_gradient(problem, model)[1] for model in models])
+        with np.errstate(invalid="ignore"):
+            loss_ref = np.logaddexp(0.0, -margins)
+            sig_ref = np.exp(-np.logaddexp(0.0, margins.astype(np.longdouble))).astype(float)
+        for got, ref in ((loss, loss_ref), (sig, sig_ref)):
+            finite = np.isfinite(ref)
+            assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+            assert ulp_distance(got[finite], ref[finite]).max() <= 4
 
 
 class TestSolve:
@@ -271,12 +313,11 @@ class TestMatchesReference(ReferenceFamilies):
     TAO_CFG = SolverConfig(max_iter=200, tol=1e-8)
     SHORT_CFG = SolverConfig(max_iter=40, tol=1e-12)
 
-    def test_loss_and_gradient_match_two_softplus_formulas(self, rng):
+    def test_loss_and_gradient_match_kernel_formulas(self, rng):
         """smooth_loss and smooth_gradient on a plain LinearModel equal the
-        formulas that evaluate logaddexp once for the loss and once for the
-        gradient, bit for bit, margins of +-0 and overflowing ones included.
-        One-point problems too, so that a change to a single term cannot
-        vanish in the sum."""
+        kernel's formulas written out per problem (reference_terms), bit for
+        bit, margins of +-0 and overflowing ones included. One-point problems
+        too, so that a change to a single term cannot vanish in the sum."""
         base = random_problem(rng, n=300)
         base.X[:40] = 0.0
         base.X[40:80] *= 1e3
@@ -285,9 +326,9 @@ class TestMatchesReference(ReferenceFamilies):
         for w0 in (0.0, 0.7):
             model = LinearModel(rng.normal(0, 1, 4), w0)
             for problem in problems:
-                margins = problem.y * (problem.X @ model.w + model.w0)
-                loss = float(np.sum(problem.omega * np.logaddexp(0.0, -margins)))
-                coeff = -problem.omega * problem.y * np.exp(-np.logaddexp(0.0, margins))
+                terms, sig = reference_terms(problem, model)
+                loss = float(np.sum(problem.omega * terms))
+                coeff = -problem.omega * problem.y * sig
                 gw, gw0 = smooth_gradient(problem, model)
                 assert np.float64(smooth_loss(problem, model)).tobytes() \
                     == np.float64(loss).tobytes()
@@ -523,6 +564,39 @@ class TestSolveMany:
         solver.solve_many(problems[:1], inits[:1], patience_cfg, stats)
         assert stats[-1].exit == "patience"
         self.assert_batch_matches(problems, inits, patience_cfg)
+
+    def test_same_bytes_at_every_stack_offset(self, monkeypatch):
+        """numpy's SIMD exp and log1p loops treat full lanes and the tail
+        apart, so one problem is put at each stack offset mod 8, behind a
+        pad and another problem, and either last in the stack or before a
+        problem whose candidates overflow to inf and NaN margins. Each gets
+        the bytes and stats it gets alone, and no RuntimeWarning escapes."""
+        rng = np.random.default_rng(8)
+        target = random_problem(rng, n=21, lam=0.01)
+        X = rng.normal(0, 1, (13, 4))
+        X[:3] *= 1e154
+        X[3] = [1e300, -1e300, 1e300, -1e300]
+        wild = WeightedBinaryProblem(X, rng.choice([-1.0, 1.0], 13), rng.uniform(0.5, 2.0, 13),
+                                     0.01)
+        inits = [LinearModel(rng.normal(0, 1, 4), 0.3), LinearModel(rng.normal(0, 1e-300, 4), 0.0)]
+        nan_margins = []
+        losses = solver._Stack.losses
+
+        def spy(stack, W, w0):
+            out = losses(stack, W, w0)
+            nan_margins.append(bool(np.isnan(stack.negm).any()))
+            return out
+
+        monkeypatch.setattr(solver._Stack, "losses", spy)
+        for offset in range(8):
+            lead = random_problem(rng, n=6 + offset)   # the target's rows start at 8 + offset
+            for problems in ([lead, target], [lead, target, wild]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    self.assert_batch_matches(problems, [LinearModel(np.zeros(4), 0.0),
+                                                         *inits][:len(problems)],
+                                              tao.SOLVER_CFG)
+        assert any(nan_margins)
 
     def test_inputs_checked(self, rng):
         a, b = random_problem(rng), random_problem(rng, dim=3)

@@ -354,8 +354,8 @@ class TestSolveReuse:
     # recorded with solve reuse disabled: reuse must not change a byte of
     # the trained model
     GOLDEN = {
-        0.0: "cfb3f48021d101bfe1228aab54040cdee6814fc0dac569cfa0d1959978793691",
-        0.01: "71c328856bfb5023b48d4399900690b1d0281b4bee2a335da9ddffd5162c52f0",
+        0.0: "874b978acd021b0c9dbbe3facd93ef6291a0b25869dc5aaa571eb9e54c488c28",
+        0.01: "2834d3393c957af95818cf4100b492c110ea7346e36d6f74d56eec223b816fa9",
     }
 
     @staticmethod
