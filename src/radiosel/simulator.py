@@ -45,7 +45,6 @@ class ScenarioConfig:
     """Frozen generative constants for one deployment scenario."""
 
     config_version: int = CONFIG_VERSION
-    n_nodes: int = 15
     distances_m: tuple = DEFAULT_DISTANCES_M
     packet_interval_s: float = 3.0
     n_packets: int = 120
@@ -86,12 +85,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.config_version != CONFIG_VERSION:
             raise DataError(f"unsupported scenario config_version {self.config_version}")
-        if self.n_nodes < 1:
+        if not self.distances_m:
             raise DataError("a scenario needs at least one node")
         if self.n_packets < 1:
             raise DataError("a scenario needs at least one packet per node")
-        if len(self.distances_m) != self.n_nodes:
-            raise DataError(f"{self.n_nodes} nodes but {len(self.distances_m)} distances")
         if any(d <= 0 for d in self.distances_m):
             raise DataError("distances must be > 0")
         for name in ("packet_interval_s", "hop_range_m"):
@@ -100,6 +97,10 @@ class ScenarioConfig:
         for name in self.__dataclass_fields__:   # the noise scales and the hop overhead
             if name.endswith(("std", "std_db", "sigma", "overhead")) and getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.distances_m)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -354,16 +355,17 @@ def interval_sweep(cfg: ScenarioConfig, intervals, *selectors, seed: int) -> lis
 
     Shorter intervals raise queue occupancy, which adds queuing wait to the
     latency and staleness-corrupts the PRR/RNP features consumed by feature
-    selectors; the oracle reads true throughputs and is immune. Each
-    interval's trace is generated once and replayed by every selector. Rows
-    are grouped by selector, in interval order within each group.
+    selectors; the oracle reads true throughputs and is immune. The trace is
+    generated once (the interval would move only its unread t column), and
+    each interval's stale copy is replayed by every selector. Rows are
+    grouped by selector, in interval order within each group.
     """
     if any(i <= 0 for i in intervals):
         raise DataError("intervals must be positive")
     groups = [[] for _ in selectors]
+    base = generate(cfg, seed)
     for interval in map(float, intervals):
-        cfg_i = replace(cfg, packet_interval_s=interval)
-        traces = _stale_traces(generate(cfg_i, seed), cfg_i, interval, seed)
+        traces = _stale_traces(base, cfg, interval, seed)
         latency_ms = 1000.0 * (cfg.service_time_s + mean_wait_s(cfg, interval))
         for rows, selector in zip(groups, selectors):
             rows.append(SweepRow(interval, selector.name,

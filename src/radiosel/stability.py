@@ -2,7 +2,7 @@
 
 Trains on the smallest fraction, then re-optimizes the converged tree on
 each larger (nested) subset. Skeleton equality is the stability criterion;
-per-node weight cosine similarity is a soft diagnostic only.
+each stage's tree carries its weights.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from . import metrics, tao
 from .dataset import Dataset
 from .errors import DataError
-from .tree import DecisionNode, ObliqueTree
+from .tree import ObliqueTree
 
 
 @dataclass
@@ -22,10 +22,7 @@ class StabilityStage:
     fraction: float
     n_samples: int
     signature: str
-    objective: float
     test_error_pct: float
-    depth: int
-    n_leaves: int
     tree: ObliqueTree
 
 
@@ -33,13 +30,8 @@ class StabilityStage:
 class StabilityReport:
     fractions: list
     stages: list                      # StabilityStage per fraction
-    pairwise_skeleton_equal: dict     # (fa, fb) -> bool
-    cosine_similarity: dict           # (fa, fb) -> {node_id: cos(w_a, w_b)}
+    all_signatures_equal: bool        # every stage's signature is the first's
     test_error_monotone_nonincreasing: bool
-
-    @property
-    def all_signatures_equal(self) -> bool:
-        return all(self.pairwise_skeleton_equal.values())
 
 
 def _nested_subsets(ds: Dataset, fractions, seed: int) -> list[np.ndarray]:
@@ -63,17 +55,11 @@ def _nested_subsets(ds: Dataset, fractions, seed: int) -> list[np.ndarray]:
     return subsets
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def stability_run(train_ds: Dataset, test_ds: Dataset, cfg: tao.TaoConfig,
                   fractions=(0.5, 0.75, 1.0), seed: int = 0) -> StabilityReport:
     """Chain of trainings on nested subsets, each warm-started from the
-    previous converged tree; reports signatures, test errors, similarities.
+    previous converged tree; reports each stage's signature, test error and
+    tree, and whether every stage kept the first stage's signature.
 
     Whether the test error repeats the decreasing pattern seen on growing
     field data is reported, never asserted.
@@ -100,28 +86,11 @@ def stability_run(train_ds: Dataset, test_ds: Dataset, cfg: tao.TaoConfig,
             fraction=f,
             n_samples=sub.n,
             signature=result.tree.structural_signature(),
-            objective=result.history[-1],
             test_error_pct=100.0 - metrics.cwa(result.tree, test_ds),
-            depth=result.tree.depth,
-            n_leaves=result.tree.n_leaves(),
             tree=result.tree,
         ))
 
-    pairwise = {}
-    cosines = {}
-    for i in range(len(stages)):
-        for j in range(i + 1, len(stages)):
-            a, b = stages[i], stages[j]
-            key = (a.fraction, b.fraction)
-            pairwise[key] = a.signature == b.signature
-            common = set(a.tree.nodes) & set(b.tree.nodes)
-            sims = {}
-            for nid in sorted(common):
-                na, nb = a.tree.nodes[nid], b.tree.nodes[nid]
-                if isinstance(na, DecisionNode) and isinstance(nb, DecisionNode):
-                    sims[nid] = _cosine(na.w, nb.w)
-            cosines[key] = sims
-
+    same = all(s.signature == stages[0].signature for s in stages)
     errors = [s.test_error_pct for s in stages]
     monotone = all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
-    return StabilityReport(fractions, stages, pairwise, cosines, monotone)
+    return StabilityReport(fractions, stages, same, monotone)

@@ -17,16 +17,17 @@ no node) or after max_passes.
 
 Lockstep: optimize_trees advances independent trainings (jobs) together,
 pass by pass and, within a pass, level by level (each job's deepest level
-first). At each level step it builds the care set of every decision node
-of every job, sends those that need a solve to one solver.solve_many call,
-and then visits the level's nodes in id order with the exact accept test.
-Because the level's updates are independent and solve_many is batch
-invariant, each job's tree, history and stats are those it gets alone:
-optimize_tree is the one-job case, train runs best_of_both's two inits
-together, and train_grid trains any list of (dataset, config) runs in one
-call: radiosel train's lambda grid on one split, or eval --kfold's k
-training splits at the model's lambda and depth. The care sets of a level
-are dropped after its accept tests.
+first). At each level step a leaf takes its new label when visited, and
+the decision nodes of every job that need a solve share one
+solver.solve_many call, after which each proposal that passes the exact
+accept test is applied. Because the level's updates are independent, their
+order changes no byte, and because solve_many is batch invariant, each
+job's tree, history and stats are those it gets alone: optimize_tree is
+the one-job case, train runs best_of_both's two inits together, and
+train_grid trains any list of (dataset, config) runs in one call: radiosel
+train's lambda grid on one split, or eval --kfold's k training splits at
+the model's lambda and depth. The care sets of a level are dropped after
+its accept tests.
 
 Solve reuse: within one job each decision node remembers the solver inputs
 of its last rejected proposal: a SHA-256 digest of the bytes of the care-set
@@ -295,14 +296,18 @@ def _reuse_key(care: CareSet, node: DecisionNode) -> bytes:
 
 
 def _optimize_level(trainings, step: int) -> None:
-    """Visit the step-th deepest level of each training: one solve_many over
-    every decision node that needs a solve, then the nodes in id order."""
+    """Visit the step-th deepest level of each training: leaves update when
+    visited, then one solve_many serves the decision nodes that need a solve."""
     solves = []   # (training, node id, level, problem, reuse key)
     for tr in trainings:
         depth, nids = tr.levels[step]
         for nid in nids:
             node = tr.tree.nodes[nid]
             if isinstance(node, LeafNode):
+                label = optimize_leaf(tr.tree, nid, tr.reach[nid], tr.ds)
+                if label is not None:
+                    node.label = label
+                    tr.update(nid)
                 continue
             care = build_care_set(tr.tree, nid, tr.take_reach(nid), tr.ds)
             key = _reuse_key(care, node)
@@ -318,30 +323,19 @@ def _optimize_level(trainings, step: int) -> None:
         [solver.LinearModel(tr.tree.nodes[nid].w, tr.tree.nodes[nid].w0)
          for tr, nid, _, _, _ in solves],
         SOLVER_CFG, stats, [tr.where(depth, nid) for tr, nid, depth, _, _ in solves])
-    proposals = {}
     for (tr, nid, _, problem, key), candidate, st in zip(solves, candidates, stats):
         counts = tr.pass_stats[-1]
         counts["solves"] += 1
         counts["iters"] += st.iters
         counts["loss_evals"] += st.loss_evals
         counts["cap_hits"] += st.exit == "cap"
-        proposals[id(tr), nid] = _accept(tr.tree.nodes[nid], problem, candidate)
-        if proposals[id(tr), nid] is None:
+        node = tr.tree.nodes[nid]
+        accepted = _accept(node, problem, candidate)
+        if accepted is None:
             tr.rejected[nid] = key
-    for tr in trainings:
-        for nid in tr.levels[step][1]:
-            node = tr.tree.nodes[nid]
-            if isinstance(node, LeafNode):
-                label = optimize_leaf(tr.tree, nid, tr.reach[nid], tr.ds)
-                if label is None:
-                    continue
-                node.label = label
-            else:
-                prop = proposals.get((id(tr), nid))
-                if prop is None:
-                    continue
-                node.w, node.w0 = prop
-            tr.update(nid)
+            continue
+        node.w, node.w0 = accepted
+        tr.update(nid)
 
 
 def optimize_trees(jobs) -> list:

@@ -2,9 +2,29 @@
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from radiosel.dataset import Dataset
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, scores
+
+# The dispatch targets numpy enabled, as manifests record them. Its float64
+# exp and log1p kernels round one way with X86_V4 (AVX-512) enabled and
+# another at X86_V3 and the X86_V2 baseline, so a value that follows their
+# last bits (a trace or tree digest) is pinned once per class.
+SIMD_TARGETS = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+SIMD_CLASS = "X86_V4" if __cpu_features__.get("X86_V4") else "no_X86_V4"
+SIMD_NOTE = f"pinned for SIMD class {SIMD_CLASS}; numpy enables {SIMD_TARGETS} here"
+
+
+def pytest_report_header(config):
+    return f"numpy {np.__version__}, SIMD dispatch targets {SIMD_TARGETS}, " \
+           f"pinned-digest class {SIMD_CLASS}"
+
+
+def assert_pinned(got, per_class):
+    """got equals the value pinned for this host's SIMD class. A host whose
+    bytes match neither class fails with its dispatch targets named."""
+    assert got == per_class[SIMD_CLASS], SIMD_NOTE
 
 
 def random_dataset(rng, n=60, dim=4, cost_scale=1000.0, separation=1.0):

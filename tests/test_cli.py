@@ -11,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+from conftest import SIMD_CLASS, assert_pinned
 from radiosel import dataset, simulator, tao, tree
 from radiosel.cli import _sha256, main
 from radiosel.dataset import Scaler
 from radiosel.export import ProgramInterpreter
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree
+from test_golden import SIMULATE, save_fixed_model, simulate_argv
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +106,14 @@ class TestTrain:
     # solver stats left out) from the README's `simulate --seed 1` and
     # `train --depth 4 --seed 1`, recorded when each training ran alone;
     # per lambda, (solves, iterations, cap hits) as counted then by wrapping
-    # the solver's calls
-    README_MODEL = "1c01b5728ce1136e49275beb34aec2dc58d07c82c16e56b5b5ac794626ac6e32"
-    README_TRAINING = "7e80832de6fb6fb45ba5cf006247e92e392b4bf04d3ce9834a08747454b2c098"
+    # the solver's calls. The digests are pinned per SIMD class; the counts
+    # are the same in both.
+    README_MODEL = {
+        "X86_V4": "1c01b5728ce1136e49275beb34aec2dc58d07c82c16e56b5b5ac794626ac6e32",
+        "no_X86_V4": "abac8fb94b1c100f465dd0174c39701dbff5cc1c25771efe928ae1898482ae66"}
+    README_TRAINING = {
+        "X86_V4": "7e80832de6fb6fb45ba5cf006247e92e392b4bf04d3ce9834a08747454b2c098",
+        "no_X86_V4": "9aefa4bbb6d4bb8826c4ca8b541a5cd471622f1aadaed337316ee1453f31a5cf"}
     README_SWEEP_STATS = [(51, 5853, 1), (55, 6274, 2), (57, 6438, 1), (69, 7752, 3),
                           (43, 4144, 0)]
 
@@ -116,11 +122,11 @@ class TestTrain:
         assert main(["simulate", "--seed", "1", "--out-dir", str(sim)]) == 0
         assert main(["train", "--data", str(sim / "dataset.csv"), "--depth", "4",
                      "--seed", "1", "--out-dir", str(out)]) == 0
-        assert _sha256(out / "model.json") == self.README_MODEL
+        assert_pinned(_sha256(out / "model.json"), self.README_MODEL)
         doc = json.loads((out / "manifest.json").read_text())
         training = {k: v for k, v in doc["training"].items() if k != "pass_stats"}
-        assert hashlib.sha256(json.dumps(training, sort_keys=True).encode()).hexdigest() \
-            == self.README_TRAINING
+        assert_pinned(hashlib.sha256(json.dumps(training, sort_keys=True).encode()).hexdigest(),
+                      self.README_TRAINING)
         assert [(row["solves"], row["iters"], row["cap_hits"])
                 for row in doc["lambda_sweep"]] == self.README_SWEEP_STATS
 
@@ -365,7 +371,7 @@ class TestSimulate:
         ('{"bogus": true}', "unknown scenario fields: ['bogus']"),
         ('[1, 2]', "one JSON object"),
         ('{"n_packets": 1.5}', "'n_packets' must be an integer, got 1.5"),
-        ('{"n_nodes": true}', "'n_nodes' must be an integer, got True"),
+        ('{"n_packets": true}', "'n_packets' must be an integer, got True"),
         ('{"distances_m": "abc"}', "'distances_m' must be a list of numbers, got 'abc'"),
         ('{"lora_rate_tiers": [[1]]}', "'lora_rate_tiers' must be a list of 2-number lists"),
         ('{"packet_interval_s": "x"}', "'packet_interval_s' must be a finite number, got 'x'"),
@@ -376,9 +382,11 @@ class TestSimulate:
         ('{"shadowing_std_db": -1}', "shadowing_std_db must be >= 0"),
         ('{"seed": -1}', "unknown scenario fields: ['seed']"),
         ('{"payload_bytes": 29}', "unknown scenario fields: ['payload_bytes']"),
+        ('{"n_nodes": 15}', "unknown scenario fields: ['n_nodes']"),   # len(distances_m)
     ], ids=["unknown_field", "not_an_object", "int_float", "int_bool", "list_string",
             "pair_width", "real_string", "real_nan", "gray_region_width", "hop_range_zero",
-            "hop_overhead_negative", "std_negative", "seed_negative", "payload_bytes"])
+            "hop_overhead_negative", "std_negative", "seed_negative", "payload_bytes",
+            "n_nodes_derived"])
     def test_bad_scenario_exit_3(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -665,14 +673,14 @@ def test_console_entry_point(tmp_path):
 AVX2_ONLY = "AVX512_SPR AVX512_ICL X86_V4"   # NPY_DISABLE_CPU_FEATURES
 
 
-@pytest.mark.skipif(not ("X86_V4" in __cpu_dispatch__ and __cpu_features__["X86_V4"]),
+@pytest.mark.skipif(SIMD_CLASS != "X86_V4",
                     reason="X86_V4 is not enabled on this CPU: no SIMD level to disable")
 def test_same_bytes_per_simd_level(tmp_path):
-    """simulate and a small train, run twice at the default SIMD level and
-    once with the AVX-512 targets disabled: the reruns at one level write
-    the same bytes, and the manifests name the two levels apart."""
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(simulator.ScenarioConfig(n_packets=60).to_json())
+    """test_golden's simulate and a small train, run twice at the default
+    SIMD level and once with the AVX-512 targets disabled: the reruns at one
+    level write the same bytes, the manifests name the two levels apart,
+    and each level's simulate writes the digests pinned for its class."""
+    model = save_fixed_model(tmp_path / "model.json")
     src = str(Path(tree.__file__).resolve().parents[1])
 
     def run(name, disable):
@@ -681,10 +689,10 @@ def test_same_bytes_per_simd_level(tmp_path):
         if disable:
             env["NPY_DISABLE_CPU_FEATURES"] = disable
         out = tmp_path / name
-        for argv in (["simulate", "--scenario", str(scenario), "--out-dir", str(out / "sim")],
+        for argv in (simulate_argv(model, out / "sim"),
                      ["train", "--data", str(out / "sim" / "dataset.csv"), "--depth", "2",
-                      "--lambda", "0.01", "--out-dir", str(out / "fit")]):
-            proc = subprocess.run([sys.executable, "-m", "radiosel.cli", *argv, "--seed", "3"],
+                      "--lambda", "0.01", "--seed", "3", "--out-dir", str(out / "fit")]):
+            proc = subprocess.run([sys.executable, "-m", "radiosel.cli", *argv],
                                   env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
         files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
@@ -694,10 +702,13 @@ def test_same_bytes_per_simd_level(tmp_path):
         assert levels[0] == levels[1]
         return files, levels[0]
 
-    (first, default), (again, default_again), (_, avx2) = \
+    (first, default), (again, default_again), (lower, avx2) = \
         run("a", None), run("b", None), run("c", AVX2_ONLY)
     assert {"sim/trace.csv", "sim/dataset.csv", "fit/model.json"} <= set(first)
     assert first == again and default == default_again
+    for files, level in ((first, "X86_V4"), (lower, "no_X86_V4")):
+        assert {name: hashlib.sha256(files[f"sim/{name}"]).hexdigest()
+                for name in SIMULATE[level]} == SIMULATE[level]
     assert "X86_V4" in default["simd_dispatch"] and "X86_V4" not in avx2["simd_dispatch"]
     assert avx2["version"] == default["version"] == np.__version__
 

@@ -6,9 +6,9 @@ from conftest import check_replay, leaf_tree
 from radiosel import dataset, simulator
 from radiosel.errors import DataError
 from radiosel.simulator import (AlwaysSelector, OracleSelector, ScenarioConfig,
-                                ThresholdSelector, TreeSelector, _stale_traces,
-                                generate, hop_count, interval_sweep, mean_wait_s,
-                                occupancy, replay, staleness_probability)
+                                SweepRow, ThresholdSelector, TreeSelector,
+                                _stale_traces, generate, hop_count, interval_sweep,
+                                mean_wait_s, occupancy, replay, staleness_probability)
 
 
 def _stale_reference(traces, cfg, interval_s, seed):
@@ -54,11 +54,7 @@ class TestScenarioConfig:
 
     def test_needs_a_node(self):
         with pytest.raises(DataError, match="at least one node"):
-            ScenarioConfig(n_nodes=0, distances_m=())
-
-    def test_distance_count_checked(self):
-        with pytest.raises(DataError):
-            ScenarioConfig(n_nodes=3, distances_m=(100.0, 200.0))
+            ScenarioConfig(distances_m=())
 
     def test_version_checked(self):
         with pytest.raises(DataError, match="config_version"):
@@ -88,7 +84,7 @@ class TestGenerate:
             assert np.all(traces.hn[rows] == hn)
 
     def test_zigbee_single_hop_beats_four_hops(self, cfg):
-        probe = replace(cfg, n_nodes=2, distances_m=(200.0, 1000.0), n_packets=1000)
+        probe = replace(cfg, distances_m=(200.0, 1000.0), n_packets=1000)
         rs = generate(probe, seed=9)
         one = np.mean(rs.tp_zigbee[rs.hn == 1.0])
         four = np.mean(rs.tp_zigbee[rs.hn == 4.0])
@@ -122,7 +118,7 @@ class TestReplay:
         assert res.oracle_gap_bps == 0.0
 
     def test_always_best_equals_oracle_when_dominant(self):
-        cfg = ScenarioConfig(n_nodes=1, distances_m=(150.0,), n_packets=200)
+        cfg = ScenarioConfig(distances_m=(150.0,), n_packets=200)
         rs = generate(cfg, seed=1)
         if np.all(rs.tp_zigbee > rs.tp_lora):  # near node: zigbee dominant
             res = replay(rs, AlwaysSelector(0))
@@ -192,8 +188,7 @@ class TestIntervalSweep:
     def test_staleness_matches_row_loop(self, cfg):
         """Column staleness injection equals the row-by-row reference, with
         nodes drawn in sorted-name order ("n100" before "n11")."""
-        many = replace(cfg, n_nodes=101, n_packets=15,
-                       distances_m=tuple(np.linspace(150.0, 1600.0, 101)))
+        many = replace(cfg, n_packets=15, distances_m=tuple(np.linspace(150.0, 1600.0, 101)))
         traces = generate(many, seed=4)
         for interval in (5.0, 1.5, 1.3):
             got = _stale_traces(traces, many, interval, seed=4)
@@ -201,9 +196,9 @@ class TestIntervalSweep:
         assert got != traces
         assert np.array_equal(got.tp_zigbee, traces.tp_zigbee)
 
-    def test_selectors_share_each_interval_trace(self, cfg):
+    def test_selectors_share_one_trace_per_sweep(self, cfg):
         """Several selectors in one sweep give the rows of one sweep per
-        selector, grouped by selector, from one trace per interval."""
+        selector, grouped by selector, from one trace generated per sweep."""
         intervals = [5.0, 1.5, 1.3]
         selectors = [AlwaysSelector(0), OracleSelector(), AlwaysSelector(1)]
         calls = []
@@ -215,9 +210,25 @@ class TestIntervalSweep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "generate", counting)
             rows = interval_sweep(cfg, intervals, *selectors, seed=5)
-        assert calls == intervals
+        assert calls == [cfg.packet_interval_s]
         assert rows == [row for sel in selectors
                         for row in interval_sweep(cfg, intervals, sel, seed=5)]
+
+    def test_matches_trace_per_interval(self, cfg):
+        """The sweep's rows equal those of a trace generated at each
+        interval, whose t column is the only one the interval moves."""
+        many = replace(cfg, n_packets=15, distances_m=tuple(np.linspace(150.0, 1600.0, 101)))
+        intervals = [5.0, 1.5, 1.3, 1.05]
+        selectors = [PrrSelector(), OracleSelector(), ThresholdSelector(3)]
+        expected = []
+        for sel in selectors:
+            for interval in intervals:
+                cfg_i = replace(many, packet_interval_s=interval)
+                traces = _stale_traces(generate(cfg_i, 6), cfg_i, interval, 6)
+                expected.append(SweepRow(
+                    interval, sel.name, replay(traces, sel).performance_ratio,
+                    1000.0 * (many.service_time_s + mean_wait_s(many, interval))))
+        assert interval_sweep(many, intervals, *selectors, seed=6) == expected
 
     def test_rejects_bad_interval(self, cfg):
         with pytest.raises(DataError):
@@ -237,9 +248,8 @@ class PrrSelector:
 
 GUARD_BASE = ScenarioConfig(n_packets=40)
 # One value per field that binds: rnp_cap's default of 30, for one, never
-# does. n_nodes must agree with distances_m, so it drops the farthest node.
+# does.
 GUARD_PERTURBED = {
-    "n_nodes": {"n_nodes": 14, "distances_m": GUARD_BASE.distances_m[:14]},
     "distances_m": {"distances_m": (200.0,) + GUARD_BASE.distances_m[1:]},
     "packet_interval_s": {"packet_interval_s": 2.0},
     "n_packets": {"n_packets": 41},

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import boundary_adjacent_inputs, stump
+from conftest import SIMD_CLASS, SIMD_NOTE, boundary_adjacent_inputs, stump
 from radiosel import solver, tao
 from radiosel.errors import DataError, NumericError
 from radiosel.solver import (LinearModel, SolverConfig, WeightedBinaryProblem,
@@ -535,7 +535,9 @@ class TestSolveMany:
     def test_every_exit_reason(self):
         """A batch whose problems stop for each of the five reasons."""
         pairs = []
-        for seed in (6, 0):   # drawn to stop on rounding and on tol
+        # drawn to stop on rounding and on tol; the first seed that stops on
+        # rounding follows the last bits of the SIMD class's exp
+        for seed in ({"X86_V4": 6, "no_X86_V4": 7}[SIMD_CLASS], 0):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 30))
             problem = WeightedBinaryProblem(rng.normal(0, 2, (n, 4)),
@@ -558,7 +560,7 @@ class TestSolveMany:
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # the kernel overflows silently
             solver.solve_many(problems, inits, cfg, stats)
-        assert [st.exit for st in stats] == ["rounding", "tol", "linesearch", "cap"]
+        assert [st.exit for st in stats] == ["rounding", "tol", "linesearch", "cap"], SIMD_NOTE
         self.assert_batch_matches(problems, inits, cfg)
         patience_cfg = SolverConfig(max_iter=300, tol=1e-300, patience=5)
         solver.solve_many(problems[:1], inits[:1], patience_cfg, stats)

@@ -1,11 +1,12 @@
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import child, random_dataset, random_tree, stump
+from conftest import assert_pinned, child, random_dataset, random_tree, stump
 from radiosel import cart, metrics, solver, tao
 from radiosel.dataset import Dataset
 from radiosel.errors import DataError, NumericError
@@ -332,6 +333,24 @@ class TestFixedPointAndSeparability:
         res = train(ds, cfg)
         assert all(b <= a for a, b in zip(res.history, res.history[1:]))
 
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_debug_checks_change_no_byte(self, rng, depth):
+        """Checking the objective after every update, in the order a level
+        applies them, leaves the trees, histories and counts of a run
+        without the checks, through train and through train_grid."""
+        ds, val = random_dataset(rng, n=90, cost_scale=3000.0), random_dataset(rng, n=30)
+
+        def summary(results):
+            return [(to_json(r.tree), r.history, r.pass_stats) for r in results]
+
+        for seed in (0, 1, 2):
+            plain = [TaoConfig(depth=depth, lam=lam, seed=seed, init_policy="best_of_both")
+                     for lam in (0.0, 0.01)]
+            checked = [replace(cfg, debug_checks=True) for cfg in plain]
+            grid = tao.train_grid([(ds, cfg) for cfg in plain + checked], val)
+            assert summary(grid[:2]) == summary(grid[2:]) \
+                == summary([train(ds, cfg, val) for cfg in checked])
+
     def test_warm_start_helps_on_grown_data(self, rng):
         wins = 0
         trials = 10
@@ -352,10 +371,12 @@ class TestFixedPointAndSeparability:
 class TestSolveReuse:
     # sha256 of to_json(tree) for _train(lam) under TAO's proposal config,
     # recorded with solve reuse disabled: reuse must not change a byte of
-    # the trained model
+    # the trained model. The solver's exp makes them differ per SIMD class.
     GOLDEN = {
-        0.0: "874b978acd021b0c9dbbe3facd93ef6291a0b25869dc5aaa571eb9e54c488c28",
-        0.01: "2834d3393c957af95818cf4100b492c110ea7346e36d6f74d56eec223b816fa9",
+        0.0: {"X86_V4": "874b978acd021b0c9dbbe3facd93ef6291a0b25869dc5aaa571eb9e54c488c28",
+              "no_X86_V4": "7b88686a9f9c01fb9ebf0f3f0ab4ca22358280579113f45bcac745374b8a0c5b"},
+        0.01: {"X86_V4": "2834d3393c957af95818cf4100b492c110ea7346e36d6f74d56eec223b816fa9",
+               "no_X86_V4": "242a7fc3d63e2cf2a9d5d8f6478425ec9a739f8513eee119c8759bd93a2e7729"},
     }
 
     @staticmethod
@@ -366,7 +387,7 @@ class TestSolveReuse:
     @pytest.mark.parametrize("lam", [0.0, 0.01])
     def test_golden_digest(self, lam):
         digest = hashlib.sha256(to_json(self._train(lam).tree).encode()).hexdigest()
-        assert digest == self.GOLDEN[lam]
+        assert_pinned(digest, self.GOLDEN[lam])
 
     @pytest.mark.parametrize("lam", [0.0, 0.01])
     def test_no_repeated_solve_within_optimize_tree(self, lam, monkeypatch):
@@ -386,6 +407,22 @@ class TestSolveReuse:
         assert sum(sum(c.values()) for c in per_init.values()) \
             == result.solver_stats["solves"] > 0
         assert all(n == 1 for c in per_init.values() for n in c.values())
+
+
+    def test_empty_care_set_replaces_the_reuse_key(self, monkeypatch):
+        """A node whose care set goes C -> empty -> C is solved on both visits
+        with C: the empty care set's inputs replace C's as the node's last
+        rejected ones, so solve counts are those of a run without reuse."""
+        C = CareSet(np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]]), np.array([-1.0, 1.0]),
+                    np.ones(2))   # the stump already separates it: rejected
+        cares = iter([C, CareSet(np.empty((0, 4)), np.empty(0), np.empty(0)), C])
+        monkeypatch.setattr(tao, "build_care_set", lambda *args: next(cares))
+        # the left leaf reaches no row; flipping it keeps every pass changing
+        monkeypatch.setattr(tao, "optimize_leaf", lambda t, nid, reach, ds:
+                            1 - t.nodes[nid].label if nid == 1 else None)
+        ds = Dataset(np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0]]), np.array([0, 1]), np.ones(2))
+        res = optimize_tree(stump([1.0, 0, 0, 0], 0.0, 0, 1), ds, TaoConfig(depth=1, max_passes=3))
+        assert [p["solves"] for p in res.pass_stats] == [1, 0, 1]
 
 
 class TestOptimizeTrees:
