@@ -341,7 +341,7 @@ def cmd_stability(args, run: _Run) -> int:
     print(f"skeleton stable across all fractions: {rep.all_signatures_equal}")
     print(f"test error monotone nonincreasing: {rep.test_error_monotone_nonincreasing}")
     run.doc["stability"] = {
-        "fractions": rep.fractions,
+        "fractions": [s.fraction for s in rep.stages],
         "signatures": [s.signature for s in rep.stages],
         "test_error_pct": [s.test_error_pct for s in rep.stages],
         "all_signatures_equal": rep.all_signatures_equal,

@@ -489,6 +489,14 @@ def _stratified_counts(n: int, fractions) -> list[int]:
     return counts
 
 
+def class_permutations(y: np.ndarray, seed: int) -> tuple:
+    """The stratified draw: the row indices of class 0, then of class 1,
+    each permuted by one default_rng(seed) in that order."""
+    rng = np.random.default_rng(seed)
+    return tuple(members[rng.permutation(members.size)]
+                 for members in (np.flatnonzero(y == 0), np.flatnonzero(y == 1)))
+
+
 def split(ds: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> tuple:
     """Deterministic stratified split into len(fractions) disjoint parts."""
     fractions = tuple(float(f) for f in fractions)
@@ -496,13 +504,10 @@ def split(ds: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> tuple:
         raise DataError("fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError(f"fractions must sum to 1, got {sum(fractions)}")
-    rng = np.random.default_rng(seed)
     part_idx: list[list[int]] = [[] for _ in fractions]
-    for cls in (0, 1):
-        members = np.flatnonzero(ds.y == cls)
-        if members.size == 0:
+    for cls, perm in enumerate(class_permutations(ds.y, seed)):
+        if perm.size == 0:
             continue
-        perm = members[rng.permutation(members.size)]
         counts = _stratified_counts(perm.size, fractions)
         if any(k == 0 for k in counts):
             raise DataError(f"class {cls} stratum empty in one split part "
@@ -533,14 +538,11 @@ def stratified_kfold_indices(ds: Dataset, k: int, seed: int = 0) -> list[np.ndar
             count = int(np.sum(ds.y == cls))
             if 0 < count < k:
                 raise DataError(f"class {cls} has {count} samples, fewer than k={k}")
-    rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0
-    for cls in (0, 1):
-        members = np.flatnonzero(ds.y == cls)
-        perm = members[rng.permutation(members.size)]
+    for perm in class_permutations(ds.y, seed):
         # offset staggers classes so small-class samples spread over folds
         for i, idx in enumerate(perm):
             folds[(i + offset) % k].append(int(idx))
-        offset += members.size
+        offset += perm.size
     return [np.array(sorted(f), dtype=int) for f in folds]

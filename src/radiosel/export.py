@@ -53,7 +53,6 @@ def _condition_text(a: np.ndarray, a0: float, names) -> str:
 class DecisionProgram:
     text: str
     model_hash: str
-    version: int = PROGRAM_VERSION
 
 
 def codegen(tree: ObliqueTree) -> DecisionProgram:

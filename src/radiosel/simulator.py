@@ -262,7 +262,6 @@ class ThresholdSelector:
 class ReplayResult:
     selector: str
     mean_throughput_bps: float
-    oracle_mean_bps: float
     performance_ratio: float
     oracle_gap_bps: float
     gain_vs_best_single_pct: float
@@ -284,7 +283,6 @@ def replay(traces: Trace, selector) -> ReplayResult:
     return ReplayResult(
         selector=selector.name,
         mean_throughput_bps=mean_achieved,
-        oracle_mean_bps=mean_oracle,
         performance_ratio=mean_achieved / mean_oracle,
         oracle_gap_bps=mean_oracle - mean_achieved,
         gain_vs_best_single_pct=100.0 * (mean_achieved - best_single) / best_single,

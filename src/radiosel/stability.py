@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, tao
-from .dataset import Dataset
+from .dataset import Dataset, class_permutations
 from .errors import DataError
 from .tree import ObliqueTree
 
@@ -20,7 +20,6 @@ from .tree import ObliqueTree
 @dataclass
 class StabilityStage:
     fraction: float
-    n_samples: int
     signature: str
     test_error_pct: float
     tree: ObliqueTree
@@ -28,7 +27,6 @@ class StabilityStage:
 
 @dataclass
 class StabilityReport:
-    fractions: list
     stages: list                      # StabilityStage per fraction
     all_signatures_equal: bool        # every stage's signature is the first's
     test_error_monotone_nonincreasing: bool
@@ -37,16 +35,11 @@ class StabilityReport:
 def _nested_subsets(ds: Dataset, fractions, seed: int) -> list[np.ndarray]:
     """One stratified shuffle; fraction f takes the first ceil(f * n_c) of
     each class, so smaller subsets are contained in larger ones."""
-    rng = np.random.default_rng(seed)
-    per_class = {}
-    for cls in (0, 1):
-        members = np.flatnonzero(ds.y == cls)
-        per_class[cls] = members[rng.permutation(members.size)]
+    per_class = class_permutations(ds.y, seed)
     subsets = []
     for f in fractions:
         take = []
-        for cls in (0, 1):
-            members = per_class[cls]
+        for cls, members in enumerate(per_class):
             k = int(np.ceil(f * members.size))
             if members.size and k == 0:
                 raise DataError(f"fraction {f} leaves class {cls} empty")
@@ -84,7 +77,6 @@ def stability_run(train_ds: Dataset, test_ds: Dataset, cfg: tao.TaoConfig,
         prev_tree = result.tree
         stages.append(StabilityStage(
             fraction=f,
-            n_samples=sub.n,
             signature=result.tree.structural_signature(),
             test_error_pct=100.0 - metrics.cwa(result.tree, test_ds),
             tree=result.tree,
@@ -93,4 +85,4 @@ def stability_run(train_ds: Dataset, test_ds: Dataset, cfg: tao.TaoConfig,
     same = all(s.signature == stages[0].signature for s in stages)
     errors = [s.test_error_pct for s in stages]
     monotone = all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
-    return StabilityReport(fractions, stages, same, monotone)
+    return StabilityReport(stages, same, monotone)

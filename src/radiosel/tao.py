@@ -6,37 +6,40 @@ updates are independent, and the reach sets computed at the start of a pass
 stay valid: a node's reach set depends only on its ancestors, which are
 visited after it.
 
-Decision nodes delegate to the weighted L1 logistic surrogate, which
-proposes its best-scoring iterate under SOLVER_CFG's patience rule (see
-solver), and accept the candidate only if it strictly improves weighted 0/1
-loss plus the L1 penalty under the tree's routing; leaves take the
-cost-weighted majority label. Acceptance uses a tiny relative margin so that
-rounding-level "improvements" never make the independently recomputed
-objective tick upward. Training stops at a fixed point (a pass that changes
-no node) or after max_passes.
+A decision node's care set (build_care_set) is its weighted binary problem:
+the reaching rows whose child subtrees disagree in loss. The weighted L1
+logistic surrogate proposes its best-scoring iterate for it under
+SOLVER_CFG's patience rule (see solver), and optimize_decision_node accepts
+the candidate only if it strictly improves weighted 0/1 loss plus the L1
+penalty under the tree's routing; leaves take the cost-weighted majority
+label. Both accept tests use one rule (_improves) with a tiny relative
+margin so that rounding-level "improvements" never make the independently
+recomputed objective tick upward. Training stops at a fixed point (a pass
+that changes no node) or after max_passes.
 
 Lockstep: optimize_trees advances independent trainings (jobs) together,
 pass by pass and, within a pass, level by level (each job's deepest level
-first). At each level step a leaf takes its new label when visited, and
-the decision nodes of every job that need a solve share one
-solver.solve_many call, after which each proposal that passes the exact
-accept test is applied. Because the level's updates are independent, their
+first). At each level step a leaf takes its new label when visited, and the
+decision nodes of every job that need a solve share one solver.solve_many
+call, after which each proposal goes through optimize_decision_node and is
+applied if it passes. Because the level's updates are independent, their
 order changes no byte, and because solve_many is batch invariant, each
-job's tree, history and stats are those it gets alone: optimize_tree is
-the one-job case, train runs best_of_both's two inits together, and
-train_grid trains any list of (dataset, config) runs in one call: radiosel
-train's lambda grid on one split, or eval --kfold's k training splits at
-the model's lambda and depth. The care sets of a level are dropped after
-its accept tests.
+job's tree, history and stats are those it gets alone: optimize_tree is the
+one-job case, train runs best_of_both's two inits together, and train_grid
+trains any list of (dataset, config) runs in one call: radiosel train's
+lambda grid on one split, or eval --kfold's k training splits at the
+model's lambda and depth. The care sets of a level are dropped after its
+accept tests.
 
 Solve reuse: within one job each decision node remembers the solver inputs
-of its last rejected proposal: a SHA-256 digest of the bytes of the care-set
-X, side, omega and the node's w, w0, so that -0.0/0.0 stay distinct and a
-job holds 32 bytes per node rather than its care sets. When a later visit
-finds the same inputs, the node is left unchanged without solving. This is
-exact (up to a SHA-256 collision): the solve and the accept test are pure
-functions of those inputs, lambda and the solver config, which are fixed
-within the job, so a repeated solve would be rejected again.
+of its last rejected proposal: a SHA-256 digest of the bytes of the care
+set's X, y and omega and the node's w, w0, so that -0.0/0.0 stay distinct
+and a job holds 32 bytes per node rather than its care sets. When a later
+visit finds the same inputs, the node is left unchanged without solving. An
+empty care set is never solved and clears the node's key. This is exact (up
+to a SHA-256 collision): the solve and the accept test are pure functions
+of those inputs, lambda and the solver config, which are fixed within the
+job, so a repeated solve would be rejected again.
 
 Telemetry: per pass, each job counts its solves, their iterations and loss
 evaluations, and the solves that hit max_iter (TaoResult.pass_stats). A
@@ -82,20 +85,6 @@ class TaoConfig:
             raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.init_policy not in INIT_POLICIES:
             raise DataError(f"unknown init policy {self.init_policy!r}")
-
-
-@dataclass
-class CareSet:
-    """Reduced problem at a decision node: points whose two child subtrees
-    disagree in loss, pseudo-labeled with the cheaper side."""
-
-    X: np.ndarray
-    side: np.ndarray    # +1 send right, -1 send left
-    omega: np.ndarray   # |loss_left - loss_right| (= c_n for 0/1 loss)
-
-    @property
-    def size(self) -> int:
-        return self.X.shape[0]
 
 
 STAT_KEYS = ("solves", "iters", "loss_evals", "cap_hits")
@@ -160,50 +149,42 @@ def lambda_unit(ds: Dataset) -> float:
         return float(np.max(np.abs(ds.X.T @ (ds.c * (p - (ds.y == 1))))))
 
 
-def build_care_set(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset) -> CareSet:
-    """Reduced binary problem for a decision node given its reaching rows."""
+def build_care_set(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset,
+                   lam: float) -> solver.WeightedBinaryProblem | None:
+    """Care set of a decision node: its reaching rows whose child subtrees
+    disagree in loss, y = +1 (send right) or -1 by the cheaper side, omega =
+    |loss_left - loss_right| (= c_n for 0/1 loss). None if there is none."""
     node = t.nodes[nid]
     if not isinstance(node, DecisionNode):
         raise DataError(f"node {nid} is not a decision node")
-    X = ds.X[reach_idx]
-    y = ds.y[reach_idx]
-    c = ds.c[reach_idx]
-    if reach_idx.size == 0:
-        return CareSet(X, np.empty(0), np.empty(0))
+    X, y, c = ds.X[reach_idx], ds.y[reach_idx], ds.c[reach_idx]
     loss_left = np.where(t.subtree_predict(node.left, X) != y, c, 0.0)
     loss_right = np.where(t.subtree_predict(node.right, X) != y, c, 0.0)
     keep = loss_left != loss_right
+    if not keep.any():
+        return None
     side = np.where(loss_right[keep] < loss_left[keep], 1.0, -1.0)
-    return CareSet(X[keep], side, np.abs(loss_left - loss_right)[keep])
+    return solver.WeightedBinaryProblem(X[keep], side, np.abs(loss_left - loss_right)[keep], lam)
 
 
-def _problem(care: CareSet, lam: float) -> solver.WeightedBinaryProblem:
-    return solver.WeightedBinaryProblem(care.X, care.side, care.omega, lam)
+def _improves(new: float, old: float, weight: float) -> bool:
+    """The accept rule: a margin relative to the weight at stake (module doc)."""
+    return new < old - ACCEPT_MARGIN * max(1.0, weight)
 
 
-def _accept(node: DecisionNode, problem, candidate: solver.LinearModel):
-    """The exact accept test: (w, w0) of the candidate if it is strictly
-    better under weighted 0/1 loss + L1 penalty, else None."""
-    lam = problem.lam
-    current = solver.LinearModel(node.w, node.w0)
-    cur_score = solver.weighted_01_loss(current, problem) + lam * float(np.sum(np.abs(node.w)))
-    cand_score = solver.weighted_01_loss(candidate, problem) \
-        + lam * float(np.sum(np.abs(candidate.w)))
-    margin = ACCEPT_MARGIN * max(1.0, float(np.sum(problem.omega)))
-    if cand_score < cur_score - margin:
+def optimize_decision_node(t: ObliqueTree, nid: int, problem: solver.WeightedBinaryProblem,
+                           candidate: solver.LinearModel):
+    """The exact accept test of a solver candidate for decision node nid:
+    its (w, w0) if it is strictly better than the node's own under weighted
+    0/1 loss + L1 penalty on the node's care set, else None (keep current)."""
+    def score(model):
+        return solver.weighted_01_loss(model, problem) \
+            + problem.lam * float(np.sum(np.abs(model.w)))
+
+    current = solver.LinearModel(t.nodes[nid].w, t.nodes[nid].w0)
+    if _improves(score(candidate), score(current), float(np.sum(problem.omega))):
         return candidate.w.copy(), candidate.w0
     return None
-
-
-def optimize_decision_node(t: ObliqueTree, nid: int, care: CareSet, lam: float):
-    """Solver candidate for one node; returns (w, w0) if strictly better
-    under weighted 0/1 loss + L1 penalty, else None (keep current)."""
-    node = t.nodes[nid]
-    if care.size == 0:
-        return None
-    problem = _problem(care, lam)
-    return _accept(node, problem,
-                   solver.solve(problem, solver.LinearModel(node.w, node.w0), SOLVER_CFG))
 
 
 def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset):
@@ -217,8 +198,7 @@ def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset):
     y, c = ds.y[reach_idx], ds.c[reach_idx]
     loss = [float(np.sum(c[y != 0])), float(np.sum(c[y != 1]))]
     other = 1 - node.label
-    margin = ACCEPT_MARGIN * max(1.0, float(np.sum(c)))
-    if loss[other] < loss[node.label] - margin:
+    if _improves(loss[other], loss[node.label], float(np.sum(c))):
         return other
     return None
 
@@ -287,10 +267,10 @@ class _Training:
                          self.stop_reason, len(self.pass_stats), self.pass_stats, totals)
 
 
-def _reuse_key(care: CareSet, node: DecisionNode) -> bytes:
+def _reuse_key(problem: solver.WeightedBinaryProblem, node: DecisionNode) -> bytes:
     """SHA-256 of the bytes of a node's solver inputs (see the module doc)."""
     digest = hashlib.sha256()
-    for part in (care.X, care.side, care.omega, node.w, np.float64(node.w0)):
+    for part in (problem.X, problem.y, problem.omega, node.w, np.float64(node.w0)):
         digest.update(part.tobytes())
     return digest.digest()
 
@@ -309,14 +289,13 @@ def _optimize_level(trainings, step: int) -> None:
                     node.label = label
                     tr.update(nid)
                 continue
-            care = build_care_set(tr.tree, nid, tr.take_reach(nid), tr.ds)
-            key = _reuse_key(care, node)
-            if tr.rejected.get(nid) == key:
+            problem = build_care_set(tr.tree, nid, tr.take_reach(nid), tr.ds, tr.cfg.lam)
+            if problem is None:
+                tr.rejected.pop(nid, None)
                 continue
-            if care.size == 0:
-                tr.rejected[nid] = key
-                continue
-            solves.append((tr, nid, depth, _problem(care, tr.cfg.lam), key))
+            key = _reuse_key(problem, node)
+            if tr.rejected.get(nid) != key:
+                solves.append((tr, nid, depth, problem, key))
     stats = []
     candidates = solver.solve_many(
         [problem for _, _, _, problem, _ in solves],
@@ -329,12 +308,11 @@ def _optimize_level(trainings, step: int) -> None:
         counts["iters"] += st.iters
         counts["loss_evals"] += st.loss_evals
         counts["cap_hits"] += st.exit == "cap"
-        node = tr.tree.nodes[nid]
-        accepted = _accept(node, problem, candidate)
+        accepted = optimize_decision_node(tr.tree, nid, problem, candidate)
         if accepted is None:
             tr.rejected[nid] = key
             continue
-        node.w, node.w0 = accepted
+        tr.tree.nodes[nid].w, tr.tree.nodes[nid].w0 = accepted
         tr.update(nid)
 
 
@@ -395,13 +373,11 @@ def train_grid(runs, val: Dataset | None = None, labels=None) -> list:
         if cfg.init_policy != "best_of_both":
             chosen.append(next(results))
             continue
-        candidates = []
-        for res in (next(results), next(results)):
-            score = -metrics.cwa(res.tree, val) if val is not None else res.history[-1]
-            candidates.append((score, res.init_used, res))
-        candidates.sort(key=lambda item: (item[0], item[1]))  # tie prefers 'cart'
-        stats = {k: sum(res.solver_stats[k] for _, _, res in candidates) for k in STAT_KEYS}
-        chosen.append(replace(candidates[0][2], solver_stats=stats))
+        pair = (next(results), next(results))
+        stats = {k: sum(res.solver_stats[k] for res in pair) for k in STAT_KEYS}
+        best = min(pair, key=lambda res: (  # a tie prefers 'cart'
+            -metrics.cwa(res.tree, val) if val is not None else res.history[-1], res.init_used))
+        chosen.append(replace(best, solver_stats=stats))
     return chosen
 
 

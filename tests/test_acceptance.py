@@ -111,7 +111,7 @@ def test_criterion_02_reduced_problem_oracles():
         reach_all = t.reach_sets(ds.X)
         for nid in t.decision_ids():
             node = t.nodes[nid]
-            care = tao.build_care_set(t, nid, reach_all[nid], ds)
+            care = tao.build_care_set(t, nid, reach_all[nid], ds, 0.0)
             rows, sides, weights = [], [], []
             for i in reach_all[nid]:
                 x = ds.X[i]
@@ -130,10 +130,10 @@ def test_criterion_02_reduced_problem_oracles():
                 rows.append(x)
                 sides.append(1.0 if loss_r < loss_l else -1.0)
                 weights.append(abs(loss_l - loss_r))
-            assert care.size == len(rows)
+            assert (care is None) == (not rows)
             if rows:
                 assert np.array_equal(care.X, np.array(rows))
-                assert np.array_equal(care.side, np.array(sides))
+                assert np.array_equal(care.y, np.array(sides))
                 assert np.array_equal(care.omega, np.array(weights))
 
 

@@ -57,4 +57,5 @@ def test_traced_walkthrough_passes_its_checks(tmp_path):
     for command in ("train", "eval", "simulate", "sweep", "stability", "export"):
         assert metrics[f"cli.{command}.calls"] > 0, command
     assert metrics["tao.passes"] > 0
+    assert metrics["tao.decision_attempts"] >= metrics["tao.decision_accepted"] > 0
     assert [getattr(_owner(pkg, owner), fn) for owner, fn in hooked] == originals

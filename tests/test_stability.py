@@ -4,7 +4,7 @@ import pytest
 from conftest import random_dataset
 from radiosel import dataset, simulator, tao
 from radiosel.errors import DataError
-from radiosel.stability import stability_run
+from radiosel.stability import _nested_subsets, stability_run
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ class TestStabilityRun:
         b = stability_run(train_ds, test_ds, cfg, fractions=(0.5, 0.75, 1.0), seed=3)
         assert [s.signature for s in a.stages] == [s.signature for s in b.stages]
         assert [s.test_error_pct for s in a.stages] == [s.test_error_pct for s in b.stages]
-        assert a.fractions == [0.5, 0.75, 1.0]
+        assert [s.fraction for s in a.stages] == [0.5, 0.75, 1.0]
         assert len(a.stages) == 3
         assert a.all_signatures_equal == (len({s.signature for s in a.stages}) == 1)
 
@@ -43,12 +43,11 @@ class TestStabilityRun:
         assert rep.all_signatures_equal is True
 
     def test_subsets_are_nested_and_sized(self, field_data):
-        train_ds, test_ds = field_data
-        cfg = tao.TaoConfig(depth=1, init_policy="cart", seed=0)
-        rep = stability_run(train_ds, test_ds, cfg, fractions=(0.5, 0.75, 1.0), seed=0)
-        sizes = [s.n_samples for s in rep.stages]
-        assert sizes[-1] == train_ds.n
-        assert sizes == sorted(sizes)
+        train_ds, _ = field_data
+        subsets = _nested_subsets(train_ds, (0.5, 0.75, 1.0), seed=0)
+        for small, large in zip(subsets, subsets[1:]):
+            assert small.size < large.size and np.all(np.isin(small, large))
+        assert np.array_equal(subsets[-1], np.arange(train_ds.n))
 
     def test_fraction_validation(self, field_data):
         train_ds, test_ds = field_data

@@ -10,7 +10,7 @@ from conftest import assert_pinned, child, random_dataset, random_tree, stump
 from radiosel import cart, metrics, solver, tao
 from radiosel.dataset import Dataset
 from radiosel.errors import DataError, NumericError
-from radiosel.tao import (CareSet, TaoConfig, build_care_set, lambda_unit, objective,
+from radiosel.tao import (SOLVER_CFG, TaoConfig, build_care_set, lambda_unit, objective,
                           optimize_decision_node, optimize_leaf,
                           optimize_tree, train)
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, to_json
@@ -68,16 +68,16 @@ class TestCareSet:
     def test_leaf_children_disagree(self):
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=1)
         ds = Dataset(np.array([[5.0, 0, 0, 0]]), np.array([1]), np.array([5000.0]))
-        care = build_care_set(t, 0, np.array([0]), ds)
-        assert care.size == 1
-        assert care.side[0] == 1.0      # lora leaf is on the right
+        care = build_care_set(t, 0, np.array([0]), ds, 0.25)
+        assert care.X.shape == (1, 4) and care.lam == 0.25
+        assert care.y[0] == 1.0      # lora leaf is on the right
         assert care.omega[0] == 5000.0
 
     def test_agreeing_children_empty(self, rng):
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=0)
         ds = random_dataset(rng, n=30)
-        care = build_care_set(t, 0, np.arange(30), ds)
-        assert care.size == 0
+        assert build_care_set(t, 0, np.arange(30), ds, 0.0) is None
+        assert build_care_set(t, 0, np.array([], dtype=int), ds, 0.0) is None
 
     def test_matches_reroute_oracle(self, rng):
         for _ in range(200):
@@ -85,7 +85,7 @@ class TestCareSet:
             ds = random_dataset(rng, n=25)
             for nid in t.decision_ids():
                 reach = manual_reach(t, nid, ds.X)
-                care = build_care_set(t, nid, reach, ds)
+                care = build_care_set(t, nid, reach, ds, 0.0)
                 node = t.nodes[nid]
                 exp_rows, exp_side, exp_w = [], [], []
                 for i in reach:
@@ -96,30 +96,33 @@ class TestCareSet:
                     exp_rows.append(ds.X[i])
                     exp_side.append(1.0 if lr < ll else -1.0)
                     exp_w.append(abs(ll - lr))
-                assert care.size == len(exp_rows)
+                assert (care is None) == (not exp_rows)
                 if exp_rows:
                     assert np.array_equal(care.X, np.array(exp_rows))
-                    assert np.array_equal(care.side, np.array(exp_side))
+                    assert np.array_equal(care.y, np.array(exp_side))
                     assert np.array_equal(care.omega, np.array(exp_w))
 
 
 class TestOptimizeDecisionNode:
+    @staticmethod
+    def propose(t, nid, care):
+        """Training's decision-node step: a solve, then the accept test."""
+        node = t.nodes[nid]
+        candidate = solver.solve(care, solver.LinearModel(node.w, node.w0), SOLVER_CFG)
+        return optimize_decision_node(t, nid, care, candidate)
+
     def test_separated_care_set_keeps_params(self):
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=1)
-        care = CareSet(np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
-                       np.array([-1.0, 1.0]), np.array([3.0, 4.0]))
-        assert optimize_decision_node(t, 0, care, 0.0) is None
-
-    def test_empty_care_set_keeps_params(self):
-        t = stump([1.0, 0, 0, 0], 0.0, 0, 1)
-        care = CareSet(np.empty((0, 4)), np.empty(0), np.empty(0))
-        assert optimize_decision_node(t, 0, care, 0.0) is None
+        care = solver.WeightedBinaryProblem(np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
+                                            np.array([-1.0, 1.0]), np.array([3.0, 4.0]))
+        assert self.propose(t, 0, care) is None
 
     def test_single_point_rerouted(self):
         # current node sends x=(1,0,0,0) right; the care set wants it left
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=1)
-        care = CareSet(np.array([[1.0, 0, 0, 0]]), np.array([-1.0]), np.array([10.0]))
-        prop = optimize_decision_node(t, 0, care, 0.0)
+        care = solver.WeightedBinaryProblem(np.array([[1.0, 0, 0, 0]]), np.array([-1.0]),
+                                            np.array([10.0]))
+        prop = self.propose(t, 0, care)
         assert prop is not None
         w, w0 = prop
         assert float(np.dot(w, [1.0, 0, 0, 0])) + w0 < 0
@@ -131,12 +134,26 @@ class TestOptimizeDecisionNode:
             lam = float(rng.choice([0.0, 0.1, 1.0]))
             nid = int(rng.choice(t.decision_ids()))
             reach = manual_reach(t, nid, ds.X)
-            care = build_care_set(t, nid, reach, ds)
+            care = build_care_set(t, nid, reach, ds, lam)
             before = objective(t, ds, lam)
-            prop = optimize_decision_node(t, nid, care, lam)
+            prop = None if care is None else self.propose(t, nid, care)
             if prop is not None:
                 t.nodes[nid].w, t.nodes[nid].w0 = prop
             assert objective(t, ds, lam) <= before
+
+    def test_training_accept_tests_every_solve(self, monkeypatch):
+        calls = []
+        real = tao.optimize_decision_node
+
+        def counting(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(tao, "optimize_decision_node", counting)
+        ds = random_dataset(np.random.default_rng(2024), n=120, cost_scale=2000.0)
+        res = train(ds, TaoConfig(depth=3, lam=0.01, init_policy="best_of_both", seed=5))
+        assert len(calls) == res.solver_stats["solves"] > 0
+        assert any(prop is not None for prop in calls)
 
 
 class TestOptimizeLeaf:
@@ -409,13 +426,14 @@ class TestSolveReuse:
         assert all(n == 1 for c in per_init.values() for n in c.values())
 
 
-    def test_empty_care_set_replaces_the_reuse_key(self, monkeypatch):
+    def test_empty_care_set_clears_the_reuse_key(self, monkeypatch):
         """A node whose care set goes C -> empty -> C is solved on both visits
-        with C: the empty care set's inputs replace C's as the node's last
-        rejected ones, so solve counts are those of a run without reuse."""
-        C = CareSet(np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]]), np.array([-1.0, 1.0]),
-                    np.ones(2))   # the stump already separates it: rejected
-        cares = iter([C, CareSet(np.empty((0, 4)), np.empty(0), np.empty(0)), C])
+        with C: the empty care set clears the node's last rejected inputs,
+        so solve counts are those of a run without reuse."""
+        # the stump already separates C, so its proposal is rejected
+        C = solver.WeightedBinaryProblem(np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]]),
+                                         np.array([-1.0, 1.0]), np.ones(2))
+        cares = iter([C, None, C])
         monkeypatch.setattr(tao, "build_care_set", lambda *args: next(cares))
         # the left leaf reaches no row; flipping it keeps every pass changing
         monkeypatch.setattr(tao, "optimize_leaf", lambda t, nid, reach, ds:
