@@ -88,7 +88,8 @@ class _Run:
         return self.output(name, lambda path: _atomic_write(path, text))
 
     def csv(self, name: str, header, rows) -> Path:
-        lines = [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
+        """Write header and rows as CSV, each cell str(v) quoted by csv_cell."""
+        lines = [",".join(dataset.csv_cell(str(v)) for v in row) for row in [header, *rows]]
         return self.text(name, "\n".join(lines) + "\n")
 
     def close(self) -> None:

@@ -427,18 +427,22 @@ def load_traces(path) -> Trace:
     return Trace(tuple(names), node, t, *columns)
 
 
+def csv_cell(text: str) -> str:
+    """text as a CSV cell, quoted as csv.QUOTE_MINIMAL quotes it: in double
+    quotes, with each one doubled, if it holds a comma, quote, CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def save_traces(traces: Trace, path) -> None:
-    """Write a trace as CSV, one block of rows at a time. Node ids are
-    quoted as csv.QUOTE_MINIMAL quotes them. A node id with leading or
-    trailing whitespace, which load_traces would strip, is rejected, and
-    no file is created then."""
+    """Write a trace as CSV, one block of rows at a time, node ids quoted
+    by csv_cell. A node id with leading or trailing whitespace, which
+    load_traces would strip, is rejected, and no file is created then."""
     for s in traces.names:
         if s != s.strip():
             raise DataError(f"node id {s!r} has leading or trailing whitespace, "
                             f"which the trace reader strips")
     path = Path(path)
-    names = np.array(['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
-                      for s in traces.names], dtype=object)
+    names = np.array([csv_cell(s) for s in traces.names], dtype=object)
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
         for lo in range(0, len(traces), CHUNK_ROWS):

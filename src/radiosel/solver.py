@@ -35,6 +35,20 @@ run under np.errstate(all="ignore"): a candidate that overflows has a
 non-finite loss, which the line search rejects, while a non-finite
 objective at the init or a non-finite gradient raises NumericError.
 
+Line search. A candidate at step t passes if its smooth loss is at most
+the quadratic bound f + g.d + |d|^2 / (2t) of its move d (bias included);
+else the step shrinks, and below MIN_STEP the solve stops. The smooth loss
+is a sum of terms each >= +0.0 or NaN, so no candidate passes where the
+bound is < 0 or NaN (a bound of -0.0 still can). INIT_STEP is absolute,
+and under weights in bps it lies many halvings above the data's scale, so
+before the first round the bounds of the ladder INIT_STEP * STEP_SHRINK^k,
+down to MIN_STEP, are computed for all the problems of a batch together,
+bit for bit as the rounds would, LADDER_CHUNK steps at a time until each
+problem has a step they do not reject; each problem starts there. A
+skipped step counts as a rejected candidate: loss_evals counts the
+candidates tried, evaluated or rejected by the bound, and stays the count
+of the loop that evaluates them all.
+
 Batches. solve_many runs one loop over a batch of problems in lockstep
 rounds: in each round every unfinished problem evaluates one line-search
 candidate, and those that accept it take their next gradient. A problem
@@ -114,6 +128,7 @@ INIT_STEP = 1.0
 STEP_SHRINK = 0.5
 STEP_GROW = 1.25
 MIN_STEP = 1e-18
+LADDER_CHUNK = 16   # first steps whose bounds are computed together (_Lockstep._first_steps)
 
 
 @dataclass
@@ -161,7 +176,8 @@ def objective(problem: WeightedBinaryProblem, model: LinearModel) -> float:
 
 class SolveStats(NamedTuple):
     """What one solve did: iters gradient evaluations (proximal-gradient
-    iterations), loss_evals smooth-loss evaluations (the init's included),
+    iterations), loss_evals line-search candidates tried, evaluated or
+    rejected by their bound (module doc), plus one for the init,
     the exit reason (tol, cap, patience, linesearch or rounding) and the
     index of the returned iterate (0 is the init, i the i-th accepted one)."""
 
@@ -257,6 +273,25 @@ class _Slot:
         self.evals = 1
 
 
+def _prox_steps(W, GW, steps):
+    """The candidates soft_threshold(W - step * GW, step * lam), row by row
+    with steps[:, 0] the step and steps[:, 1] step * lam, and their |.|."""
+    V = W - steps[:, :1] * GW
+    A = np.abs(V)
+    A -= steps[:, 1:]
+    np.maximum(A, 0.0, out=A)
+    Wn = np.sign(V)
+    Wn *= A
+    return Wn, A
+
+
+def _bound(f, gd, gw0, dw0, dd, step):
+    """The line search's quadratic upper bound on the smooth loss at a
+    candidate: on floats in _round and on arrays in _first_steps, which
+    round alike."""
+    return f + gd + gw0 * dw0 + (dd + dw0 * dw0) / (2.0 * step)
+
+
 class _Lockstep:
     """The proximal-gradient loop of solve_many over one batch. The
     problems still iterating have one slot each: a row of the (slots, D)
@@ -281,6 +316,41 @@ class _Lockstep:
             if not math.isfinite(sl.F):
                 self._fail(s, "non-finite objective at init: rescale the problem")
         self._gradients([s for s in range(len(problems)) if s not in self.stopped])
+        self._first_steps([s for s in range(len(problems)) if s not in self.stopped])
+
+    def _first_steps(self, live) -> None:
+        """Move each live problem's first step down past the steps whose
+        quadratic bound is < 0 or NaN, which no loss passes (module doc).
+        The bounds are those _round computes, bit for bit, for every
+        problem at once, LADDER_CHUNK steps of the ladder at a time; a
+        skipped step counts as a rejected candidate, and a problem that
+        skips them all stops."""
+        ladder, step = [], INIT_STEP
+        while step >= MIN_STEP:
+            ladder.append(step)
+            step *= STEP_SHRINK
+        for lo in range(0, len(ladder), LADDER_CHUNK):
+            if not live:
+                return
+            rungs = ladder[lo:lo + LADDER_CHUNK]
+            k = len(rungs)
+            steps = np.tile(rungs, len(live))
+            lam, w0, gw0, f = (np.repeat([getattr(self.slots[s], a) for s in live], k)
+                               for a in ("lam", "w0", "gw0", "f"))
+            W, GW = np.repeat(self.W[live], k, axis=0), np.repeat(self.GW[live], k, axis=0)
+            DW = _prox_steps(W, GW, np.column_stack([steps, steps * lam]))[0]
+            DW -= W
+            dw0 = (w0 - steps * gw0) - w0
+            quad = _bound(f, np.vecdot(GW, DW), gw0, dw0, np.vecdot(DW, DW), steps)
+            passes = (quad >= 0).reshape(len(live), k)
+            first = np.where(passes.any(axis=1), passes.argmax(axis=1), k).tolist()
+            for s, skip in zip(live, first):
+                self.slots[s].evals += skip
+                if skip < k:
+                    self.slots[s].step = rungs[skip]
+            live = [s for s, skip in zip(live, first) if skip == k]
+        for s in live:
+            self._finish(s, "linesearch")
 
     def run(self):
         while self._settle():
@@ -289,13 +359,7 @@ class _Lockstep:
 
     def _round(self) -> None:
         cfg, slots, W, GW = self.cfg, self.slots, self.W, self.GW
-        steps = np.array([[sl.step, sl.step * sl.lam] for sl in slots])
-        V = W - steps[:, :1] * GW
-        A = np.abs(V)
-        A -= steps[:, 1:]
-        np.maximum(A, 0.0, out=A)
-        Wn = np.sign(V)
-        Wn *= A   # soft_threshold(V, step * lam), row by row
+        Wn, A = _prox_steps(W, GW, np.array([[sl.step, sl.step * sl.lam] for sl in slots]))
         w0n = [sl.w0 - sl.step * sl.gw0 for sl in slots]
         fn = self.stack.losses(Wn, w0n)
         DW = Wn - W
@@ -305,7 +369,7 @@ class _Lockstep:
         for s, sl in enumerate(slots):
             sl.evals += 1
             f_new, dw0 = fn[s], w0n[s] - sl.w0
-            quad = sl.f + gd[s] + sl.gw0 * dw0 + (dd[s] + dw0 * dw0) / (2.0 * sl.step)
+            quad = _bound(sl.f, gd[s], sl.gw0, dw0, dd[s], sl.step)
             if not (math.isfinite(f_new) and f_new <= quad):
                 sl.step *= STEP_SHRINK
                 if sl.step < MIN_STEP:

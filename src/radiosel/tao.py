@@ -4,18 +4,24 @@ Each pass sweeps depth levels deepest-to-root. Nodes on one level have
 disjoint reach sets (they are non-descendants of each other), so their
 updates are independent, and the reach sets computed at the start of a pass
 stay valid: a node's reach set depends only on its ancestors, which are
-visited after it.
+visited after it. The tree does not change between passes, so each pass
+boundary walks it once (reach_sets): the leaves' reach sets give the
+objective of the history, by objective's formula, and are where the next
+pass starts. A job walks its whole tree passes + 1 times and drops the sets
+when it stops.
 
 A decision node's care set (build_care_set) is its weighted binary problem:
 the reaching rows whose child subtrees disagree in loss. The weighted L1
 logistic surrogate proposes its best-scoring iterate for it under
 SOLVER_CFG's patience rule (see solver), and optimize_decision_node accepts
 the candidate only if it strictly improves weighted 0/1 loss plus the L1
-penalty under the tree's routing; leaves take the cost-weighted majority
-label. Both accept tests use one rule (_improves) with a tiny relative
-margin so that rounding-level "improvements" never make the independently
-recomputed objective tick upward. Training stops at a fixed point (a pass
-that changes no node) or after max_passes.
+penalty under the tree's routing (a candidate with the node's own bytes,
+as a solve that returns its init gives, cannot, and is not scored); leaves
+take the cost-weighted majority label. Both accept tests use one rule
+(_improves) with a tiny relative margin so that rounding-level
+"improvements" never make the independently recomputed objective tick
+upward. Training stops at a fixed point (a pass that changes no node) or
+after max_passes.
 
 Lockstep: optimize_trees advances independent trainings (jobs) together,
 pass by pass and, within a pass, level by level (each job's deepest level
@@ -133,7 +139,11 @@ class TaoJob(NamedTuple):
 
 def objective(t: ObliqueTree, ds: Dataset, lam: float) -> float:
     """Cost-weighted misclassification plus lam * sum of |w| over nodes."""
-    pred = t.predict_model(ds.X)
+    return _objective(t, ds, lam, t.predict_model(ds.X))
+
+
+def _objective(t: ObliqueTree, ds: Dataset, lam: float, pred: np.ndarray) -> float:
+    """objective from the tree's predictions pred on ds.X."""
     return float(np.sum(ds.c[pred != ds.y])) + lam * t.l1_penalty()
 
 
@@ -176,12 +186,16 @@ def optimize_decision_node(t: ObliqueTree, nid: int, problem: solver.WeightedBin
                            candidate: solver.LinearModel):
     """The exact accept test of a solver candidate for decision node nid:
     its (w, w0) if it is strictly better than the node's own under weighted
-    0/1 loss + L1 penalty on the node's care set, else None (keep current)."""
+    0/1 loss + L1 penalty on the node's care set, else None (keep current).
+    A candidate with the node's own bytes is None unscored."""
     def score(model):
         return solver.weighted_01_loss(model, problem) \
             + problem.lam * float(np.sum(np.abs(model.w)))
 
     current = solver.LinearModel(t.nodes[nid].w, t.nodes[nid].w0)
+    if candidate.w.tobytes() == current.w.tobytes() \
+            and np.float64(candidate.w0).tobytes() == np.float64(current.w0).tobytes():
+        return None
     if _improves(score(candidate), score(current), float(np.sum(problem.omega))):
         return candidate.w.copy(), candidate.w0
     return None
@@ -209,7 +223,7 @@ class _Training:
     def __init__(self, job: TaoJob):
         self.job, self.cfg, self.ds = job, job.cfg, job.ds
         self.tree = job.tree.copy()
-        self.history = [objective(self.tree, self.ds, self.cfg.lam)]
+        self.history = [self.walk()]
         self.rejected = {}   # decision node id -> solver inputs of its last rejection
         self.pass_stats = []
         self.stop_reason = None
@@ -218,13 +232,24 @@ class _Training:
         self.pass_stats.append(dict.fromkeys(STAT_KEYS, 0))
         self.changed = False
         self.e_debug = self.history[-1]
-        self.reach = {nid: idx for nid, idx in self.tree.reach_sets(self.ds.X).items()
-                      if isinstance(self.tree.nodes[nid], LeafNode)}
         depths = self.tree.node_depths()
         levels = {}   # depth -> node ids, deepest level first
         for nid in sorted(depths, key=lambda n: (-depths[n], n)):
             levels.setdefault(depths[nid], []).append(nid)
         self.levels = list(levels.items())
+
+    def walk(self) -> float:
+        """The pass boundary's one walk of the whole tree: keeps the leaves'
+        reach sets, which the next pass starts from, and returns the
+        objective their labels give."""
+        pred = np.empty(self.ds.n, dtype=int)
+        self.reach = {}
+        for nid, idx in self.tree.reach_sets(self.ds.X).items():
+            node = self.tree.nodes[nid]
+            if isinstance(node, LeafNode):
+                self.reach[nid] = idx
+                pred[idx] = node.label
+        return _objective(self.tree, self.ds, self.cfg.lam, pred)
 
     def take_reach(self, nid: int) -> np.ndarray:
         """The reach set of a decision node: the sorted union of its
@@ -251,7 +276,7 @@ class _Training:
 
     def end_pass(self) -> None:
         self.reach = self.levels = None
-        e_pass = objective(self.tree, self.ds, self.cfg.lam)
+        e_pass = self.walk()
         if e_pass > self.history[-1]:
             raise NumericError(f"objective increased across a pass: "
                                f"{self.history[-1]} -> {e_pass}")
@@ -260,6 +285,8 @@ class _Training:
             self.stop_reason = "fixed_point"
         elif len(self.pass_stats) == self.cfg.max_passes:
             self.stop_reason = "max_passes"
+        if self.stop_reason is not None:
+            self.reach = None
 
     def result(self) -> TaoResult:
         totals = {k: sum(p[k] for p in self.pass_stats) for k in STAT_KEYS}

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -38,6 +39,18 @@ def model_dir(tmp_path_factory, data_csv):
                "--init", "cart", "--seed", "7", "--out-dir", str(out)])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def readme_fit(tmp_path_factory):
+    """The README's `simulate --seed 1` and `train --depth 4 --seed 1`
+    output directories."""
+    root = tmp_path_factory.mktemp("readme")
+    sim, fit = root / "sim", root / "fit"
+    assert main(["simulate", "--seed", "1", "--out-dir", str(sim)]) == 0
+    assert main(["train", "--data", str(sim / "dataset.csv"), "--depth", "4",
+                 "--seed", "1", "--out-dir", str(fit)]) == 0
+    return sim, fit
 
 
 class TestTrain:
@@ -116,17 +129,22 @@ class TestTrain:
         "no_X86_V4": "9aefa4bbb6d4bb8826c4ca8b541a5cd471622f1aadaed337316ee1453f31a5cf"}
     README_SWEEP_STATS = [(51, 5853, 1), (55, 6274, 2), (57, 6438, 1), (69, 7752, 3),
                           (43, 4144, 0)]
+    # the chosen model's training.pass_stats, loss evaluations included
+    # (line-search candidates tried, evaluated or rejected by the bound);
+    # the same in both SIMD classes
+    README_PASS_STATS = [
+        {"solves": 11, "iters": 1315, "loss_evals": 1865, "cap_hits": 1},
+        {"solves": 10, "iters": 1137, "loss_evals": 1605, "cap_hits": 0},
+        {"solves": 5, "iters": 470, "loss_evals": 650, "cap_hits": 0}]
 
-    def test_readme_seed_1_train_pinned(self, tmp_path):
-        sim, out = tmp_path / "sim", tmp_path / "fit"
-        assert main(["simulate", "--seed", "1", "--out-dir", str(sim)]) == 0
-        assert main(["train", "--data", str(sim / "dataset.csv"), "--depth", "4",
-                     "--seed", "1", "--out-dir", str(out)]) == 0
+    def test_readme_seed_1_train_pinned(self, readme_fit):
+        out = readme_fit[1]
         assert_pinned(_sha256(out / "model.json"), self.README_MODEL)
         doc = json.loads((out / "manifest.json").read_text())
         training = {k: v for k, v in doc["training"].items() if k != "pass_stats"}
         assert_pinned(hashlib.sha256(json.dumps(training, sort_keys=True).encode()).hexdigest(),
                       self.README_TRAINING)
+        assert doc["training"]["pass_stats"] == self.README_PASS_STATS
         assert [(row["solves"], row["iters"], row["cap_hits"])
                 for row in doc["lambda_sweep"]] == self.README_SWEEP_STATS
 
@@ -260,6 +278,37 @@ class TestEval:
         header, row = b[0].split(","), b[1].split(",")
         loss = dict(zip(header, row))
         assert float(loss["loss_high_bps"]) >= 0.0
+
+    # the eval manifest's kfold block for the README's `eval --kfold 5`;
+    # the same in both SIMD classes
+    README_KFOLD = [
+        {"solves": 16, "iters": 1870, "cap_hits": 1, "n_passes": 4, "stop_reason": "fixed_point"},
+        {"solves": 4, "iters": 441, "cap_hits": 0, "n_passes": 2, "stop_reason": "fixed_point"},
+        {"solves": 8, "iters": 872, "cap_hits": 0, "n_passes": 2, "stop_reason": "fixed_point"},
+        {"solves": 8, "iters": 823, "cap_hits": 0, "n_passes": 2, "stop_reason": "fixed_point"},
+        {"solves": 21, "iters": 2355, "cap_hits": 1, "n_passes": 5,
+         "stop_reason": "fixed_point"}]
+
+    def test_readme_seed_1_kfold_pinned(self, tmp_path, readme_fit):
+        sim, fit = readme_fit
+        assert main(["eval", "--model", str(fit / "model.json"), "--data",
+                     str(sim / "dataset.csv"), "--kfold", "5", "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["kfold"] == self.README_KFOLD
+
+    def test_text_cells_are_quoted(self, tmp_path, data_csv, model_dir):
+        """A model file name and a location holding commas and quotes read
+        back through csv.reader as written, in rows as wide as the header."""
+        model = tmp_path / "my,model.json"
+        model.write_bytes((model_dir / "model.json").read_bytes())
+        location = 'site "A", north'
+        out = tmp_path / "ev"
+        assert main(["eval", "--model", str(model), "--data", str(data_csv),
+                     "--location", location, "--kfold", "2", "--out-dir", str(out)]) == 0
+        with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 1 + 2 + 2
+        assert all(len(row) == 7 for row in rows)
+        assert {(row[0], row[1]) for row in rows[1:]} == {("my,model", location)}
 
     def test_kfold_rows(self, tmp_path, data_csv, model_dir):
         out = tmp_path / "evalk"

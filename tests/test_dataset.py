@@ -1,4 +1,5 @@
 import csv
+import io
 import re
 import tracemalloc
 import warnings
@@ -800,6 +801,16 @@ def test_node_ids_quoted_as_csv_needs(tmp_path):
                                 '"say ""hi""",1,5,3,2,-95,0.5,1.5\n'
                                 "n00,2,5,3,2,-95,0.5,1.5\n")
     assert load_traces(path) == trace
+
+
+@given(st.text())
+def test_csv_cell_quotes_as_csv_writer(text):
+    """csv_cell writes a cell as the default csv.writer (QUOTE_MINIMAL,
+    line terminator CR LF) does in a row of more than one cell (a lone
+    empty cell is csv.writer's special case)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, "x"])
+    assert dataset.csv_cell(text) + ",x\r\n" == buf.getvalue()
 
 
 @pytest.mark.parametrize("bad", [" a", "b ", "c\t"])

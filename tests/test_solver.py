@@ -600,6 +600,34 @@ class TestSolveMany:
                                               tao.SOLVER_CFG)
         assert any(nan_margins)
 
+    @pytest.mark.parametrize("cfg", CFGS, ids=["tao", "short_patience", "short_minimizer"])
+    def test_first_steps_the_bound_rejects_are_not_evaluated(self, cfg, monkeypatch):
+        """A batch mixing bps-scale and extreme weights (omega up to 1e12),
+        lambda > 0 among them: the steps whose quadratic bound is < 0 or NaN
+        count in loss_evals, but the stack evaluates fewer candidates, and
+        every problem keeps the bytes and stats of the references."""
+        rng = np.random.default_rng(99)
+        problems, inits = [], []
+        for scale in (1.0, 3e3, 2e5, 1e12):
+            for lam in (0.0, 0.01 * scale):
+                n = int(rng.integers(5, 120))
+                problems.append(WeightedBinaryProblem(rng.normal(0, 1.5, (n, 4)),
+                                                      rng.choice([-1.0, 1.0], n),
+                                                      scale * rng.uniform(0.01, 1.0, n), lam))
+                inits.append(LinearModel(rng.normal(0, 1, 4), float(rng.normal(0, 1))))
+        evaluated = []
+        losses = solver._Stack.losses
+
+        def spy(stack, W, w0):
+            evaluated.append(len(W))
+            return losses(stack, W, w0)
+
+        monkeypatch.setattr(solver._Stack, "losses", spy)
+        stats = []
+        solver.solve_many(problems, inits, cfg, stats)
+        assert sum(evaluated) < sum(st.loss_evals for st in stats)
+        self.assert_batch_matches(problems, inits, cfg)
+
     def test_inputs_checked(self, rng):
         a, b = random_problem(rng), random_problem(rng, dim=3)
         with pytest.raises(DataError, match="problem 1 has dimension 3, the batch 4"):

@@ -156,6 +156,47 @@ class TestOptimizeDecisionNode:
         assert any(prop is not None for prop in calls)
 
 
+    def test_unchanged_proposal_is_not_scored(self, monkeypatch):
+        """A candidate with the node's own bytes is rejected unscored; one
+        that differs from them only in the sign of a zero is scored."""
+        scored = []
+        real = solver.weighted_01_loss
+        monkeypatch.setattr(solver, "weighted_01_loss",
+                            lambda model, problem: scored.append(model) or real(model, problem))
+        t = stump([1.0, 0.0, -2.0, 0.5], 0.0, left_label=0, right_label=1)
+        care = solver.WeightedBinaryProblem(np.eye(4), np.array([-1.0, 1.0, 1.0, -1.0]),
+                                            np.ones(4), 0.1)
+        node = t.nodes[0]
+        assert optimize_decision_node(t, 0, care, solver.LinearModel(node.w.copy(), 0.0)) is None
+        assert scored == []
+        for w, w0 in (([1.0, -0.0, -2.0, 0.5], 0.0), ([1.0, 0.0, -2.0, 0.5], -0.0)):
+            scored.clear()
+            assert optimize_decision_node(t, 0, care, solver.LinearModel(np.array(w), w0)) is None
+            assert len(scored) == 2
+
+
+class TestPassBoundaries:
+    def test_one_tree_walk_per_pass_boundary(self, monkeypatch):
+        """Each job walks its whole tree once before the first pass and
+        once after each pass: the walk gives the objective and the next
+        pass's reach sets."""
+        walks = Counter()
+        real = ObliqueTree._walk
+
+        def counting(tree, nid, X):
+            if nid == tree.root:
+                walks[id(X)] += 1
+            return real(tree, nid, X)
+
+        monkeypatch.setattr(ObliqueTree, "_walk", counting)
+        rng = np.random.default_rng(7)
+        jobs = [tao.TaoJob(random_tree(rng, depth=3), random_dataset(rng, n=90, cost_scale=50.0),
+                           TaoConfig(depth=3, lam=lam)) for lam in (0.0, 0.01, 0.1)]
+        results = tao.optimize_trees(jobs)
+        assert [walks[id(job.ds.X)] for job in jobs] == [res.n_passes + 1 for res in results]
+        assert max(res.n_passes for res in results) >= 2
+
+
 class TestOptimizeLeaf:
     def test_weighted_majority(self):
         t = stump([1.0, 0, 0, 0], 0.0, left_label=0, right_label=0)
