@@ -22,12 +22,13 @@ import csv
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ModelFormatError
 
 FEATURE_NAMES = ("hn", "rssi", "prr", "rnp")
 
@@ -49,6 +50,31 @@ def feature_names(dim: int) -> tuple:
     """Names of dim feature columns: FEATURE_NAMES for the four
     selector-visible features, x0, x1, ... for any other width."""
     return FEATURE_NAMES if dim == len(FEATURE_NAMES) else tuple(f"x{j}" for j in range(dim))
+
+
+def typed_like(field: str, value, default, error=DataError):
+    """A scenario or model file's JSON value, typed like the field's default:
+    a non-bool int, a finite real (as a float), or, for a tuple, a list of
+    items typed like its first one (and as long, if that is a tuple). Else
+    raises error(f"{field} must be <kind>, got <value>"); item i is f"{field}[{i}]"."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        width = len(default[0]) if isinstance(default[0], tuple) else None
+        if isinstance(value, list) and all(
+                len(v) == width if isinstance(v, list) else width is None for v in value):
+            return tuple(typed_like(f"{field}[{i}]", v, default[0], error)
+                         for i, v in enumerate(value))
+        kind = (f"a list of {width}-number lists" if width else   # else a list fails by nesting
+                "a flat list of numbers" if isinstance(value, list) else "a list of numbers")
+    elif isinstance(default, int):
+        kind = "an integer"
+        if number and isinstance(value, int):
+            return value
+    else:
+        kind = "a finite number"
+        if number and abs(value) <= sys.float_info.max:   # not nan, inf or a huge int
+            return float(value)
+    raise error(f"{field} must be {kind}, got {value!r}")
 
 
 class RadioClass(enum.IntEnum):
@@ -75,13 +101,14 @@ class Scaler:
         return {"mean": [float(v) for v in self.mean], "std": [float(v) for v in self.std]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Scaler":
-        mean = np.asarray(d["mean"], dtype=float)
-        std = np.asarray(d["std"], dtype=float)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise DataError("scaler mean/std must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
-            raise DataError("scaler entries must be finite with std > 0")
+    def from_dict(cls, d) -> "Scaler":
+        """A model file's scaler: mean and std lists of finite numbers, std > 0."""
+        if not isinstance(d, dict):
+            raise ModelFormatError(f"malformed model field 'scaler' must be an object, got {d!r}")
+        mean, std = (np.array(typed_like(f"model scaler {key}", d.get(key),
+                                         (0.0,), ModelFormatError)) for key in ("mean", "std"))
+        if mean.shape != std.shape or not np.all(std > 0):
+            raise ModelFormatError("model scaler mean and std must be of one length, std > 0")
         return cls(mean=mean, std=std)
 
 
@@ -353,8 +380,8 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{path}: empty dataset")
     if error is not None:
         raise DataError(error[1])
-    hn, rssi, prr, rnp, c, y = (np.concatenate(parts) for parts in zip(*blocks))
-    del blocks
+    blocks = [list(parts) for parts in zip(*blocks)]   # by column, each dropped once joined
+    hn, rssi, prr, rnp, c, y = (np.concatenate(blocks.pop(0)) for _ in DATASET_HEADER)
     return Dataset(np.column_stack((hn, rssi, prr, rnp)), y, c)
 
 
@@ -412,8 +439,8 @@ def load_traces(path) -> Trace:
         del node_cells, cells   # before the next block is read
     if not blocks:
         raise DataError(f"{path}: empty trace file")
-    node, t, *columns = (np.concatenate(parts) for parts in zip(*blocks))
-    del blocks
+    blocks = [list(parts) for parts in zip(*blocks)]   # by column, each dropped once joined
+    node, t, *columns = (np.concatenate(blocks.pop(0)) for _ in TRACE_HEADER)
     # a row is out of order when its t is below the node's previous row's t
     order = np.argsort(node, kind="stable")
     prev, cur = order[:-1], order[1:]

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, Trace
+from .dataset import FEATURE_NAMES, Trace, typed_like
 from .errors import DataError
 from .tree import ObliqueTree
 
@@ -116,7 +115,7 @@ class ScenarioConfig:
         defaults = asdict(cls())
         if unknown := sorted(set(doc) - set(defaults)):
             raise DataError(f"unknown scenario fields: {unknown}")
-        return cls(**{name: _typed_like(name, value, defaults[name])
+        return cls(**{name: typed_like(f"scenario field {name!r}", value, defaults[name])
                       for name, value in doc.items()})
 
     @classmethod
@@ -125,28 +124,6 @@ class ScenarioConfig:
         if not path.exists():
             raise DataError(f"no such scenario file: {path}")
         return cls.from_json(path.read_text(encoding="utf-8"))
-
-
-def _typed_like(name: str, value, default):
-    """A scenario file's value for a field, checked against the field's
-    default and typed like it: a non-bool int, a finite real, or a list
-    shaped like the default's tuple."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(default, tuple):
-        inner = default[0] if isinstance(default[0], tuple) else None
-        kind = f"a list of {len(inner)}-number lists" if inner else "a list of numbers"
-        if isinstance(value, list) and (inner is None or all(
-                isinstance(v, list) and len(v) == len(inner) for v in value)):
-            return tuple(_typed_like(name, v, inner or 0.0) for v in value)
-    elif isinstance(default, int):
-        kind = "an integer"
-        if number and isinstance(value, int):
-            return value
-    else:
-        kind = "a finite number"
-        if number and abs(value) <= sys.float_info.max:   # not nan, inf or a huge int
-            return float(value)
-    raise DataError(f"scenario field {name!r} must be {kind}, got {value!r}")
 
 
 def _lora_rate(cfg: ScenarioConfig, rssi: np.ndarray) -> np.ndarray:

@@ -70,6 +70,7 @@ from .tree import DecisionNode, LeafNode, ObliqueTree
 ACCEPT_MARGIN = 1e-9   # relative to a node's reaching cost; see the module doc
 SOLVER_CFG = solver.SolverConfig(max_iter=200, tol=1e-8, patience=100)
 INIT_POLICIES = ("random", "cart", "best_of_both")
+MAX_DEPTH = 12   # the random init is a complete tree of 2**depth - 1 decision nodes
 
 
 @dataclass
@@ -85,6 +86,8 @@ class TaoConfig:
         for name in ("depth", "max_passes"):
             if not solver._is_count(getattr(self, name)):
                 raise DataError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if self.depth > MAX_DEPTH:
+            raise DataError(f"depth must be <= {MAX_DEPTH}, got {self.depth}")
         if not math.isfinite(self.lam) or self.lam < 0:
             raise DataError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:

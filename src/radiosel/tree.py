@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Scaler
+from .dataset import Scaler, typed_like
 from .errors import DataError, ModelFormatError
 
 MODEL_FORMAT_VERSION = 1
@@ -192,22 +192,21 @@ class ObliqueTree:
 
     def reach_sets(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Per-node index arrays of the model-space rows that reach each node."""
-        reach = self._walk(self.root, np.asarray(X, dtype=float))
+        reach = dict(self._walk(self.root, np.asarray(X, dtype=float)))
         return {nid: reach.get(nid, np.arange(0)) for nid in self.nodes}
 
     def subtree_predict(self, nid: int, X: np.ndarray) -> np.ndarray:
         """Predictions of the subtree rooted at nid for model-space rows."""
         return self._labels(nid, np.asarray(X, dtype=float))
 
-    def _walk(self, nid: int, X: np.ndarray) -> dict[int, np.ndarray]:
-        """Row indices of X reaching each node of the subtree at nid, routed
-        by `scores` (score < 0 goes left). An empty set is not routed on, so
-        the nodes below it are absent."""
-        reach = {}
+    def _walk(self, nid: int, X: np.ndarray):
+        """(node id, indices of the rows of X reaching it) for each node of the
+        subtree at nid, parents first, routed by `scores` (score < 0 goes left).
+        An empty set is not routed on; only the sets still to visit are kept."""
         stack = [(nid, np.arange(X.shape[0]))]
         while stack:
             nid, idx = stack.pop()
-            reach[nid] = idx
+            yield nid, idx
             node = self.nodes[nid]
             if isinstance(node, DecisionNode) and idx.size:
                 # a set of all n rows is arange(n) (sets keep row order), so
@@ -215,11 +214,11 @@ class ObliqueTree:
                 rows = X if idx.size == X.shape[0] else X[idx]
                 left = scores(node.w, node.w0, rows) < 0
                 stack += [(node.right, idx[~left]), (node.left, idx[left])]
-        return reach
 
     def _labels(self, nid: int, X: np.ndarray) -> np.ndarray:
+        """Labels of the rows of X, written at each leaf as the walk reaches it."""
         out = np.empty(X.shape[0], dtype=int)
-        for i, idx in self._walk(nid, X).items():
+        for i, idx in self._walk(nid, X):
             if isinstance(self.nodes[i], LeafNode):
                 out[idx] = self.nodes[i].label
         return out
@@ -289,52 +288,45 @@ def save(tree: ObliqueTree, path) -> None:
 
 
 def from_json(text: str) -> ObliqueTree:
+    """A model file's tree, its fields typed by dataset.typed_like."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"model file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold a JSON object")
-    version = doc.get("version")
+
+    def typed(entry: dict, key: str, default, field: str | None = None):
+        return typed_like(field or f"malformed model field {key!r}", entry.get(key), default,
+                          ModelFormatError)
+
+    version = typed(doc, "version", MODEL_FORMAT_VERSION)
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version!r}, "
                                f"expected {MODEL_FORMAT_VERSION}")
-    for key in ("root", "nodes"):
-        if key not in doc:
-            raise ModelFormatError(f"model file missing field {key!r}")
-    scaler = _field(doc, "scaler", Scaler.from_dict)
-    nodes: dict[int, DecisionNode | LeafNode] = {}
-    if not isinstance(doc["nodes"], list) or not doc["nodes"]:
+    if not isinstance(doc.get("nodes"), list) or not doc["nodes"]:
         raise ModelFormatError("model file 'nodes' must be a nonempty list")
-    for entry in doc["nodes"]:
-        try:
-            nid = int(entry["id"])
-            kind = entry["kind"]
-            if nid in nodes:
-                raise ModelFormatError(f"duplicate node id {nid}")
-            if kind == "decision":
-                nodes[nid] = DecisionNode(np.asarray(entry["w"], dtype=float),
-                                          float(entry["w0"]),
-                                          int(entry["left"]), int(entry["right"]))
-            elif kind == "leaf":
-                nodes[nid] = LeafNode(int(entry["label"]))
-            else:
-                raise ModelFormatError(f"node {nid}: unknown kind {kind!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise ModelFormatError(f"malformed node entry {entry!r}: {e}") from e
-    return ObliqueTree(nodes, _field(doc, "root", int), scaler=scaler,
-                       lam=_field(doc, "lambda", float))
-
-
-def _field(doc: dict, key: str, convert):
-    """convert(doc[key]), or None for an absent or null field."""
-    value = doc.get(key)
-    if value is None:
-        return None
-    try:
-        return convert(value)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ModelFormatError(f"malformed model field {key!r}: {e}") from e
+    nodes: dict[int, DecisionNode | LeafNode] = {}
+    for k, entry in enumerate(doc["nodes"]):
+        if not isinstance(entry, dict):
+            raise ModelFormatError(f"node entry {k} must be an object, got {entry!r}")
+        nid = typed(entry, "id", 0, f"node entry {k}: id")
+        if nid in nodes:
+            raise ModelFormatError(f"duplicate node id {nid}")
+        kind = entry.get("kind")
+        if kind == "decision":
+            nodes[nid] = DecisionNode(np.array(typed(entry, "w", (0.0,), f"node {nid}: weights")),
+                                      typed(entry, "w0", 0.0, f"node {nid}: w0"),
+                                      typed(entry, "left", 0, f"node {nid}: left"),
+                                      typed(entry, "right", 0, f"node {nid}: right"))
+        elif kind == "leaf":
+            nodes[nid] = LeafNode(typed(entry, "label", 0, f"node {nid}: label"))
+        else:
+            raise ModelFormatError(f"node {nid}: unknown kind {kind!r}")
+    lam, scaler = doc.get("lambda"), doc.get("scaler")
+    return ObliqueTree(nodes, typed(doc, "root", 0),
+                       lam=lam if lam is None else typed(doc, "lambda", 0.0),
+                       scaler=scaler if scaler is None else Scaler.from_dict(scaler))
 
 
 def load(path) -> ObliqueTree:

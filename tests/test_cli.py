@@ -249,6 +249,16 @@ class TestLambdaGrid:
         assert list(out.iterdir()) == []   # no model.json, no manifest
 
 
+@pytest.mark.parametrize("argv", [["train"], ["stability", "--init", "random"]])
+def test_depth_above_maximum_exit_3(tmp_path, data_csv, capsys, argv):
+    """The depth bound is checked before any tree is built: a complete
+    random init of depth 40 would have about 10**12 nodes."""
+    out = tmp_path / "out"
+    assert main([*argv, "--depth", "40", "--data", str(data_csv), "--out-dir", str(out)]) == 3
+    assert f"depth must be <= {tao.MAX_DEPTH}, got 40" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--sweep-lambdas", ","],
     ["stability", "--fractions", ","],
@@ -617,12 +627,38 @@ class TestMalformedModel:
                          str(_scenario_file(tmp_path)), "--out-dir",
                          str(tmp_path / "sim")]) == 0
 
+    # Every field is typed by the rule scenario files use: no value is cast,
+    # so a float id, a string child or a bool weight does not load as
+    # another tree.
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(root="x"), "malformed model field 'root'"),
         (lambda doc: doc.update({"lambda": "abc"}), "malformed model field 'lambda'"),
         (lambda doc: doc["nodes"][0].update(w=[[1.0, 2.0], [3.0, 4.0]]),
          "node 0: weights must be a flat list"),
-    ], ids=["root_not_int", "lambda_not_number", "w_two_dimensional"])
+        (lambda doc: doc["nodes"][1].update(id=1.7),
+         "node entry 1: id must be an integer, got 1.7"),
+        (lambda doc: doc["nodes"][1].update(id=True),
+         "node entry 1: id must be an integer, got True"),
+        (lambda doc: doc["nodes"][0].update(left="1"), "node 0: left must be an integer, got '1'"),
+        (lambda doc: doc.update(root=0.9),
+         "malformed model field 'root' must be an integer, got 0.9"),
+        (lambda doc: doc["nodes"][0].update(w0="-2"),
+         "node 0: w0 must be a finite number, got '-2'"),
+        (lambda doc: doc["nodes"][0].update(w0=True),
+         "node 0: w0 must be a finite number, got True"),
+        (lambda doc: doc["nodes"][0].update(w=["1", "0", "0", "0"]),
+         "node 0: weights[0] must be a finite number, got '1'"),
+        (lambda doc: doc["nodes"][3].update(label=1.0),
+         "node 3: label must be an integer, got 1.0"),
+        (lambda doc: doc.update({"lambda": "0.5"}),
+         "malformed model field 'lambda' must be a finite number, got '0.5'"),
+        (lambda doc: doc.update(version=True),
+         "malformed model field 'version' must be an integer, got True"),
+        (lambda doc: doc["scaler"].update(mean=["0", "0", "0", "0"]),
+         "model scaler mean[0] must be a finite number, got '0'"),
+    ], ids=["root_not_int", "lambda_not_number", "w_two_dimensional", "id_float", "id_bool",
+            "left_string", "root_float", "w0_string", "w0_bool", "w_strings", "label_float",
+            "lambda_string", "version_bool", "scaler_mean_strings"])
     def test_malformed_field_exit_3(self, tmp_path, data_csv, model_dir, capsys,
                                     edit, message):
         model = self.edited_model(model_dir, tmp_path, edit)

@@ -690,6 +690,28 @@ def test_load_memory_is_arrays_plus_a_block(tmp_path, monkeypatch, rng):
         assert peak <= 4 * sum(a.nbytes for a in arrays), load.__name__
 
 
+def test_trace_load_peak_is_well_under_twice_its_arrays(tmp_path, rng):
+    """The loader joins its blocks one column at a time and drops a
+    column's blocks once it is joined, so a 100k-record load peaks well
+    under the blocks plus every joined column (twice the arrays returned).
+    At this size one block's cell strings are a small share of the peak."""
+    n = 100_000
+    trace = Trace(tuple(f"node-{k}" for k in range(20)), rng.integers(0, 20, n),
+                  np.arange(n) * 0.37, *rng.uniform(0, 6000, size=(2, n)),
+                  rng.integers(1, 6, n).astype(float), rng.uniform(-120, -60, n),
+                  rng.uniform(0, 1, n), rng.uniform(1, 5, n))
+    save_traces(trace, tmp_path / "t.csv")
+    del trace
+    tracemalloc.start()
+    try:
+        got = load_traces(tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = got.node.nbytes + sum(getattr(got, c).nbytes for c in dataset.TRACE_COLUMNS)
+    assert peak < 1.6 * returned
+
+
 def in_three_row_blocks(prop, **strategies):
     """A property test of test_csv_properties, run with 3-record blocks so
     that its files of up to 25 rows span blocks."""

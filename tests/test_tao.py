@@ -325,13 +325,14 @@ def test_config_rejects_bad_lambda(lam):
     ({"depth": 0}, "depth must be an integer >= 1, got 0"),
     ({"depth": 2.0}, "depth must be an integer >= 1, got 2.0"),
     ({"depth": True}, "depth must be an integer >= 1, got True"),
+    ({"depth": 13}, "depth must be <= 12, got 13"),
     ({"max_passes": 0}, "max_passes must be an integer >= 1, got 0"),
     ({"max_passes": 1.5}, "max_passes must be an integer >= 1, got 1.5"),
     ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
     ({"seed": False}, "seed must be an integer >= 0, got False"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
-], ids=["depth_zero", "depth_float", "depth_bool", "max_passes_zero", "max_passes_float",
-        "seed_float", "seed_bool", "seed_negative"])
+], ids=["depth_zero", "depth_float", "depth_bool", "depth_above_max", "max_passes_zero",
+        "max_passes_float", "seed_float", "seed_bool", "seed_negative"])
 def test_config_validation(kwargs, message):
     with pytest.raises(DataError, match=message):
         TaoConfig(**kwargs)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,16 @@ class TestPersistence:
         assert back.lam == 0.01
         assert np.array_equal(back.scaler.mean, scaler.mean)
         assert np.array_equal(back.scaler.std, scaler.std)
+
+    def test_hand_written_integer_weights_and_null_lambda(self):
+        """JSON integers are numbers: they load as the floats they equal."""
+        t = from_json(json.dumps({"version": 1, "root": 0, "lambda": None, "nodes": [
+            {"id": 0, "kind": "decision", "w": [1, 0, -2, 0], "w0": 3, "left": 1, "right": 2},
+            {"id": 1, "kind": "leaf", "label": 0}, {"id": 2, "kind": "leaf", "label": 1}]}))
+        assert t.lam is None and t.scaler is None
+        assert to_json(t) == to_json(ObliqueTree({0: DecisionNode(np.array([1.0, 0.0, -2.0, 0.0]),
+                                                                  3.0, 1, 2),
+                                                  1: LeafNode(0), 2: LeafNode(1)}, 0))
 
     def test_ids_stable(self, tmp_path, rng):
         t = random_tree(rng, depth=2)
