@@ -56,6 +56,8 @@ class _Run:
     def __init__(self, args: argparse.Namespace):
         self.out = Path(args.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
+        # tree bytes follow the kernels of the BLAS numpy links (see the README)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         self.doc = {
             "tool": "radiosel",
             "version": __version__,
@@ -63,7 +65,9 @@ class _Run:
             "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
             "seed": getattr(args, "seed", None),
             "numpy": {"version": np.__version__,
-                      "simd_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__[t]]},
+                      "simd_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__[t]],
+                      "blas": {k: blas.get(k)
+                               for k in ("name", "version", "openblas configuration")}},
             "inputs": {},
             "outputs": {},
         }

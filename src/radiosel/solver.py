@@ -14,29 +14,34 @@ kernel terms of the point, returns the lowest-scoring one (the earliest on
 ties), and stops once `patience` accepted iterations pass without a strictly
 lower score. tol and max_iter stay as backstops. The score counts a margin
 of exactly 0 as correct for either label, while the tree sends score 0
-right, and X @ w may round apart from the tree's routing kernel, so it only
+right, and Z^T w~ may round apart from the tree's routing kernel, so it only
 selects; the caller's exact accept test decides. Each solve can report its
 SolveStats: iterations, loss evaluations, why it stopped and which iterate
 it returned.
 
-Kernel. Per row, negm_n = -ytil_n (w.x_n + w0) and one exp,
-E_n = exp(-|negm_n|). The loss term is max(negm, 0) + log1p(E), and the
-gradient factor sigma(negm) = 1 / (1 + exp(-negm)) is
-(negm > 0 ? 1 : E) / (1 + E), with no transcendental call: it reuses the E
-of the accepted point's losses. Both agree with the softplus formulas
-logaddexp(0, negm) and exp(-logaddexp(0, -negm)) within a few ULP, infinities
-and NaN exactly. ytil is +-1, so the factors -ytil and -omega*ytil only flip
-signs, which is exact, and a signed zero in negm reaches the output only
-through max(+-0, 0) + log(2) and the test negm > 0, which lose its sign.
-The bytes follow numpy's float64 exp and log1p, which it picks by the CPU's
-SIMD level (the CLI manifests record the level). _Stack holds the one copy
-of the kernel (smooth_loss and smooth_gradient are its one-problem calls),
-run under np.errstate(all="ignore"): a candidate that overflows has a
-non-finite loss, which the line search rejects, while a non-finite
-objective at the init or a non-finite gradient raises NumericError.
+Kernel. Each problem's Z, whose column n is -ytil_n [x_n, 1], is built
+once per solve_many call as a C-contiguous (D+1, n) array, and an iterate
+is one row w~ = [w, w0]. Per row, negm = Z^T w~ = -ytil (w.x + w0) and
+one exp, E = exp(-|negm|). The loss term is max(negm, 0) + log1p(E), and
+the gradient is Z (omega * sigma(negm)), bias part last, with the factor
+sigma(negm) = 1 / (1 + exp(-negm)) taken as (negm > 0 ? 1 : E) / (1 + E)
+from the accepted point's E. Both agree with the softplus formulas
+logaddexp(0, negm) and exp(-logaddexp(0, -negm)) within a few ULP,
+infinities and NaN exactly. ytil is +-1, so its sign flip is exact, and a
+signed zero in negm reaches the output only through max(+-0, 0) + log(2)
+and the test negm > 0, which lose its sign. The bytes follow numpy's
+float64 exp and log1p, picked by the CPU's SIMD level, and the BLAS
+kernels of the products with Z (the CLI manifests record both). _Stack
+holds the one copy of the kernel (smooth_loss and smooth_gradient are its
+one-problem calls), run under np.errstate(all="ignore"): a candidate whose
+loss is not finite fails the line search, while a non-finite objective at
+the init or a non-finite gradient raises NumericError. BLAS fuses a row's
+multiply-adds, so products that overflow with both signs give an infinite
+margin, not NaN.
 
-Line search. A candidate at step t passes if its smooth loss is at most
-the quadratic bound f + g.d + |d|^2 / (2t) of its move d (bias included);
+Line search. The candidate at step t is w~ - t g~ with its weights (not
+its bias) soft-thresholded by t * lambda. It passes if its smooth loss is
+at most the quadratic bound f + g~.d + |d|^2 / (2t) of its move d;
 else the step shrinks, and below MIN_STEP the solve stops. The smooth loss
 is a sum of terms each >= +0.0 or NaN, so no candidate passes where the
 bound is < 0 or NaN (a bound of -0.0 still can). INIT_STEP is absolute,
@@ -54,9 +59,10 @@ rounds: in each round every unfinished problem evaluates one line-search
 candidate, and those that accept it take their next gradient. A problem
 gets the same bytes and stats in any batch as alone, and solve is the
 one-problem batch:
-- each problem keeps its own BLAS products X @ w and X.T @ coeff;
+- each problem keeps its own BLAS products with Z, so no product depends
+  on the batch;
 - every other row-wise step runs once over the stacked rows of all the
-  problems, and the weight-vector steps over (problems, D) arrays, with
+  problems, and the weight-vector steps over (problems, D+1) arrays, with
   np.vecdot as the 1-d dot product row by row; these steps are elementwise,
   and numpy's SIMD exp and log1p give an element the same bytes in a full
   lane as in the tail, so a row's bytes do not depend on where it sits;
@@ -67,8 +73,8 @@ one-problem batch:
 - the branching (accept, stop, patience) is per problem in Python floats,
   which round as numpy's float64 does.
 After a round in which some problems stop, the stack is laid out again,
-in place, from the others: it copies two columns, and the round loops then
-touch live rows only.
+in place, from the others: it copies their omega rows (Z stays where it
+is), and the round loops then touch live rows only.
 """
 
 from __future__ import annotations
@@ -159,15 +165,16 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 def smooth_loss(problem: WeightedBinaryProblem, model: LinearModel) -> float:
     """Weighted logistic loss, the differentiable part of the objective."""
     with np.errstate(all="ignore"):
-        return _Stack([problem]).losses([model.w], [model.w0])[0]
+        return _Stack([problem]).losses([np.append(model.w, model.w0)])[0]
 
 
 def smooth_gradient(problem: WeightedBinaryProblem, model: LinearModel):
     """(grad_w, grad_w0) of smooth_loss."""
-    stack, gw = _Stack([problem]), np.empty((1, problem.dim))
+    stack, G = _Stack([problem]), np.empty((1, problem.dim + 1))
     with np.errstate(all="ignore"):
-        stack.losses([model.w], [model.w0])
-        return gw[0], stack.gradients([0], gw)[0]
+        stack.losses([np.append(model.w, model.w0)])
+        stack.gradients([0], G)
+    return G[0, :-1], float(G[0, -1])
 
 
 def objective(problem: WeightedBinaryProblem, model: LinearModel) -> float:
@@ -189,41 +196,39 @@ class SolveStats(NamedTuple):
 
 class _Stack:
     """The rows of a batch's problems, stacked: the rows of the problem in
-    slot s follow one pad row at pads[s] (see the module doc). Holds the
-    constant columns and the work buffers, in one block allocated once per
-    batch, and each slot's views into them."""
+    slot s follow one pad row at pads[s] (see the module doc). Holds each
+    problem's Z, built once, and the omega row and the work rows, in one
+    block allocated once per batch, and each slot's views into them."""
 
     def __init__(self, problems):
-        self.block = np.empty((6, sum(p.X.shape[0] + 1 for p in problems)))
-        self.fill(problems)
+        self.problems = problems
+        # Z of the module doc; exact, since y is +-1
+        self.designs = [np.ascontiguousarray(np.vstack([p.X.T * -p.y, -p.y])) for p in problems]
+        self.block = np.empty((5, sum(p.X.shape[0] + 1 for p in problems)))
+        self.fill(range(len(problems)))
 
-    def fill(self, problems) -> None:
-        """Lay out the rows of problems (the batch, or the problems still
-        iterating) at the start of the block."""
-        self.sizes = np.array([p.X.shape[0] + 1 for p in problems])
+    def fill(self, ids) -> None:
+        """Lay out the rows of the problems ids (the batch, or the problems
+        still iterating) at the start of the block."""
+        self.Z = [self.designs[j] for j in ids]
+        self.ZT = [Z.T for Z in self.Z]
+        self.sizes = np.array([Z.shape[1] + 1 for Z in self.Z])
         self.pads = np.cumsum(self.sizes) - self.sizes
-        self.neg_y, self.omega, self.negm, self.E, self.L, self.buf = \
-            self.block[:, :int(self.sizes.sum())]
-        self.X, self.XT, self.negm_rows, self.buf_rows = [], [], [], []
-        for p, pad in zip(problems, self.pads.tolist()):
-            rows = slice(pad + 1, pad + 1 + p.X.shape[0])
-            self.neg_y[rows], self.omega[rows] = p.y, p.omega
-            self.X.append(p.X)
-            self.XT.append(p.X.T)
+        self.omega, self.negm, self.E, self.L, self.buf = self.block[:, :int(self.sizes.sum())]
+        self.negm_rows, self.buf_rows = [], []
+        for j, pad, size in zip(ids, self.pads.tolist(), self.sizes.tolist()):
+            rows = slice(pad + 1, pad + size)
+            self.omega[rows] = self.problems[j].omega
             self.negm_rows.append(self.negm[rows])
             self.buf_rows.append(self.buf[rows])
-        # the kernel's sign flip, exact since y is +-1; +0.0 on the pads
-        np.negative(self.neg_y, out=self.neg_y)
-        self.neg_y[self.pads] = self.omega[self.pads] = 0.0
+        self.omega[self.pads] = 0.0
 
-    def losses(self, W, w0) -> list:
-        """Smooth loss at (W[s], w0[s]) for each slot s. The kernel terms
-        stay in negm and E."""
+    def losses(self, W) -> list:
+        """Smooth loss at the weights W[s] = [w, w0] of each slot s. The
+        kernel terms stay in negm and E."""
         negm, E, L, P = self.negm, self.E, self.L, self.buf
-        for X, w, out in zip(self.X, W, self.negm_rows):
-            np.matmul(X, w, out=out)
-        negm += np.array(w0).repeat(self.sizes)
-        negm *= self.neg_y
+        for ZT, w, out in zip(self.ZT, W, self.negm_rows):
+            np.matmul(ZT, w, out=out)
         negm[self.pads] = 1.0   # any finite value > 0: scores keeps the pads
         np.copysign(negm, -1.0, out=E)   # -|negm|
         np.exp(E, out=E)
@@ -238,68 +243,66 @@ class _Stack:
         idx = (self.negm > 0).nonzero()[0]
         return np.add.reduceat(self.omega[idx], idx.searchsorted(self.pads)).tolist()
 
-    def gradients(self, slots, GW) -> list:
-        """Gradient of the smooth loss at the points of the last losses: the
-        weight part into GW[s] for s in slots, the bias parts returned. The
-        elementwise factor is computed on all rows: masking it off the other
-        slots' rows costs more than it saves. Its sign flip is exact, so
-        sigma * -y * omega rounds as -omega * y * sigma."""
+    def gradients(self, slots, GW) -> None:
+        """Gradient of the smooth loss at the points of the last losses, bias
+        part last, into GW[s] for s in slots. The elementwise factor is
+        computed on all rows: masking it off the other slots' rows costs
+        more than it saves."""
         C, D, E = self.buf, self.L, self.E   # L's row is free once the losses are summed
         # E <= 1, so max(E, sign(negm)) is 1 where negm > 0 and E elsewhere
         np.sign(self.negm, out=C)
         np.maximum(E, C, out=C)
         np.add(E, 1.0, out=D)
         C /= D
-        C *= self.neg_y
-        C *= self.omega   # +0.0 on the pads
+        C *= self.omega
         for s in slots:
-            np.matmul(self.XT[s], self.buf_rows[s], out=GW[s])
-        return np.add.reduceat(C, self.pads).tolist()
+            np.matmul(self.Z[s], self.buf_rows[s], out=GW[s])
 
 
 class _Slot:
     """The scalar state of one problem in the lockstep loop: its index in
-    the batch, its lambda, the current bias, bias gradient, step and
-    objective (f the smooth part, F with the penalty), the best-scoring
-    iterate's bias, score and index, and the counters."""
+    the batch, its lambda, step and objective (f the smooth part, F with
+    the penalty), the best-scoring iterate's score and index, and the
+    counters."""
 
-    __slots__ = ("id", "lam", "w0", "gw0", "step", "f", "F", "best_w0", "best_score",
-                 "best_at", "stale", "accepted", "iters", "evals")
+    __slots__ = ("id", "lam", "step", "f", "F", "best_score", "best_at", "stale", "accepted",
+                 "iters", "evals")
 
-    def __init__(self, j: int, lam: float, w0: float):
-        self.id, self.lam, self.w0, self.best_w0 = j, lam, w0, w0
-        self.gw0, self.step = 0.0, INIT_STEP
+    def __init__(self, j: int, lam: float):
+        self.id, self.lam, self.step = j, lam, INIT_STEP
         self.best_at = self.stale = self.accepted = self.iters = 0
         self.evals = 1
 
 
 def _prox_steps(W, GW, steps):
-    """The candidates soft_threshold(W - step * GW, step * lam), row by row
-    with steps[:, 0] the step and steps[:, 1] step * lam, and their |.|."""
-    V = W - steps[:, :1] * GW
-    A = np.abs(V)
+    """The candidates W - step * GW row by row, with steps[:, 0] the step
+    and steps[:, 1] step * lam: the weight columns soft-thresholded by
+    step * lam, the bias column as it is; and the weight columns' |.|."""
+    Wn = W - steps[:, :1] * GW
+    w = Wn[:, :-1]
+    A = np.abs(w)
     A -= steps[:, 1:]
     np.maximum(A, 0.0, out=A)
-    Wn = np.sign(V)
-    Wn *= A
+    np.sign(w, out=w)
+    w *= A
     return Wn, A
 
 
-def _bound(f, gd, gw0, dw0, dd, step):
+def _bound(f, gd, dd, step):
     """The line search's quadratic upper bound on the smooth loss at a
     candidate: on floats in _round and on arrays in _first_steps, which
     round alike."""
-    return f + gd + gw0 * dw0 + (dd + dw0 * dw0) / (2.0 * step)
+    return f + gd + dd / (2.0 * step)
 
 
 class _Lockstep:
     """The proximal-gradient loop of solve_many over one batch. The
-    problems still iterating have one slot each: a row of the (slots, D)
-    weight arrays, a _Slot and a segment of the stack."""
+    problems still iterating have one slot each: a row of the (slots, D+1)
+    weight arrays, bias last, a _Slot and a segment of the stack."""
 
-    def __init__(self, problems, W, w0, cfg: SolverConfig):
-        self.problems, self.cfg = problems, cfg
-        self.slots = [_Slot(j, p.lam, v) for j, (p, v) in enumerate(zip(problems, w0))]
+    def __init__(self, problems, W, cfg: SolverConfig):
+        self.cfg = cfg
+        self.slots = [_Slot(j, p.lam) for j, p in enumerate(problems)]
         self.W, self.GW, self.best_W = W, np.zeros_like(W), W.copy()
         self.stack = _Stack(problems)
         self.stopped = []
@@ -307,8 +310,8 @@ class _Lockstep:
         self.stats = [None] * len(problems)
         self.errors = {}
 
-        f = self.stack.losses(W, w0)
-        l1 = np.add.reduce(np.abs(W), axis=1).tolist()
+        f = self.stack.losses(W)
+        l1 = np.add.reduce(np.abs(W[:, :-1]), axis=1).tolist()
         score = self.stack.scores()
         for s, sl in enumerate(self.slots):
             penalty = sl.lam * l1[s]
@@ -335,13 +338,12 @@ class _Lockstep:
             rungs = ladder[lo:lo + LADDER_CHUNK]
             k = len(rungs)
             steps = np.tile(rungs, len(live))
-            lam, w0, gw0, f = (np.repeat([getattr(self.slots[s], a) for s in live], k)
-                               for a in ("lam", "w0", "gw0", "f"))
+            lam, f = (np.repeat([getattr(self.slots[s], a) for s in live], k)
+                      for a in ("lam", "f"))
             W, GW = np.repeat(self.W[live], k, axis=0), np.repeat(self.GW[live], k, axis=0)
             DW = _prox_steps(W, GW, np.column_stack([steps, steps * lam]))[0]
             DW -= W
-            dw0 = (w0 - steps * gw0) - w0
-            quad = _bound(f, np.vecdot(GW, DW), gw0, dw0, np.vecdot(DW, DW), steps)
+            quad = _bound(f, np.vecdot(GW, DW), np.vecdot(DW, DW), steps)
             passes = (quad >= 0).reshape(len(live), k)
             first = np.where(passes.any(axis=1), passes.argmax(axis=1), k).tolist()
             for s, skip in zip(live, first):
@@ -360,30 +362,28 @@ class _Lockstep:
     def _round(self) -> None:
         cfg, slots, W, GW = self.cfg, self.slots, self.W, self.GW
         Wn, A = _prox_steps(W, GW, np.array([[sl.step, sl.step * sl.lam] for sl in slots]))
-        w0n = [sl.w0 - sl.step * sl.gw0 for sl in slots]
-        fn = self.stack.losses(Wn, w0n)
+        fn = self.stack.losses(Wn)
         DW = Wn - W
         gd, dd = np.vecdot(GW, DW).tolist(), np.vecdot(DW, DW).tolist()
 
         accepted, l1 = [], None
         for s, sl in enumerate(slots):
             sl.evals += 1
-            f_new, dw0 = fn[s], w0n[s] - sl.w0
-            quad = _bound(sl.f, gd[s], sl.gw0, dw0, dd[s], sl.step)
-            if not (math.isfinite(f_new) and f_new <= quad):
+            f_new = fn[s]
+            if not (math.isfinite(f_new) and f_new <= _bound(sl.f, gd[s], dd[s], sl.step)):
                 sl.step *= STEP_SHRINK
                 if sl.step < MIN_STEP:
                     self._finish(s, "linesearch")
                 continue
             if l1 is None:
-                l1 = np.add.reduce(A, axis=1).tolist()   # A == |Wn|
+                l1 = np.add.reduce(A, axis=1).tolist()   # A == |Wn[:, :-1]|
             penalty = sl.lam * l1[s]
             F_new = f_new + penalty
             if F_new > sl.F:   # the line search passed, but rounding nudged F up
                 self._finish(s, "rounding")
                 continue
             accepted.append((s, (sl.F - F_new) / max(abs(sl.F), 1.0), penalty))
-            sl.w0, sl.f, sl.F = w0n[s], f_new, F_new
+            sl.f, sl.F = f_new, F_new
             sl.accepted += 1
         if not accepted:
             return
@@ -402,8 +402,7 @@ class _Lockstep:
                 value = score[s] + penalty
                 if value < sl.best_score:
                     self.best_W[s] = Wn[s]
-                    sl.best_w0, sl.best_score, sl.best_at, sl.stale = \
-                        sl.w0, value, sl.accepted, 0
+                    sl.best_score, sl.best_at, sl.stale = value, sl.accepted, 0
                 else:
                     sl.stale += 1
                     if sl.stale >= patience:
@@ -422,24 +421,22 @@ class _Lockstep:
     def _gradients(self, grad) -> None:
         if not grad:
             return
-        gw0 = self.stack.gradients(grad, self.GW)
+        self.stack.gradients(grad, self.GW)
         # a sum is finite only if all its terms are, so one sum clears every
         # row unless it overflows
         finite = math.isfinite(np.add.reduce(self.GW, axis=None))
         for s in grad:
-            sl = self.slots[s]
-            sl.iters += 1
-            sl.gw0 = gw0[s]
-            if not (math.isfinite(sl.gw0) and (finite or np.isfinite(self.GW[s]).all())):
+            self.slots[s].iters += 1
+            if not (finite or np.isfinite(self.GW[s]).all()):
                 self._fail(s, "non-finite gradient: rescale the problem")
 
     def _finish(self, s: int, reason: str) -> None:
         sl = self.slots[s]
         if self.cfg.patience is None:
-            w, w0, at = self.W[s], sl.w0, sl.accepted
+            w, at = self.W[s], sl.accepted
         else:
-            w, w0, at = self.best_W[s], sl.best_w0, sl.best_at
-        self.models[sl.id] = LinearModel(w.copy(), w0)
+            w, at = self.best_W[s], sl.best_at
+        self.models[sl.id] = LinearModel(w[:-1].copy(), w[-1])
         self.stats[sl.id] = SolveStats(sl.iters, sl.evals, reason, at)
         self.stopped.append(s)
 
@@ -456,7 +453,7 @@ class _Lockstep:
             self.slots = [self.slots[s] for s in keep]
             self.W, self.GW, self.best_W = self.W[keep], self.GW[keep], self.best_W[keep]
             if keep:
-                self.stack.fill([self.problems[sl.id] for sl in self.slots])
+                self.stack.fill([sl.id for sl in self.slots])
         return bool(self.slots)
 
 
@@ -480,7 +477,7 @@ def solve_many(problems, inits, cfg: SolverConfig | None = None, stats: list | N
     if not problems:
         return []
     dim = problems[0].dim
-    W, w0 = np.zeros((len(problems), dim)), [0.0] * len(problems)
+    W = np.zeros((len(problems), dim + 1))   # rows [w, w0]
     for j, (problem, init) in enumerate(zip(problems, inits)):
         if problem.dim != dim:
             raise DataError(f"problem {j} has dimension {problem.dim}, the batch {dim}")
@@ -488,9 +485,9 @@ def solve_many(problems, inits, cfg: SolverConfig | None = None, stats: list | N
             w = np.asarray(init.w, dtype=float)
             if w.shape != (dim,):
                 raise DataError(f"init has {w.shape} weights, problem wants ({dim},)")
-            W[j], w0[j] = w, float(init.w0)
+            W[j, :-1], W[j, -1] = w, float(init.w0)
     with np.errstate(all="ignore"):
-        models, solve_stats, errors = _Lockstep(problems, W, w0, cfg).run()
+        models, solve_stats, errors = _Lockstep(problems, W, cfg).run()
     if errors:
         j = min(errors)
         raise NumericError(errors[j] if names is None else f"{names[j]}: {errors[j]}")

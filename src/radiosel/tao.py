@@ -7,8 +7,10 @@ stay valid: a node's reach set depends only on its ancestors, which are
 visited after it. The tree does not change between passes, so each pass
 boundary walks it once (reach_sets): the leaves' reach sets give the
 objective of the history, by objective's formula, and are where the next
-pass starts. A job walks its whole tree passes + 1 times and drops the sets
-when it stops.
+pass starts. A pass that changes no node is not walked: its tree, and so
+its objective, are those of the last walk, and training stops there. So a
+job walks its whole tree passes + 1 times if it stops at max_passes and
+passes times at a fixed point, and drops the sets when it stops.
 
 A decision node's care set (build_care_set) is its weighted binary problem:
 the reaching rows whose child subtrees disagree in loss. The weighted L1
@@ -279,16 +281,17 @@ class _Training:
 
     def end_pass(self) -> None:
         self.reach = self.levels = None
+        if not self.changed:   # the tree the last walk scored
+            self.history.append(self.history[-1])
+            self.stop_reason = "fixed_point"
+            return
         e_pass = self.walk()
         if e_pass > self.history[-1]:
             raise NumericError(f"objective increased across a pass: "
                                f"{self.history[-1]} -> {e_pass}")
         self.history.append(e_pass)
-        if not self.changed:
-            self.stop_reason = "fixed_point"
-        elif len(self.pass_stats) == self.cfg.max_passes:
+        if len(self.pass_stats) == self.cfg.max_passes:
             self.stop_reason = "max_passes"
-        if self.stop_reason is not None:
             self.reach = None
 
     def result(self) -> TaoResult:

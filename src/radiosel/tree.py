@@ -320,7 +320,10 @@ def from_json(text: str) -> ObliqueTree:
                                       typed(entry, "left", 0, f"node {nid}: left"),
                                       typed(entry, "right", 0, f"node {nid}: right"))
         elif kind == "leaf":
-            nodes[nid] = LeafNode(typed(entry, "label", 0, f"node {nid}: label"))
+            label = typed(entry, "label", 0, f"node {nid}: label")
+            if label not in (0, 1):
+                raise ModelFormatError(f"node {nid}: label must be 0 or 1, got {label}")
+            nodes[nid] = LeafNode(label)
         else:
             raise ModelFormatError(f"node {nid}: unknown kind {kind!r}")
     lam, scaler = doc.get("lambda"), doc.get("scaler")

@@ -8,13 +8,14 @@ import subprocess
 import sys
 import warnings
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import SIMD_CLASS, assert_pinned
-from radiosel import dataset, simulator, tao, tree
+from radiosel import dataset, metrics, simulator, tao, tree
 from radiosel.cli import _sha256, main
 from radiosel.dataset import Scaler
 from radiosel.export import ProgramInterpreter
@@ -119,14 +120,15 @@ class TestTrain:
     # solver stats left out) from the README's `simulate --seed 1` and
     # `train --depth 4 --seed 1`, recorded when each training ran alone;
     # per lambda, (solves, iterations, cap hits) as counted then by wrapping
-    # the solver's calls. The digests are pinned per SIMD class; the counts
-    # are the same in both.
+    # the solver's calls. The digests are pinned per SIMD class (and follow
+    # the BLAS kernels of the solver's products); the counts are the same
+    # in both.
     README_MODEL = {
-        "X86_V4": "1c01b5728ce1136e49275beb34aec2dc58d07c82c16e56b5b5ac794626ac6e32",
-        "no_X86_V4": "abac8fb94b1c100f465dd0174c39701dbff5cc1c25771efe928ae1898482ae66"}
+        "X86_V4": "951fe7125dda2af4062a3841258a5788319376b46c21617be59294c57b80e88d",
+        "no_X86_V4": "41e3a52f8a3c1c2cfb1e75d75d5ab16b0993468532ce6a47fa33809022524b04"}
     README_TRAINING = {
-        "X86_V4": "7e80832de6fb6fb45ba5cf006247e92e392b4bf04d3ce9834a08747454b2c098",
-        "no_X86_V4": "9aefa4bbb6d4bb8826c4ca8b541a5cd471622f1aadaed337316ee1453f31a5cf"}
+        "X86_V4": "34f229d6a350d503eb7411993df22d399bde1b7a0be3e3bc011f61c2518d77be",
+        "no_X86_V4": "bf8ff82625a7df3358fb7ab3fe2585a0782f6670b92961d5356e8d7f62a583d0"}
     README_SWEEP_STATS = [(51, 5853, 1), (55, 6274, 2), (57, 6438, 1), (69, 7752, 3),
                           (43, 4144, 0)]
     # the chosen model's training.pass_stats, loss evaluations included
@@ -749,6 +751,17 @@ def test_manifest_names_exactly_the_files_read_and_written(tmp_path, data_csv, m
     assert doc["outputs"] == {str(p): digest(p) for p in written}
 
 
+def test_manifest_stamps_the_blas_build(model_dir):
+    """The solver's products run in numpy's BLAS, so manifests name its
+    build next to the SIMD dispatch targets."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    doc = json.loads((model_dir / "manifest.json").read_text())
+    assert set(doc["numpy"]) == {"version", "simd_dispatch", "blas"}
+    assert doc["numpy"]["blas"] == {k: blas.get(k)
+                                    for k in ("name", "version", "openblas configuration")}
+    assert doc["numpy"]["blas"]["name"]
+
+
 def test_console_entry_point(tmp_path):
     rc = subprocess.run([sys.executable, "-m", "radiosel.cli", "--version"],
                         capture_output=True, text=True)
@@ -816,3 +829,54 @@ def test_bad_seed_is_a_usage_error(tmp_path, data_csv, model_dir, capsys, comman
     assert f"argument --seed: expected an integer >= 0, got '{seed}'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+class TestSeedOutcomes:
+    """The discrete outcomes of training at README seeds 2 and 3 and of the
+    10x fit at seed 1, pinned as recorded before the solver's products
+    moved to one design matrix per problem. They hold at both SIMD classes:
+    integers and strings exactly, floats within rel 1e-12, far tighter
+    than one row's weight in a CWA (about 1e-4) and looser than the
+    classes' last-bit differences in lambda."""
+
+    # seed -> (lambda, init, leaves, val CWA, test CWA,
+    #          (solves, iters, cap_hits) per lambda_sweep row)
+    README = {
+        2: (52.25544772550022, "random", 14, 96.1423182913338, 94.85385333074757,
+            [(44, 5073, 1), (47, 5493, 4), (48, 5692, 3), (46, 5491, 5), (35, 3172, 0)]),
+        3: (0.0, "cart", 8, 97.43992696396093, 96.3849547000611,
+            [(31, 3640, 3), (32, 3880, 3), (33, 4020, 3), (27, 3352, 2), (23, 2769, 1)]),
+    }
+    TEN_X = ("random", 16, 95.92457418231758, 95.54329892414995,
+             {"solves": 36, "iters": 4261, "loss_evals": 6207, "cap_hits": 4})
+
+    @pytest.mark.parametrize("seed", sorted(README))
+    def test_readme_seed(self, tmp_path, seed):
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--seed", str(seed), "--out-dir", str(sim)]) == 0
+        assert main(["train", "--data", str(sim / "dataset.csv"), "--depth", "4",
+                     "--seed", str(seed), "--out-dir", str(fit)]) == 0
+        doc = json.loads((fit / "manifest.json").read_text())
+        model = tree.load(fit / "model.json")
+        # train's val and test splits, scored as train scores them
+        ds = dataset.standardize(dataset.load_dataset(sim / "dataset.csv"))
+        _, val, test = dataset.split(ds, (0.6, 0.2, 0.2), seed=seed)
+        plain = ObliqueTree(model.nodes, model.root)
+        lam, init, leaves, val_cwa, test_cwa, sweep = self.README[seed]
+        assert doc["training"]["config"]["lambda"] == pytest.approx(lam, rel=1e-12)
+        assert (doc["training"]["init_used"], model.n_leaves()) == (init, leaves)
+        assert metrics.cwa(plain, val) == pytest.approx(val_cwa, rel=1e-12)
+        assert metrics.cwa(plain, test) == pytest.approx(test_cwa, rel=1e-12)
+        assert [(row["solves"], row["iters"], row["cap_hits"])
+                for row in doc["lambda_sweep"]] == sweep
+
+    def test_ten_x_fit_seed_1(self):
+        scenario = replace(simulator.ScenarioConfig(), n_packets=1200)
+        ds = dataset.standardize(dataset.label_traces(simulator.generate(scenario, seed=1)))
+        train_ds, val, test = dataset.split(ds, (0.6, 0.2, 0.2), seed=1)
+        result = tao.train(train_ds, tao.TaoConfig(depth=4, lam=0.01, seed=1), val=val)
+        init, leaves, val_cwa, test_cwa, stats = self.TEN_X
+        assert (result.init_used, result.tree.n_leaves()) == (init, leaves)
+        assert metrics.cwa(result.tree, val) == pytest.approx(val_cwa, rel=1e-12)
+        assert metrics.cwa(result.tree, test) == pytest.approx(test_cwa, rel=1e-12)
+        assert result.solver_stats == stats

@@ -1,7 +1,7 @@
 """Property-based tests of model files and of the emitted program.
 
 A model file mutated from a valid one either loads, saves and predicts, or
-raises ModelFormatError/DataError (exit 3 in the CLI), never another error.
+raises ModelFormatError (exit 3 in the CLI), never another error.
 The emitted program run by the reference interpreter makes the model's
 choice on every point on a hyperplane, with or without a scaler.
 """
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import boundary_adjacent_inputs, random_tree
 from radiosel.dataset import Scaler
-from radiosel.errors import DataError
+from radiosel.errors import ModelFormatError
 from radiosel.export import ProgramInterpreter, codegen
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, from_json, to_json
 
@@ -77,7 +77,7 @@ def test_mutated_model_loads_or_raises_format_error(text):
         width = t.dim if t.dim is not None else (t.scaler.mean.shape[0] if t.scaler else 4)
         X = np.random.default_rng(0).normal(0, 2, size=(20, width))
         assert t.predict_many(X).tolist() == [t.predict(x) for x in X]
-    except DataError:   # ModelFormatError is a DataError
+    except ModelFormatError:
         pass
 
 

@@ -12,25 +12,35 @@ from radiosel.solver import (LinearModel, SolverConfig, WeightedBinaryProblem,
                              soft_threshold, solve, weighted_01_loss)
 
 
+def design(problem):
+    """The problem's augmented design matrix Z^T = -y * [X, 1], column-major."""
+    ones = np.ones(problem.X.shape[0])
+    return np.asfortranarray(-problem.y[:, None] * np.column_stack([problem.X, ones]))
+
+
 def reference_terms(problem, model):
     """The solver's row kernel written out for one problem: with
-    negm = -margin and E = exp(-|negm|), the loss terms max(negm, 0) +
-    log1p(E) and the gradient factors sigma(negm) = (negm > 0 ? 1 : E) / (1 + E)."""
-    negm = -problem.y * (problem.X @ model.w + model.w0)
+    negm = Z^T [w, w0] = -margin and E = exp(-|negm|), the loss terms
+    max(negm, 0) + log1p(E) and the gradient factors
+    sigma(negm) = (negm > 0 ? 1 : E) / (1 + E)."""
+    negm = design(problem) @ np.append(model.w, model.w0)
     E = np.exp(-np.abs(negm))
     return np.maximum(negm, 0.0) + np.log1p(E), np.where(negm > 0, 1.0, E) / (1.0 + E)
 
 
+def reference_gradient(problem, model):
+    """Z (omega * sigma): the weight gradient, then the bias part."""
+    g = design(problem).T @ (problem.omega * reference_terms(problem, model)[1])
+    return g[:-1], float(g[-1])
+
+
 def reference_iterates(problem, init, cfg):
     """The proximal-gradient loop as first written (soft_threshold call,
-    LinearModel per iterate, np.sum wrappers). Yields the init and then each
-    accepted iterate; stops as solve does without a patience."""
+    LinearModel per iterate, np.sum wrappers), with the quadratic bound's
+    dot products taken over [w, w0]. Yields the init and then each accepted
+    iterate; stops as solve does without a patience."""
     def loss(model):
         return float(np.sum(problem.omega * reference_terms(problem, model)[0]))
-
-    def gradient(model):
-        coeff = -problem.omega * problem.y * reference_terms(problem, model)[1]
-        return problem.X.T @ coeff, float(np.sum(coeff))
 
     w = np.asarray(init.w, dtype=float).copy()
     cur = LinearModel(w, float(init.w0))
@@ -39,17 +49,16 @@ def reference_iterates(problem, init, cfg):
     yield cur
     step = solver.INIT_STEP
     for _ in range(cfg.max_iter):
-        gw, gw0 = gradient(cur)
+        gw, gw0 = reference_gradient(problem, cur)
+        g = np.append(gw, gw0)
         accepted = False
         while step >= solver.MIN_STEP:
             w_new = soft_threshold(cur.w - step * gw, step * problem.lam)
             w0_new = cur.w0 - step * gw0
             cand = LinearModel(w_new, w0_new)
             f_new = loss(cand)
-            dw = w_new - cur.w
-            dw0 = w0_new - cur.w0
-            quad = f_cur + float(gw @ dw) + gw0 * dw0 \
-                + (float(dw @ dw) + dw0 * dw0) / (2.0 * step)
+            d = np.append(w_new - cur.w, w0_new - cur.w0)
+            quad = f_cur + float(g @ d) + float(d @ d) / (2.0 * step)
             if np.isfinite(f_new) and f_new <= quad:
                 accepted = True
                 break
@@ -315,9 +324,10 @@ class TestMatchesReference(ReferenceFamilies):
 
     def test_loss_and_gradient_match_kernel_formulas(self, rng):
         """smooth_loss and smooth_gradient on a plain LinearModel equal the
-        kernel's formulas written out per problem (reference_terms), bit for
-        bit, margins of +-0 and overflowing ones included. One-point problems
-        too, so that a change to a single term cannot vanish in the sum."""
+        kernel's formulas written out per problem (reference_terms and
+        reference_gradient), bit for bit, margins of +-0 and overflowing ones
+        included. One-point problems too, so that a change to a single term
+        cannot vanish in the sum."""
         base = random_problem(rng, n=300)
         base.X[:40] = 0.0
         base.X[40:80] *= 1e3
@@ -326,14 +336,13 @@ class TestMatchesReference(ReferenceFamilies):
         for w0 in (0.0, 0.7):
             model = LinearModel(rng.normal(0, 1, 4), w0)
             for problem in problems:
-                terms, sig = reference_terms(problem, model)
-                loss = float(np.sum(problem.omega * terms))
-                coeff = -problem.omega * problem.y * sig
+                loss = float(np.sum(problem.omega * reference_terms(problem, model)[0]))
+                ref_w, ref_w0 = reference_gradient(problem, model)
                 gw, gw0 = smooth_gradient(problem, model)
                 assert np.float64(smooth_loss(problem, model)).tobytes() \
                     == np.float64(loss).tobytes()
-                assert gw.tobytes() == (problem.X.T @ coeff).tobytes()
-                assert np.float64(gw0).tobytes() == np.float64(np.sum(coeff)).tobytes()
+                assert gw.tobytes() == ref_w.tobytes()
+                assert np.float64(gw0).tobytes() == np.float64(ref_w0).tobytes()
 
     def test_separable_lambda_zero_hits_cap(self, rng):
         X = rng.normal(0, 1, size=(40, 4))
@@ -413,8 +422,8 @@ def reference_stats(problem, init, cfg):
             w0_new = w0 - step * gw0
             f_new = smooth_loss(problem, LinearModel(w_new, w0_new))
             evals += 1
-            dw, dw0 = w_new - w, w0_new - w0
-            quad = f + float(gw @ dw) + gw0 * dw0 + (float(dw @ dw) + dw0 * dw0) / (2.0 * step)
+            g, d = np.append(gw, gw0), np.append(w_new - w, w0_new - w0)
+            quad = f + float(g @ d) + float(d @ d) / (2.0 * step)
             if np.isfinite(f_new) and f_new <= quad:
                 break
             step *= solver.STEP_SHRINK
@@ -536,8 +545,9 @@ class TestSolveMany:
         """A batch whose problems stop for each of the five reasons."""
         pairs = []
         # drawn to stop on rounding and on tol; the first seed that stops on
-        # rounding follows the last bits of the SIMD class's exp
-        for seed in ({"X86_V4": 6, "no_X86_V4": 7}[SIMD_CLASS], 0):
+        # rounding follows the last bits of the SIMD class's exp and of the
+        # products with Z
+        for seed in ({"X86_V4": 18, "no_X86_V4": 39}[SIMD_CLASS], 0):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 30))
             problem = WeightedBinaryProblem(rng.normal(0, 2, (n, 4)),
@@ -575,17 +585,26 @@ class TestSolveMany:
         the bytes and stats it gets alone, and no RuntimeWarning escapes."""
         rng = np.random.default_rng(8)
         target = random_problem(rng, n=21, lam=0.01)
+        # BLAS fuses the multiply-adds of a row, so finite weights whose
+        # products overflow with both signs give an infinite margin, not
+        # NaN. Here the first candidate's first weight overflows instead:
+        # at the init only row 0 is not classified by a wide margin, its
+        # loss term and gradient carry a weight of 1.5e308, and
+        # w_0 - g_0 = 1.2e308 + 0.75e308 = inf, so the candidate's margins
+        # are inf, and NaN (0 * inf) on the rows with x_0 = 0
         X = rng.normal(0, 1, (13, 4))
-        X[:3] *= 1e154
-        X[3] = [1e300, -1e300, 1e300, -1e300]
-        wild = WeightedBinaryProblem(X, rng.choice([-1.0, 1.0], 13), rng.uniform(0.5, 2.0, 13),
-                                     0.01)
-        inits = [LinearModel(rng.normal(0, 1, 4), 0.3), LinearModel(rng.normal(0, 1e-300, 4), 0.0)]
+        X[0] = [-1.0, 0.0, 0.0, 0.0]
+        X[1:, 0] = rng.choice([0.0, 0.25, -0.5], 12)
+        y, omega = np.ones(13), rng.uniform(0.5, 2.0, 13)
+        y[0], omega[0] = -1.0, 1.5e308
+        wild = WeightedBinaryProblem(X, y, omega, 0.01)
+        inits = [LinearModel(rng.normal(0, 1, 4), 0.3),
+                 LinearModel(np.array([1.2e308, 0.0, 0.0, 0.0]), 1.2e308)]
         nan_margins = []
         losses = solver._Stack.losses
 
-        def spy(stack, W, w0):
-            out = losses(stack, W, w0)
+        def spy(stack, W):
+            out = losses(stack, W)
             nan_margins.append(bool(np.isnan(stack.negm).any()))
             return out
 
@@ -618,9 +637,9 @@ class TestSolveMany:
         evaluated = []
         losses = solver._Stack.losses
 
-        def spy(stack, W, w0):
+        def spy(stack, W):
             evaluated.append(len(W))
-            return losses(stack, W, w0)
+            return losses(stack, W)
 
         monkeypatch.setattr(solver._Stack, "losses", spy)
         stats = []

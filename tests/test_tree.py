@@ -217,6 +217,17 @@ class TestPersistence:
                                                                   3.0, 1, 2),
                                                   1: LeafNode(0), 2: LeafNode(1)}, 0))
 
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_leaf_label_out_of_range_is_a_format_error(self, label):
+        """A leaf label that is an integer but not 0 or 1 is a malformed
+        model file, named by its node, like every other bad field."""
+        text = json.dumps({"version": 1, "root": 0, "nodes": [
+            {"id": 0, "kind": "decision", "w": [1, 0, 0, 0], "w0": 0, "left": 1, "right": 3},
+            {"id": 1, "kind": "leaf", "label": 0}, {"id": 3, "kind": "leaf", "label": label}]})
+        with pytest.raises(ModelFormatError,
+                           match=f"^node 3: label must be 0 or 1, got {label}$"):
+            from_json(text)
+
     def test_ids_stable(self, tmp_path, rng):
         t = random_tree(rng, depth=2)
         path = tmp_path / "m.json"
