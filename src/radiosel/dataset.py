@@ -531,8 +531,8 @@ def class_permutations(y: np.ndarray, seed: int) -> tuple:
 def split(ds: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> tuple:
     """Deterministic stratified split into len(fractions) disjoint parts."""
     fractions = tuple(float(f) for f in fractions)
-    if any(f <= 0 for f in fractions):
-        raise DataError("fractions must be positive")
+    if not all(math.isfinite(f) and f > 0 for f in fractions):
+        raise DataError(f"fractions must be finite and positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError(f"fractions must sum to 1, got {sum(fractions)}")
     part_idx: list[list[int]] = [[] for _ in fractions]

@@ -25,19 +25,23 @@ take the cost-weighted majority label. Both accept tests use one rule
 upward. Training stops at a fixed point (a pass that changes no node) or
 after max_passes.
 
-Lockstep: optimize_trees advances independent trainings (jobs) together,
-pass by pass and, within a pass, level by level (each job's deepest level
-first). At each level step a leaf takes its new label when visited, and the
-decision nodes of every job that need a solve share one solver.solve_many
-call, after which each proposal goes through optimize_decision_node and is
-applied if it passes. Because the level's updates are independent, their
-order changes no byte, and because solve_many is batch invariant, each
-job's tree, history and stats are those it gets alone: optimize_tree is the
-one-job case, train runs best_of_both's two inits together, and train_grid
-trains any list of (dataset, config) runs in one call: radiosel train's
-lambda grid on one split, or eval --kfold's k training splits at the
-model's lambda and depth. The care sets of a level are dropped after its
-accept tests.
+Lockstep: each training (job) is one generator, _train, that runs its
+passes in algorithm order; per level, deepest first, it yields its decision
+nodes' solver requests and is sent their candidates for the accept tests.
+optimize_trees advances the jobs pass by pass and, within a pass, level
+step by level step (the k-th step is each job's k-th deepest level), and
+serves each step's requests, in job order, with one solver.solve_many call.
+A job whose levels are done waits at the pass's barrier (it yields None)
+until every job has finished the pass, so each call holds one level step of
+one pass whatever the jobs' depths: the batches, and so the solver's
+rounds, follow from the pass and the level alone. Because a level's updates
+are independent, their order changes no byte, and because solve_many is
+batch invariant, each job's tree, history and stats are those it gets
+alone: optimize_tree is the one-job case, train runs best_of_both's two
+inits together, and train_grid trains any list of (dataset, config) runs in
+one call: radiosel train's lambda grid on one split, or eval --kfold's k
+training splits at the model's lambda and depth. A job keeps a level's
+care sets until it builds the next level's.
 
 Solve reuse: within one job each decision node remembers the solver inputs
 of its last rejected proposal: a SHA-256 digest of the bytes of the care
@@ -222,84 +226,6 @@ def optimize_leaf(t: ObliqueTree, nid: int, reach_idx: np.ndarray, ds: Dataset):
     return None
 
 
-class _Training:
-    """The state of one job in optimize_trees."""
-
-    def __init__(self, job: TaoJob):
-        self.job, self.cfg, self.ds = job, job.cfg, job.ds
-        self.tree = job.tree.copy()
-        self.history = [self.walk()]
-        self.rejected = {}   # decision node id -> solver inputs of its last rejection
-        self.pass_stats = []
-        self.stop_reason = None
-
-    def begin_pass(self) -> None:
-        self.pass_stats.append(dict.fromkeys(STAT_KEYS, 0))
-        self.changed = False
-        self.e_debug = self.history[-1]
-        depths = self.tree.node_depths()
-        levels = {}   # depth -> node ids, deepest level first
-        for nid in sorted(depths, key=lambda n: (-depths[n], n)):
-            levels.setdefault(depths[nid], []).append(nid)
-        self.levels = list(levels.items())
-
-    def walk(self) -> float:
-        """The pass boundary's one walk of the whole tree: keeps the leaves'
-        reach sets, which the next pass starts from, and returns the
-        objective their labels give."""
-        pred = np.empty(self.ds.n, dtype=int)
-        self.reach = {}
-        for nid, idx in self.tree.reach_sets(self.ds.X).items():
-            node = self.tree.nodes[nid]
-            if isinstance(node, LeafNode):
-                self.reach[nid] = idx
-                pred[idx] = node.label
-        return _objective(self.tree, self.ds, self.cfg.lam, pred)
-
-    def take_reach(self, nid: int) -> np.ndarray:
-        """The reach set of a decision node: the sorted union of its
-        children's, which partition it and are dropped. So a job holds each
-        row index once, not once per level, while other jobs run."""
-        node = self.tree.nodes[nid]
-        both = (self.reach.pop(node.left), self.reach.pop(node.right))
-        self.reach[nid] = np.sort(np.concatenate(both))
-        return self.reach[nid]
-
-    def where(self, depth: int, nid: int) -> str:
-        at = (f"lambda {self.cfg.lam:g}, init {self.job.init}, pass {len(self.pass_stats)}, "
-              f"level {depth}, node {nid}")
-        return f"{self.job.label}, {at}" if self.job.label else at
-
-    def update(self, nid: int) -> None:
-        self.changed = True
-        if self.cfg.debug_checks:
-            e_now = objective(self.tree, self.ds, self.cfg.lam)
-            if e_now > self.e_debug:
-                raise NumericError(f"objective increased after updating node {nid}: "
-                                   f"{self.e_debug} -> {e_now}")
-            self.e_debug = e_now
-
-    def end_pass(self) -> None:
-        self.reach = self.levels = None
-        if not self.changed:   # the tree the last walk scored
-            self.history.append(self.history[-1])
-            self.stop_reason = "fixed_point"
-            return
-        e_pass = self.walk()
-        if e_pass > self.history[-1]:
-            raise NumericError(f"objective increased across a pass: "
-                               f"{self.history[-1]} -> {e_pass}")
-        self.history.append(e_pass)
-        if len(self.pass_stats) == self.cfg.max_passes:
-            self.stop_reason = "max_passes"
-            self.reach = None
-
-    def result(self) -> TaoResult:
-        totals = {k: sum(p[k] for p in self.pass_stats) for k in STAT_KEYS}
-        return TaoResult(treemod.prune(self.tree), self.history, self.job.init,
-                         self.stop_reason, len(self.pass_stats), self.pass_stats, totals)
-
-
 def _reuse_key(problem: solver.WeightedBinaryProblem, node: DecisionNode) -> bytes:
     """SHA-256 of the bytes of a node's solver inputs (see the module doc)."""
     digest = hashlib.sha256()
@@ -308,64 +234,128 @@ def _reuse_key(problem: solver.WeightedBinaryProblem, node: DecisionNode) -> byt
     return digest.digest()
 
 
-def _optimize_level(trainings, step: int) -> None:
-    """Visit the step-th deepest level of each training: leaves update when
-    visited, then one solve_many serves the decision nodes that need a solve."""
-    solves = []   # (training, node id, level, problem, reuse key)
-    for tr in trainings:
-        depth, nids = tr.levels[step]
-        for nid in nids:
-            node = tr.tree.nodes[nid]
-            if isinstance(node, LeafNode):
-                label = optimize_leaf(tr.tree, nid, tr.reach[nid], tr.ds)
-                if label is not None:
-                    node.label = label
-                    tr.update(nid)
-                continue
-            problem = build_care_set(tr.tree, nid, tr.take_reach(nid), tr.ds, tr.cfg.lam)
-            if problem is None:
-                tr.rejected.pop(nid, None)
-                continue
-            key = _reuse_key(problem, node)
-            if tr.rejected.get(nid) != key:
-                solves.append((tr, nid, depth, problem, key))
-    stats = []
-    candidates = solver.solve_many(
-        [problem for _, _, _, problem, _ in solves],
-        [solver.LinearModel(tr.tree.nodes[nid].w, tr.tree.nodes[nid].w0)
-         for tr, nid, _, _, _ in solves],
-        SOLVER_CFG, stats, [tr.where(depth, nid) for tr, nid, depth, _, _ in solves])
-    for (tr, nid, _, problem, key), candidate, st in zip(solves, candidates, stats):
-        counts = tr.pass_stats[-1]
-        counts["solves"] += 1
-        counts["iters"] += st.iters
-        counts["loss_evals"] += st.loss_evals
-        counts["cap_hits"] += st.exit == "cap"
-        accepted = optimize_decision_node(tr.tree, nid, problem, candidate)
-        if accepted is None:
-            tr.rejected[nid] = key
-            continue
-        tr.tree.nodes[nid].w, tr.tree.nodes[nid].w0 = accepted
-        tr.update(nid)
+def _walk(t: ObliqueTree, ds: Dataset, lam: float):
+    """The pass boundary's one walk of the whole tree: the leaves' reach
+    sets, which the pass starts from, and the objective their labels give."""
+    pred, reach = np.empty(ds.n, dtype=int), {}
+    for nid, idx in t.reach_sets(ds.X).items():
+        if isinstance(t.nodes[nid], LeafNode):
+            reach[nid] = idx
+            pred[idx] = t.nodes[nid].label
+    return reach, _objective(t, ds, lam, pred)
+
+
+def _train(job: TaoJob):
+    """One job's passes in algorithm order, as a generator that returns its
+    TaoResult. For each level, deepest first, it yields the level's solver
+    requests (node id, problem, reuse key, init, error name) and is sent
+    one (candidate, SolveStats) per request; at the end of each pass it
+    yields None (the barrier of the module doc)."""
+    cfg, ds, t = job.cfg, job.ds, job.tree.copy()
+    depths = t.node_depths()
+    levels = {}   # depth -> node ids, deepest level first; the topology is fixed
+    for nid in sorted(depths, key=lambda n: (-depths[n], n)):
+        levels.setdefault(depths[nid], []).append(nid)
+    history, pass_stats, rejected = [], [], {}   # rejected: node id -> its last reuse key
+    prefix = f"{job.label}, " if job.label else ""
+
+    def update(nid: int) -> None:
+        nonlocal changed, e_debug
+        changed = True
+        if cfg.debug_checks:
+            e_now = objective(t, ds, cfg.lam)
+            if e_now > e_debug:
+                raise NumericError(f"objective increased after updating node {nid}: "
+                                   f"{e_debug} -> {e_now}")
+            e_debug = e_now
+
+    while True:
+        reach, e_pass = _walk(t, ds, cfg.lam)
+        if history and e_pass > history[-1]:
+            raise NumericError(f"objective increased across a pass: {history[-1]} -> {e_pass}")
+        history.append(e_pass)
+        if len(pass_stats) == cfg.max_passes:
+            stop_reason = "max_passes"
+            break
+        counts = dict.fromkeys(STAT_KEYS, 0)
+        pass_stats.append(counts)
+        changed, e_debug = False, e_pass
+        for depth, nids in levels.items():
+            requests = []
+            for nid in nids:
+                node = t.nodes[nid]
+                if isinstance(node, LeafNode):
+                    label = optimize_leaf(t, nid, reach[nid], ds)
+                    if label is not None:
+                        node.label = label
+                        update(nid)
+                    continue
+                # a decision node's reach set is the sorted union of its
+                # children's, which partition it and are dropped: a job holds
+                # each row index once, not once per level
+                reach[nid] = np.sort(np.concatenate((reach.pop(node.left), reach.pop(node.right))))
+                problem = build_care_set(t, nid, reach[nid], ds, cfg.lam)
+                if problem is None:
+                    rejected.pop(nid, None)
+                    continue
+                key = _reuse_key(problem, node)
+                if rejected.get(nid) != key:
+                    requests.append((nid, problem, key, solver.LinearModel(node.w, node.w0),
+                                     f"{prefix}lambda {cfg.lam:g}, init {job.init}, "
+                                     f"pass {len(pass_stats)}, level {depth}, node {nid}"))
+            for (nid, problem, key, _, _), (candidate, st) in zip(requests, (yield requests)):
+                counts["solves"] += 1
+                counts["iters"] += st.iters
+                counts["loss_evals"] += st.loss_evals
+                counts["cap_hits"] += st.exit == "cap"
+                accepted = optimize_decision_node(t, nid, problem, candidate)
+                if accepted is None:
+                    rejected[nid] = key
+                    continue
+                t.nodes[nid].w, t.nodes[nid].w0 = accepted
+                update(nid)
+        yield None
+        if not changed:   # the tree the last walk scored
+            history.append(history[-1])
+            stop_reason = "fixed_point"
+            break
+    totals = {k: sum(p[k] for p in pass_stats) for k in STAT_KEYS}
+    return TaoResult(treemod.prune(t), history, job.init, stop_reason, len(pass_stats),
+                     pass_stats, totals)
 
 
 def optimize_trees(jobs) -> list:
     """Run alternating passes for independent jobs in lockstep, one
     TaoResult per job, each as optimize_tree gives it alone (see the module
     doc). The jobs share one feature dimension."""
-    trainings = [_Training(job) for job in jobs]
-    if len({tr.ds.dim for tr in trainings}) > 1:
+    jobs = list(jobs)
+    if len({job.ds.dim for job in jobs}) > 1:
         raise DataError("optimize_trees jobs must share one feature dimension")
-    active = trainings
-    while active:
-        for tr in active:
-            tr.begin_pass()
-        for step in range(max(len(tr.levels) for tr in active)):
-            _optimize_level([tr for tr in active if step < len(tr.levels)], step)
-        for tr in active:
-            tr.end_pass()
-        active = [tr for tr in active if tr.stop_reason is None]
-    return [tr.result() for tr in trainings]
+    results = [None] * len(jobs)
+    live = {i: _train(job) for i, job in enumerate(jobs)}
+    while live:   # one pass: each live job stops or steps up to its barrier
+        replies = dict.fromkeys(live)   # job -> what it is sent at this level step
+        while replies:
+            asked, stepping = [], {}
+            for i, reply in replies.items():
+                try:
+                    requests = live[i].send(reply)
+                except StopIteration as stop:
+                    results[i] = stop.value
+                    del live[i]
+                    continue
+                if requests is not None:   # None: the job waits at the barrier
+                    stepping[i] = []
+                    asked += [(i, problem, init, name) for _, problem, _, init, name in requests]
+            if asked:
+                stats = []
+                candidates = solver.solve_many([problem for _, problem, _, _ in asked],
+                                               [init for _, _, init, _ in asked], SOLVER_CFG,
+                                               stats, [name for _, _, _, name in asked])
+                for (i, _, _, _), candidate, st in zip(asked, candidates, stats):
+                    stepping[i].append((candidate, st))
+            replies = stepping
+    return results
 
 
 def optimize_tree(t: ObliqueTree, ds: Dataset, cfg: TaoConfig) -> TaoResult:

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 import tracemalloc
 import warnings
@@ -268,6 +269,9 @@ class TestSplit:
         ds = random_ds(rng)
         with pytest.raises(DataError, match="sum to 1"):
             split(ds, (0.6, 0.2, 0.1), seed=0)
+        for fractions in ((math.nan, 1.0), (1.5, -0.5), (0.0, 1.0), (math.inf, 1.0)):
+            with pytest.raises(DataError, match="finite and positive"):
+                split(ds, fractions, seed=0)
 
     def test_disjoint_union(self, rng):
         ds = random_ds(rng, 83)

@@ -581,31 +581,28 @@ class TestSolveMany:
         """numpy's SIMD exp and log1p loops treat full lanes and the tail
         apart, so one problem is put at each stack offset mod 8, behind a
         pad and another problem, and either last in the stack or before a
-        problem whose candidates overflow to inf and NaN margins. Each gets
-        the bytes and stats it gets alone, and no RuntimeWarning escapes."""
+        problem whose candidates have infinite margins. Each gets the bytes
+        and stats it gets alone, and no RuntimeWarning escapes."""
         rng = np.random.default_rng(8)
         target = random_problem(rng, n=21, lam=0.01)
-        # BLAS fuses the multiply-adds of a row, so finite weights whose
-        # products overflow with both signs give an infinite margin, not
-        # NaN. Here the first candidate's first weight overflows instead:
-        # at the init only row 0 is not classified by a wide margin, its
-        # loss term and gradient carry a weight of 1.5e308, and
-        # w_0 - g_0 = 1.2e308 + 0.75e308 = inf, so the candidate's margins
-        # are inf, and NaN (0 * inf) on the rows with x_0 = 0
+        # The init classifies row 0 by a margin of 1.7e308, so that row adds
+        # nothing to the loss or the gradient, and every other row pulls w_0
+        # up: the first candidate the first-step ladder keeps, and most after
+        # it, have w_0 > 1.06, so their margin on row 0 overflows to inf, and
+        # the row's loss term is 0
         X = rng.normal(0, 1, (13, 4))
-        X[0] = [-1.0, 0.0, 0.0, 0.0]
-        X[1:, 0] = rng.choice([0.0, 0.25, -0.5], 12)
-        y, omega = np.ones(13), rng.uniform(0.5, 2.0, 13)
-        y[0], omega[0] = -1.0, 1.5e308
-        wild = WeightedBinaryProblem(X, y, omega, 0.01)
+        X[0] = [1.7e308, 0.0, 0.0, 0.0]
+        X[1:, 0] = np.abs(X[1:, 0])
+        wild = WeightedBinaryProblem(X, np.ones(13), rng.uniform(0.5, 2.0, 13), 0.01)
         inits = [LinearModel(rng.normal(0, 1, 4), 0.3),
-                 LinearModel(np.array([1.2e308, 0.0, 0.0, 0.0]), 1.2e308)]
-        nan_margins = []
+                 LinearModel(np.array([1.0, 0.0, 0.0, 0.0]), -1.0)]
+        infinite_margins = []
         losses = solver._Stack.losses
 
         def spy(stack, W):
             out = losses(stack, W)
-            nan_margins.append(bool(np.isnan(stack.negm).any()))
+            if len(W) > 1:   # a batch, not a one-problem call of the references
+                infinite_margins.append(bool(np.isinf(stack.negm).any()))
             return out
 
         monkeypatch.setattr(solver._Stack, "losses", spy)
@@ -617,7 +614,7 @@ class TestSolveMany:
                     self.assert_batch_matches(problems, [LinearModel(np.zeros(4), 0.0),
                                                          *inits][:len(problems)],
                                               tao.SOLVER_CFG)
-        assert any(nan_margins)
+        assert any(infinite_margins)
 
     @pytest.mark.parametrize("cfg", CFGS, ids=["tao", "short_patience", "short_minimizer"])
     def test_first_steps_the_bound_rejects_are_not_evaluated(self, cfg, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -529,6 +530,37 @@ class TestOptimizeTrees:
                                         for k in tao.STAT_KEYS}
             warm = optimize_tree(job.tree, job.ds, job.cfg)
             assert to_json(warm.tree) == to_json(res.tree) and warm.init_used == "warm"
+
+    def test_each_solve_many_call_is_one_level_step(self, rng, monkeypatch):
+        """Every solve_many call of optimize_trees holds the solves of one
+        pass and one level step (a tree's depth minus the node's level), in
+        job order, and each step has at most one call: a job whose levels
+        are done waits for the others before its next pass."""
+        jobs = [job._replace(label=f"job {i}") for i, job in enumerate(self._jobs(rng))]
+        depths = [max(job.tree.node_depths().values()) for job in jobs]
+        calls = []
+        real_solve_many = solver.solve_many
+
+        def spy(problems, inits, cfg=None, stats=None, names=None):
+            if names:
+                calls.append([tuple(map(int, re.match(
+                    r"job (\d+), .*, pass (\d+), level (\d+), node (\d+)$", name).groups()))
+                    for name in names])
+            return real_solve_many(problems, inits, cfg, stats, names)
+
+        monkeypatch.setattr(solver, "solve_many", spy)
+        results = tao.optimize_trees(jobs)
+        assert sum(len(call) for call in calls) == sum(r.solver_stats["solves"] for r in results)
+        steps = []
+        for call in calls:
+            in_call = {(p, depths[job] - level) for job, p, level, _ in call}
+            assert len(in_call) == 1
+            assert call == sorted(call)   # job order, then node order within a job
+            steps += in_call
+        assert steps == sorted(set(steps))
+        # calls that mix depths, over several passes: where waiting matters
+        assert any(len({depths[job] for job, *_ in call}) > 1 for call in calls)
+        assert len({p for p, _ in steps}) > 1
 
     @staticmethod
     def _assert_train_grid_matches_train(runs, val=None):
