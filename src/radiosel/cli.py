@@ -270,13 +270,13 @@ def cmd_simulate(args, run: _Run) -> int:
     else:
         traces = simulator.generate(_scenario(args, run), seed=args.seed)
     selectors = _selectors(args, run)   # a bad --model leaves no outputs
-    run.output("trace.csv", lambda path: dataset.save_traces(traces, path))
+    results = [simulator.replay(traces, selector) for selector in selectors]   # nor a bad trace
     ds = dataset.label_traces(traces)
+    run.output("trace.csv", lambda path: dataset.save_traces(traces, path))
     run.output("dataset.csv", lambda path: dataset.save_dataset(ds, path))
 
     cdf_rows, replay_rows = [], []
-    for selector in selectors:
-        result = simulator.replay(traces, selector)
+    for result in results:
         for pct, tp in result.cdf:
             cdf_rows.append([result.selector, pct, f"{tp:.17g}"])
         replay_rows.append([result.selector,

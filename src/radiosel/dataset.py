@@ -13,6 +13,16 @@ split on its commas; from the first block holding any other line (quoted
 cells, CRLF line ends, blank lines, a wrong width) to the end of the file,
 csv.reader reads the records. The writers' files are plain unless a node id
 needs quoting.
+
+The writers check their records against the readers' rules before they
+create the file, and write each number as the text of '%.17g' % x,
+an exact float round trip. A block of rows is laid out as a matrix of
+8-byte words, one slot of whole words per cell, each slot the cell's text
+and its ',' padded with the blank byte 0xFF. _format_numbers fills a
+block's number slots in one numpy pass, without bignums (see _significand),
+for 1e-4 <= |x| < 2**49, and with '%.17g' itself for any other x. UTF-8
+text never holds the byte 0xFF, so node ids pass through, and one
+bytes.translate that deletes it joins the block into its lines.
 """
 
 from __future__ import annotations
@@ -36,9 +46,6 @@ DATASET_HEADER = ("hn", "rssi", "prr", "rnp", "label", "cost")
 TRACE_HEADER = ("node_id", "t", "tp_zigbee", "tp_lora", "hn", "rssi", "prr", "rnp")
 TRACE_COLUMNS = TRACE_HEADER[1:]
 
-# CSV rows at 17 significant digits: an exact float round trip
-_DATASET_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%.17g\n"
-_TRACE_ROW = "%s" + ",%.17g" * len(TRACE_COLUMNS) + "\n"
 _LABEL_CODES = {"zigbee": 0, "lora": 1}
 _UNKNOWN_LABEL = "unknown radio label {!r} (expected 'zigbee' or 'lora')"
 # Records per block that the CSV readers parse and the writers format at a
@@ -228,6 +235,29 @@ def _feature_rules(hn, rssi, prr, rnp) -> list:
             (rnp < 1, lambda i, j: f"row {i}: rnp must be >= 1, got {float(rnp[j])}")]
 
 
+def _trace_rules(t, tpz, tpl, features, parse_times=(), parse_features=()) -> list:
+    """The rules of a trace record, in the order a row is checked, with the
+    reader's parse rules of the time and feature columns in their place."""
+    return [*parse_times,
+            (~(np.isfinite(tpz) & np.isfinite(tpl)) | (tpz < 0) | (tpl < 0),
+             lambda i, j: f"row {i}: throughputs must be finite and >= 0"),
+            *parse_features, *_feature_rules(*features),
+            (~np.isfinite(t), lambda i, j: f"row {i}: t must be finite, got {float(t[j])}")]
+
+
+def _order_error(names, node, t, error) -> tuple[int, str] | None:
+    """The first of error and the first row whose t is below its node's
+    previous row's t; on one row, the row's own checks win."""
+    order = np.argsort(node, kind="stable")
+    prev, cur = order[:-1], order[1:]
+    decreases = cur[(node[cur] == node[prev]) & (t[cur] < t[prev])]
+    if decreases.size:
+        i = int(decreases.min())
+        if error is None or i < error[0]:
+            error = i, f"row {i}: t decreases for node {names[node[i]]}"
+    return error
+
+
 def _first_error(rules, start: int = 0) -> tuple[int, str] | None:
     """(row, message) of the first row that fails one of the rules, with
     the message of the first rule it fails, or None if every row passes.
@@ -397,15 +427,18 @@ def save_dataset(ds: Dataset, path) -> None:
     error = _first_error(_feature_rules(*ds.X.T))
     if error is not None:
         raise DataError(error[1])
-    path = Path(path)
-    label_names = np.array(["zigbee", "lora"], dtype=object)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(DATASET_HEADER) + "\n")
+    labels = _text_words(["zigbee", "lora"])
+    features = len(FEATURE_NAMES) * _SLOT_WORDS
+    with Path(path).open("wb") as fh:
+        fh.write(",".join(DATASET_HEADER).encode() + b"\n")
         for lo in range(0, ds.n, CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
-            fh.writelines(map(_DATASET_ROW.__mod__,
-                              zip(*ds.X[rows].T.tolist(), label_names[ds.y[rows]].tolist(),
-                                  ds.c[rows].tolist())))
+            y = ds.y[rows]
+            block = _line_block(y.size, features + labels.shape[1] + _SLOT_WORDS)
+            _format_numbers(ds.X[rows], block[:, :features].reshape(y.size, -1, _SLOT_WORDS))
+            block[:, features:-_SLOT_WORDS] = labels[y]
+            _format_numbers(ds.c[rows, None], block[:, None, -_SLOT_WORDS:])
+            _write_lines(fh, block)
 
 
 def load_traces(path) -> Trace:
@@ -427,13 +460,8 @@ def load_traces(path) -> Trace:
                            count=len(node_cells))
         (t, tpz, tpl), parse_times = _parse_columns(TRACE_COLUMNS[:3], cells[:3])
         features, parse_features = _parse_columns(FEATURE_NAMES, cells[3:])
-        error = _first_error([
-            *parse_times,
-            (~(np.isfinite(tpz) & np.isfinite(tpl)) | (tpz < 0) | (tpl < 0),
-             lambda i, j: f"row {i}: throughputs must be finite and >= 0"),
-            *parse_features, *_feature_rules(*features),
-            (~np.isfinite(t), lambda i, j: f"row {i}: t must be finite, got {float(t[j])}")],
-            start)
+        error = _first_error(_trace_rules(t, tpz, tpl, features, parse_times, parse_features),
+                             start)
         blocks.append((node, t, tpz, tpl, *features))
         start += len(node_cells)
         del node_cells, cells   # before the next block is read
@@ -441,14 +469,7 @@ def load_traces(path) -> Trace:
         raise DataError(f"{path}: empty trace file")
     blocks = [list(parts) for parts in zip(*blocks)]   # by column, each dropped once joined
     node, t, *columns = (np.concatenate(blocks.pop(0)) for _ in TRACE_HEADER)
-    # a row is out of order when its t is below the node's previous row's t
-    order = np.argsort(node, kind="stable")
-    prev, cur = order[:-1], order[1:]
-    decreases = cur[(node[cur] == node[prev]) & (t[cur] < t[prev])]
-    if decreases.size:
-        i = int(decreases.min())
-        if error is None or i < error[0]:   # on one row, the row's own checks win
-            error = i, f"row {i}: t decreases for node {list(names)[node[i]]}"
+    error = _order_error(list(names), node, t, error)
     if error is not None:
         raise DataError(error[1])
     return Trace(tuple(names), node, t, *columns)
@@ -462,21 +483,161 @@ def csv_cell(text: str) -> str:
 
 def save_traces(traces: Trace, path) -> None:
     """Write a trace as CSV, one block of rows at a time, node ids quoted
-    by csv_cell. A node id with leading or trailing whitespace, which
-    load_traces would strip, is rejected, and no file is created then."""
+    by csv_cell. A trace that load_traces would reject is rejected with its
+    message, and so is a node id with leading or trailing whitespace, which
+    load_traces would strip; no file is created then."""
     for s in traces.names:
         if s != s.strip():
             raise DataError(f"node id {s!r} has leading or trailing whitespace, "
                             f"which the trace reader strips")
-    path = Path(path)
-    names = np.array([csv_cell(s) for s in traces.names], dtype=object)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
+    features = (traces.hn, traces.rssi, traces.prr, traces.rnp)
+    error = _first_error(_trace_rules(traces.t, traces.tp_zigbee, traces.tp_lora, features))
+    ids, codes = np.unique(np.array(traces.names, dtype=object), return_inverse=True)
+    error = _order_error(ids, codes[traces.node], traces.t, error)   # by name, as read
+    if error is not None:
+        raise DataError(error[1])
+    names = _text_words([csv_cell(s) for s in traces.names])
+    lead = names.shape[1]
+    with Path(path).open("wb") as fh:
+        fh.write(",".join(TRACE_HEADER).encode() + b"\n")
         for lo in range(0, len(traces), CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
-            fh.writelines(map(_TRACE_ROW.__mod__,
-                              zip(names[traces.node[rows]].tolist(),
-                                  *(getattr(traces, c)[rows].tolist() for c in TRACE_COLUMNS))))
+            node = traces.node[rows]
+            block = _line_block(node.size, lead + len(TRACE_COLUMNS) * _SLOT_WORDS)
+            block[:, :lead] = names[node]
+            _format_numbers(np.column_stack([getattr(traces, c)[rows] for c in TRACE_COLUMNS]),
+                            block[:, lead:].reshape(node.size, -1, _SLOT_WORDS))
+            _write_lines(fh, block)
+
+
+# ---------- CSV number text ----------
+_WORD = np.dtype("<u8")   # byte i of a slot word is its bits 8i to 8i + 7
+_BLANK = b"\xff"
+_SLOT_WORDS = 5   # of a number slot: see _number_tables
+
+
+def _number_tables() -> tuple:
+    """The tables of _format_numbers. A number slot is 40 bytes: the sign,
+    "0.000", digit 0 of N, then the point slot after each digit i = 0-15
+    and digit i + 1; the last point slot holds the ','.
+
+    _PAIRS[g]: the 4 digits of g, each followed by a point.
+    _LAST[i, g]: of the digits 4i + 1 to 4i + 4 of N, if they are the digits
+    of g, the last nonzero one, or 0.
+    _SLOTS[:, 17 * (k + 4) + last]: for k = floor(log10 |v|) in [-4, 14] and
+    the last nonzero digit of N, the slot's first word, sign and digit 0
+    blank, then 4 masks or-ed onto _PAIRS that blank the digits after
+    max(k, last) and every point slot but the point's."""
+    digits = (np.arange(10_000, dtype=np.uint16)[:, None]
+              // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8)
+    pairs = np.full((10_000, 8), ord("."), np.uint8)
+    pairs[:, ::2] = digits + ord("0")
+    last = np.max(np.where(digits > 0, np.arange(1, 5, dtype=np.uint8), 0), axis=1)
+    last = np.where(last > 0, last + 4 * np.arange(4, dtype=np.uint8)[:, None], 0)
+    k, last_digit, at = np.ogrid[-4:15, :17, :40]   # at: a byte of the slot
+    digit = (at - 6) // 2   # at an even byte from 6, or its point slot at the odd byte after
+    shown = np.where(at < 6, (at == 0) | (k < 0) & (at <= 1 - k),
+                     np.where(at % 2 == 0, digit <= np.maximum(k, last_digit),
+                              (digit == k) & (last_digit > k)))
+    slots = np.where(shown, np.frombuffer(b"\xff0.000\xff." + bytes(32), np.uint8), 0xFF)
+    slots = slots.astype(np.uint8).reshape(-1, 40).view(_WORD)
+    return pairs.view(_WORD).ravel(), last, np.ascontiguousarray(slots.T)
+
+
+_PAIRS, _LAST, _SLOTS = _number_tables()
+_POW5 = 5 ** np.arange(22, dtype=np.uint64)
+_POW10 = np.array([float(10 ** q) for q in range(22)])   # exact
+
+
+def _significand(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """N = a * 10**(16 - k) rounded half to even, exactly, for a in
+    [1e-4, 2**49) and k within one of floor(log10(a)).
+
+    With a = m * 2**(e - 53), m its 53-bit significand, the product is
+    m * 5**q / 2**r for q = 16 - k and r = 37 - e + k, a shift in (0, 64).
+    The float estimate rint(a * 10**q) is a few units off at most, so the
+    remainder m * 5**q - estimate * 2**r, which wraps in uint64, is exact
+    as an int64: its magnitude stays far below 2**63."""
+    m, e = np.frexp(a)
+    q = 16 - k
+    n = np.rint(a * _POW10.take(q)).astype(np.uint64)
+    r = (37 - e + k).view(np.uint64)
+    del e
+    m *= 2.0 ** 53
+    rem = m.astype(np.uint64)
+    del m
+    rem *= _POW5.take(q)
+    rem -= n << r
+    rem, r, n = rem.view(np.int64), r.view(np.int64), n.view(np.int64)
+    rem += (n + (rem >> r)) & 1     # round half to even: a tie of an odd floor goes up
+    n += (rem + (1 << (r - 1)) - 1) >> r
+    return n
+
+
+def _format_numbers(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the text of '%.17g' % v for each value v of x into its number
+    slot, the x.shape + (_SLOT_WORDS,) word array out.
+
+    For 1e-4 <= |v| < 2**49, %g prints fixed-point text: the 17 significant
+    digits of N = _significand(|v|, k), k = floor(log10 |v|), the point after
+    digit k, or "0." and -k - 1 zeros ahead of them for k < 0, then trailing
+    fraction zeros dropped, and the point with them if no digit follows.
+    Any other v (zeros, subnormals, tiny or huge values, inf, NaN) is
+    formatted by '%.17g' itself, one at a time."""
+    a = np.abs(x)
+    slow = np.nonzero(~((a >= 1e-4) & (a < 2.0 ** 49)))
+    a[slow] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n = _significand(a, k)
+    off = np.nonzero((n < 10 ** 16) | (n >= 10 ** 17))   # log10 rounded across 10**k
+    k[off] += np.where(n[off] < 10 ** 16, -1, 1)
+    n[off] = _significand(a[off], k[off])
+    del a
+    hi = n // 10 ** 8
+    lo = (n - hi * 10 ** 8).astype(np.int32)   # int32 divides faster
+    del n
+    hi = hi.astype(np.int32)
+    first = hi // 10 ** 8
+    hi -= first * 10 ** 8
+    groups = []   # digits 1-4, 5-8, 9-12 and 13-16 of N
+    for part in (hi, lo):
+        high = part // 10 ** 4
+        groups += [high, part - high * 10 ** 4]
+    del hi, lo
+    last = _LAST[0].take(groups[0])
+    for i in (1, 2, 3):
+        np.maximum(last, _LAST[i].take(groups[i]), out=last)
+    slot = 17 * (k + 4) + last
+    del k, last
+    out[..., 0] = _SLOTS[0].take(slot)
+    for i, group in enumerate(groups, 1):
+        np.bitwise_or(_PAIRS.take(group), _SLOTS[i].take(slot), out=out[..., i])
+    # a blank byte becomes c when xor-ed with 0xFF ^ c
+    out[..., 0] ^= (first.astype(np.uint64) ^ (0xFF ^ ord("0"))) << 48
+    out[..., 0] ^= (x < 0) * np.uint64(0xFF ^ ord("-"))
+    out[..., -1] ^= np.uint64(0xFF ^ ord(",")) << 56
+    for i in zip(*slow):
+        out[i] = np.frombuffer(("%.17g" % x[i]).encode().ljust(39, _BLANK) + b",", _WORD)
+
+
+def _text_words(texts) -> np.ndarray:
+    """Slots of texts: a row of words per text, its UTF-8 bytes and ','
+    padded with blanks to a whole number of words."""
+    encoded = [s.encode() + b"," for s in texts]
+    width = -(-max(map(len, encoded), default=0) // 8)
+    return np.frombuffer(b"".join(b.ljust(8 * width, _BLANK) for b in encoded),
+                         _WORD).reshape(len(encoded), width)
+
+
+def _line_block(rows: int, width: int) -> np.ndarray:
+    """A (rows, width) word matrix of cell slots over a bytearray, its base."""
+    return np.ndarray((rows, width), _WORD, bytearray(8 * rows * width))
+
+
+def _write_lines(fh, block: np.ndarray) -> None:
+    """Write a line per row of a _line_block: its last ',' becomes '\n'."""
+    block.view(np.uint8)[:, -1] = ord("\n")
+    fh.write(block.base.translate(None, _BLANK))
 
 
 def label_traces(traces: Trace) -> Dataset:

@@ -90,9 +90,13 @@ class ScenarioConfig:
             raise DataError("a scenario needs at least one packet per node")
         if any(d <= 0 for d in self.distances_m):
             raise DataError("distances must be > 0")
-        for name in ("packet_interval_s", "hop_range_m"):
-            if getattr(self, name) <= 0:
+        for name in ("packet_interval_s", "hop_range_m", "zigbee_hop_capacity_bps",
+                     "lora_base_rate_bps", "rnp_cap"):   # the last three scale throughputs
+            if not getattr(self, name) > 0:
                 raise DataError(f"{name} must be > 0")
+        for i, (_, rate) in enumerate(self.lora_rate_tiers):
+            if not rate > 0:
+                raise DataError(f"lora_rate_tiers[{i}] rate must be > 0")
         for name in self.__dataclass_fields__:   # the noise scales and the hop overhead
             if name.endswith(("std", "std_db", "sigma", "overhead")) and getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
@@ -248,14 +252,20 @@ class ReplayResult:
 
 def replay(traces: Trace, selector) -> ReplayResult:
     """Run one selector over a trace; throughputs are taken from the chosen
-    radio's recorded value, the oracle takes the per-packet max."""
+    radio's recorded value, the oracle takes the per-packet max. Each
+    radio's mean throughput must be > 0: the gains are relative to it."""
     if not len(traces):
         raise DataError("no trace records to replay")
     tpz, tpl = traces.tp_zigbee, traces.tp_lora
+    means = {"zigbee": float(np.mean(tpz)), "lora": float(np.mean(tpl))}
+    for radio, mean in means.items():
+        if not mean > 0:
+            raise DataError(f"mean {radio} throughput of the trace is {mean} bps: "
+                            f"replay gains need both radios' means > 0")
     achieved = np.where(np.asarray(selector.choose(traces), dtype=int) == 0, tpz, tpl)
     mean_achieved = float(np.mean(achieved))
     mean_oracle = float(np.mean(np.maximum(tpz, tpl)))
-    worst_single, best_single = sorted((float(np.mean(tpz)), float(np.mean(tpl))))
+    worst_single, best_single = sorted(means.values())
     percentiles = range(1, 101)
     return ReplayResult(
         selector=selector.name,

@@ -444,10 +444,15 @@ class TestSimulate:
         ('{"seed": -1}', "unknown scenario fields: ['seed']"),
         ('{"payload_bytes": 29}', "unknown scenario fields: ['payload_bytes']"),
         ('{"n_nodes": 15}', "unknown scenario fields: ['n_nodes']"),   # len(distances_m)
+        ('{"zigbee_hop_capacity_bps": 0.0}', "zigbee_hop_capacity_bps must be > 0"),
+        ('{"zigbee_hop_capacity_bps": -1.0}', "zigbee_hop_capacity_bps must be > 0"),
+        ('{"lora_base_rate_bps": -1.0}', "lora_base_rate_bps must be > 0"),
+        ('{"lora_rate_tiers": [[-85.0, -1.0]]}', "lora_rate_tiers[0] rate must be > 0"),
     ], ids=["unknown_field", "not_an_object", "int_float", "int_bool", "list_string",
             "pair_width", "real_string", "real_nan", "gray_region_width", "hop_range_zero",
             "hop_overhead_negative", "std_negative", "seed_negative", "payload_bytes",
-            "n_nodes_derived"])
+            "n_nodes_derived", "zigbee_capacity_zero", "zigbee_capacity_negative",
+            "lora_base_negative", "lora_tier_negative"])
     def test_bad_scenario_exit_3(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -472,6 +477,23 @@ class TestSimulate:
         assert main(["simulate", "--traces", str(tmp_path / "in.csv"),
                      "--out-dir", str(tmp_path / "o")]) == 0
         assert dataset.load_traces(tmp_path / "o" / "trace.csv") == trace
+
+    @pytest.mark.parametrize("tp_zigbee, message", [
+        ([0.0, 0.0], "mean zigbee throughput of the trace is 0.0 bps"),
+        ([900.0, 800.0], "all trace records tied"),
+    ], ids=["zero_zigbee", "all_tied"])
+    def test_bad_trace_exit_3_before_output(self, tmp_path, capsys, tp_zigbee, message):
+        """Replay gains divide by each radio's mean throughput, and a trace
+        of ties labels no sample: either is a data error, and nothing is
+        written."""
+        trace = dataset.Trace(("n0",), [0, 0], [0.0, 3.0], tp_zigbee, [900.0, 800.0],
+                              [2.0] * 2, [-95.0] * 2, [0.8] * 2, [1.4] * 2)
+        dataset.save_traces(trace, tmp_path / "z.csv")
+        rc = main(["simulate", "--traces", str(tmp_path / "z.csv"),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("n_packets", [-1, 0])
     def test_no_packets_exit_3(self, tmp_path, capsys, n_packets):

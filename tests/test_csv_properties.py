@@ -3,20 +3,25 @@
 Round trips are exact on arbitrary valid rows, and a corrupted file either
 loads or raises DataError with exactly the outcome of a row-by-row
 reference reader that tokenizes the whole file with csv.reader and checks
-each record in turn.
+each record in turn. The writers' bytes are those of a reference writer
+that formats each number cell with '%.17g', and so is the text of every
+float the number kernel draws.
 """
 
 import csv
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
+from radiosel import simulator
 from radiosel.dataset import (DATASET_HEADER, FEATURE_NAMES, TRACE_COLUMNS,
-                              TRACE_HEADER, Dataset, Trace, load_dataset, load_traces,
-                              save_dataset, save_traces)
+                              TRACE_HEADER, Dataset, Trace, _format_numbers, load_dataset,
+                              load_traces, save_dataset, save_traces)
 from radiosel.errors import DataError
 
 # Derandomized, so a failing example repeats on every run; shrinking is off
@@ -264,3 +269,108 @@ def test_non_utf8_is_data_error(tmp_path, load):
     path.write_bytes(b"\xff\xfe\x00garbage\n")
     with pytest.raises(DataError, match="not a UTF-8 CSV file"):
         load(path)
+
+
+def reference_trace_bytes(trace):
+    """A trace CSV as csv.writer writes it, each number cell '%.17g' % v."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    for i in range(len(trace)):
+        writer.writerow([trace.names[trace.node[i]],
+                         *("%.17g" % getattr(trace, c)[i] for c in TRACE_COLUMNS)])
+    return buf.getvalue().encode()
+
+
+def reference_dataset_bytes(ds):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(DATASET_HEADER)
+    for x, y, c in zip(ds.X, ds.y, ds.c):
+        writer.writerow([*("%.17g" % v for v in x), ("zigbee", "lora")[y], "%.17g" % c])
+    return buf.getvalue().encode()
+
+
+class TestWriterBytes:
+    """A round trip cannot tell two number texts apart that load as one
+    float: the bytes are compared instead."""
+
+    @SETTINGS
+    @given(trace=traces())
+    def test_traces(self, tmp_path, trace):
+        save_traces(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == reference_trace_bytes(trace)
+
+    @SETTINGS
+    @given(ds=datasets())
+    def test_dataset(self, tmp_path, ds):
+        save_dataset(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == reference_dataset_bytes(ds)
+
+    def test_more_than_one_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("radiosel.dataset.CHUNK_ROWS", 7)
+        trace = simulator.generate(simulator.ScenarioConfig(distances_m=(150.0, 1600.0),
+                                                            n_packets=12), seed=3)
+        save_traces(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == reference_trace_bytes(trace)
+
+
+def kernel_text(values):
+    """The text of each value in the writers' number slots."""
+    values = np.asarray(values, dtype=float)
+    slots = np.empty((values.size, 5), np.uint64)
+    _format_numbers(values, slots)
+    return slots.astype("<u8").tobytes().translate(None, b"\xff").split(b",")[:-1]
+
+
+def percent_g(values):
+    return [("%.17g" % v).encode() for v in values]
+
+
+def ulp_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate((np.nextafter(values, -np.inf), values,
+                           np.nextafter(values, np.inf)))
+
+
+# The kernel's range ends, powers of ten, the smallest subnormal, the
+# non-finite values and exact ties at the 17th digit, which go to even:
+# …345.62|5 down, …345.87|5 up (and …456.2|5, past 2**49, down)
+EDGES = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+         123456789012345.625, 123456789012345.875, 1234567890123456.25,
+         *ulp_neighbours([1e-4, -1e-4, 2.0 ** 49, -(2.0 ** 49)]).tolist(),
+         *ulp_neighbours([10.0 ** k for k in range(-6, 18)]).tolist()]
+FLOAT_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+
+
+class TestNumberText:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.one_of(st.floats(), FLOAT_BITS), min_size=1, max_size=50))
+    @example(values=EDGES)
+    @example(values=[-v for v in EDGES])
+    def test_cells_are_percent_g(self, values):
+        assert kernel_text(values) == percent_g(values)
+
+    def test_bulk_draws_are_percent_g(self):
+        """Seeded draws over the whole range, exact ties with their
+        neighbours, and every cell of the 180k-record benchmark trace."""
+        rng = np.random.default_rng(25)
+        ties = []   # odd j / 2**(17 - k) in [10**k, 10**(k+1)) lies halfway at the 17th digit
+        for k in range(-4, 15):
+            low, high = 10 ** k * 2 ** (17 - k), 10 ** (k + 1) * 2 ** (17 - k)
+            ties.append((2 * rng.integers(-(-low // 2), high // 2, 20_000) + 1) / 2 ** (17 - k))
+        trace = simulator.generate(replace(simulator.ScenarioConfig(), n_packets=12_000), seed=1)
+        draws = {
+            "bit patterns": rng.integers(0, 2 ** 64, 300_000, dtype=np.uint64).view(np.float64),
+            "log-uniform": 10.0 ** rng.uniform(-5, 17, 300_000),
+            "dyadic": rng.integers(1, 2 ** 53, 200_000) * 2.0 ** rng.integers(-60, 10, 200_000),
+            "ties": ulp_neighbours(np.concatenate(ties)),
+            "trace cells": np.concatenate([getattr(trace, c) for c in TRACE_COLUMNS]),
+        }
+        for name, values in draws.items():
+            for lo in range(0, values.size, 1 << 16):
+                chunk = values[lo:lo + (1 << 16)]
+                got, expected = kernel_text(chunk), percent_g(chunk.tolist())
+                assert got == expected, (name, next((v, g, e) for v, g, e in
+                                                    zip(chunk, got, expected) if g != e))

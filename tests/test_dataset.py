@@ -849,3 +849,33 @@ def test_save_traces_rejects_node_ids_the_reader_strips(tmp_path, bad):
     with pytest.raises(DataError, match=re.escape(f"node id {bad!r} has leading or trailing")):
         save_traces(trace, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("tp_zigbee", -1.0, "row 1: throughputs must be finite and >= 0"),
+    ("tp_lora", math.inf, "row 1: throughputs must be finite and >= 0"),
+    ("t", math.nan, "row 1: t must be finite, got nan"),
+    ("t", -1.0, "row 1: t decreases for node n0"),
+    ("hn", 0.5, "row 1: hn must be >= 1, got 0.5"),
+    ("prr", 1.5, "row 1: prr must be in [0,1], got 1.5"),
+    ("node", 1, "row 1: t decreases for node n0"),   # two codes of one name
+], ids=["throughput_negative", "throughput_inf", "t_nan", "t_decreases", "hn", "prr",
+        "t_decreases_by_name"])
+def test_save_traces_rejects_what_load_traces_rejects(tmp_path, column, value, message):
+    """The writer checks the reader's rules and raises its message before
+    it creates the file."""
+    columns = {"t": [0.0, 1.0, 2.0], "tp_zigbee": [5.0] * 3, "tp_lora": [3.0] * 3,
+               "hn": [2.0] * 3, "rssi": [-95.0] * 3, "prr": [0.5] * 3, "rnp": [1.5] * 3,
+               "node": [0, 0, 0]}
+    columns[column][1] = value
+    if column == "node":
+        columns["t"] = [0.0, -1.0, 2.0]
+    path = tmp_path / "t.csv"
+    trace = Trace(("n0", "n0"), columns["node"], *(columns[c] for c in dataset.TRACE_COLUMNS))
+    with pytest.raises(DataError, match=re.escape(message)):
+        save_traces(trace, path)
+    assert not path.exists()
+    rows = "".join("n0," + ",".join(repr(columns[c][i]) for c in dataset.TRACE_COLUMNS) + "\n"
+                   for i in range(3))
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_traces(write(path, TRACE_HEADER_LINE + rows))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -59,6 +61,20 @@ class TestScenarioConfig:
     def test_version_checked(self):
         with pytest.raises(DataError, match="config_version"):
             ScenarioConfig(config_version=9)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("zigbee_hop_capacity_bps", 0.0, "zigbee_hop_capacity_bps must be > 0"),
+        ("zigbee_hop_capacity_bps", -1.0, "zigbee_hop_capacity_bps must be > 0"),
+        ("lora_base_rate_bps", -1.0, "lora_base_rate_bps must be > 0"),
+        ("rnp_cap", 0.0, "rnp_cap must be > 0"),
+        ("lora_rate_tiers", ((-85.0, 5470.0), (-90.3, -1.0)), "lora_rate_tiers[1] rate must be > 0"),
+    ], ids=["zigbee_zero", "zigbee_negative", "lora_base_negative", "rnp_cap_zero",
+            "lora_tier_negative"])
+    def test_throughput_scales_must_be_positive(self, field, value, message):
+        """A scale <= 0 makes throughputs that the trace reader rejects,
+        or a radio whose mean throughput is 0."""
+        with pytest.raises(DataError, match=re.escape(message)):
+            ScenarioConfig(**{field: value})
 
 
 class TestGenerate:
@@ -150,6 +166,16 @@ class TestReplay:
         assert len(res.cdf) == 100
         values = [v for _, v in res.cdf]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("zeroed, radio", [(("tp_zigbee",), "zigbee"),
+                                               (("tp_lora",), "lora"),
+                                               (("tp_zigbee", "tp_lora"), "zigbee")],
+                             ids=["zigbee", "lora", "both"])
+    def test_zero_mean_radio_is_data_error(self, traces, zeroed, radio):
+        """The gains divide by each radio's mean, the ratio by the oracle's."""
+        zero = replace(traces, **{c: np.zeros(len(traces)) for c in zeroed})
+        with pytest.raises(DataError, match=f"mean {radio} throughput of the trace is 0.0 bps"):
+            replay(zero, OracleSelector())
 
     def test_gains_labeled_both_ways(self, traces):
         res = replay(traces, OracleSelector())
