@@ -3,11 +3,14 @@
 Every subcommand runs inside one scaffold, `_Run`: it creates --out-dir,
 hashes each input as the command names it and each output as the command
 writes it, and on success writes a run manifest (config, input/output
-hashes, seed, wall time, numpy's version and SIMD dispatch targets, plus
-any section the command adds) into --out-dir. Identical arguments and seed
-reproduce byte-identical primary outputs under the same numpy version and
-dispatch targets: numpy picks its float64 exp and log1p kernels by the CPU's
-SIMD level, and they round apart from level to level.
+hashes, seed, wall time, numpy's version and SIMD dispatch targets, its
+BLAS build and the BLAS core picked at run time, plus any section the
+command adds) into --out-dir. Identical arguments and seed reproduce
+byte-identical primary outputs under the same numpy version, dispatch
+targets and BLAS core: numpy picks its float64 exp and log1p kernels by the
+CPU's SIMD level, OpenBLAS picks its kernel family by the CPU when it
+loads, and both round apart from one choice to another. The commands only
+orchestrate: main turns their errors into exit codes.
 
 Exit codes: 0 ok, 2 usage, 3 data or file error, 4 numeric failure.
 """
@@ -15,6 +18,7 @@ Exit codes: 0 ok, 2 usage, 3 data or file error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -24,10 +28,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from . import __version__, dataset, export, metrics, simulator, stability, tao, tree
-from .errors import DataError, NumericError, RadioselError
+from .errors import DataError, NumericError
 
 # default train grid: 0 and these multiples of tao.lambda_unit(train split)
 LAMBDA_GRID_FRACTIONS = (1e-6, 1e-5, 1e-4, 1e-3)
@@ -44,6 +49,18 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def blas_core() -> str | None:
+    """The kernel family (`SkylakeX`, `Haswell`, ...) that numpy's bundled
+    OpenBLAS picked when it loaded, or None if its BLAS has no such query."""
+    try:
+        query = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    query.argtypes, query.restype = [], ctypes.c_char_p
+    core = query()
+    return core.decode() if core else None
+
+
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8", newline="\n")
@@ -58,6 +75,7 @@ class _Run:
         self.out.mkdir(parents=True, exist_ok=True)
         # tree bytes follow the kernels of the BLAS numpy links (see the README)
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
         self.doc = {
             "tool": "radiosel",
             "version": __version__,
@@ -66,8 +84,7 @@ class _Run:
             "seed": getattr(args, "seed", None),
             "numpy": {"version": np.__version__,
                       "simd_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__[t]],
-                      "blas": {k: blas.get(k)
-                               for k in ("name", "version", "openblas configuration")}},
+                      "blas": {**build, "core": blas_core()}},
             "inputs": {},
             "outputs": {},
         }
@@ -92,8 +109,12 @@ class _Run:
         return self.output(name, lambda path: _atomic_write(path, text))
 
     def csv(self, name: str, header, rows) -> Path:
-        """Write header and rows as CSV, each cell str(v) quoted by csv_cell."""
-        lines = [",".join(dataset.csv_cell(str(v)) for v in row) for row in [header, *rows]]
+        """Write header and rows as CSV: a float cell (numpy's float64
+        included) as '%.17g' % v, an exact round trip, any other as str(v),
+        each quoted by csv_cell. A cell rounded on purpose comes as a str."""
+        lines = [",".join(dataset.csv_cell("%.17g" % v if isinstance(v, float) else str(v))
+                          for v in row)
+                 for row in [header, *rows]]
         return self.text(name, "\n".join(lines) + "\n")
 
     def close(self) -> None:
@@ -141,15 +162,18 @@ def _selectors(args, run: _Run) -> list:
 
 # ---------- train ----------
 
-def cmd_train(args, run: _Run) -> int:
+def _stats(result) -> dict:
+    """The solver counters a manifest row carries for one TaoResult."""
+    return {k: result.solver_stats[k] for k in ("solves", "iters", "cap_hits")}
+
+
+def cmd_train(args, run: _Run) -> None:
     if args.data:
         ds = dataset.load_dataset(run.input(args.data))
     else:
         ds = dataset.label_traces(dataset.load_traces(run.input(args.traces)))
-    scaler = None
     if not args.raw_features:
         ds = dataset.standardize(ds)
-        scaler = ds.scaler
     train_ds, val_ds, test_ds = dataset.split(ds, (0.6, 0.2, 0.2), seed=args.seed)
 
     unit = None   # lambda unit of the default grid; None when lambda is given
@@ -169,41 +193,32 @@ def cmd_train(args, run: _Run) -> int:
     cfgs = [tao.TaoConfig(depth=args.depth, lam=lam, seed=args.seed,
                           init_policy=args.init, max_passes=args.passes)
             for lam in lambdas]
-    sweep_table = []
-    best = None
-    for cfg, result in zip(cfgs, tao.train_grid([(train_ds, cfg) for cfg in cfgs],
-                                                val=val_ds)):
-        val_cwa = metrics.cwa(result.tree, val_ds)
-        sweep_table.append({"lambda": cfg.lam, "val_cwa": val_cwa,
-                            "init_used": result.init_used,
-                            "n_leaves": result.tree.n_leaves(),
-                            "solves": result.solver_stats["solves"],
-                            "iters": result.solver_stats["iters"],
-                            "cap_hits": result.solver_stats["cap_hits"]})
-        # tie prefers the sparser model (larger lambda)
-        if best is None or val_cwa > best[0] or (val_cwa == best[0] and cfg.lam > best[1]):
-            best = (val_cwa, cfg.lam, cfg, result)
-    _, lam, cfg, result = best
+    fits = [(metrics.cwa(result.tree, val_ds), cfg, result)
+            for cfg, result in zip(cfgs, tao.train_grid([(train_ds, cfg) for cfg in cfgs],
+                                                         val=val_ds))]
+    # a tie prefers the sparser model (larger lambda); max keeps the first exact tie
+    _, cfg, result = max(fits, key=lambda fit: (fit[0], fit[1].lam))
 
     final = tree.ObliqueTree(result.tree.nodes, result.tree.root,
-                             scaler=scaler, lam=lam)
+                             scaler=ds.scaler, lam=cfg.lam)
     model_path = run.output("model.json", lambda path: tree.save(final, path))
     run.doc["training"] = {**result.to_manifest(cfg), "lambda_unit": unit}
-    run.doc["lambda_sweep"] = sweep_table
+    run.doc["lambda_sweep"] = [{"lambda": c.lam, "val_cwa": val_cwa, "init_used": r.init_used,
+                                "n_leaves": r.tree.n_leaves(), **_stats(r)}
+                               for val_cwa, c, r in fits]
 
     for i, value in enumerate(result.history):
         stage = "init" if i == 0 else f"pass {i}"
         print(f"objective[{stage}] = {value:.6f}")
-    print(f"lambda = {lam:g} (init {result.init_used}, stop {result.stop_reason})")
+    print(f"lambda = {cfg.lam:g} (init {result.init_used}, stop {result.stop_reason})")
     for name, part in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
         print(f"{name} CWA = {metrics.cwa(result.tree, part):.4f}%")
     print(f"model -> {model_path}")
-    return 0
 
 
 # ---------- eval ----------
 
-def cmd_eval(args, run: _Run) -> int:
+def cmd_eval(args, run: _Run) -> None:
     if args.kfold is not None and args.kfold < 2:
         raise DataError(f"--kfold {args.kfold}: k must be >= 2")
     _finite(args.cost_threshold, "--cost-threshold")
@@ -213,10 +228,8 @@ def cmd_eval(args, run: _Run) -> int:
     location = args.location or Path(args.data).stem
     model_name = Path(args.model).stem
 
-    rows = []
     value = metrics.cwa(model, ds)
-    rows.append([model_name, location, "all", f"{value:.6f}", "0",
-                 str(model.depth), str(model.n_leaves())])
+    rows = [[model_name, location, "all", f"{value:.6f}", "0", model.depth, model.n_leaves()]]
     breakdown = metrics.error_breakdown(model, ds, threshold=args.cost_threshold)
     print(f"CWA = {value:.4f}%")
     print(f"errors: {breakdown.n_high} high-cost (>{breakdown.threshold:g} bps, "
@@ -236,21 +249,15 @@ def cmd_eval(args, run: _Run) -> int:
 
         fold_ds = dataset.standardize(ds) if model.scaler is not None else ds
         kres = metrics.kfold_cwa(fold_ds, trainer, k=args.kfold, seed=args.seed)
-        run.doc["kfold"] = [{"solves": res.solver_stats["solves"],
-                             "iters": res.solver_stats["iters"],
-                             "cap_hits": res.solver_stats["cap_hits"],
-                             "n_passes": res.n_passes, "stop_reason": res.stop_reason}
-                            for res in results]
-        for i in range(kres.k):
-            rows.append([model_name, location, f"fold{i}-test",
-                         f"{kres.test_cwa[i]:.6f}", "0",
-                         f"{kres.depths[i]}", f"{kres.leaves[i]}"])
-        tr = kres.train_mean_std
+        run.doc["kfold"] = [{**_stats(res), "n_passes": res.n_passes,
+                             "stop_reason": res.stop_reason} for res in results]
+        rows += [[model_name, location, f"fold{i}-test", f"{kres.test_cwa[i]:.6f}", "0",
+                  kres.depths[i], kres.leaves[i]] for i in range(kres.k)]
+        sizes = [f"{kres.depth_mean:.6g}", f"{kres.leaves_mean:.6g}"]
+        for split, (mean, std) in (("train", kres.train_mean_std),
+                                   ("test", kres.test_mean_std)):
+            rows.append([model_name, location, split, f"{mean:.6f}", f"{std:.6f}", *sizes])
         te = kres.test_mean_std
-        rows.append([model_name, location, "train", f"{tr[0]:.6f}", f"{tr[1]:.6f}",
-                     f"{kres.depth_mean:.6g}", f"{kres.leaves_mean:.6g}"])
-        rows.append([model_name, location, "test", f"{te[0]:.6f}", f"{te[1]:.6f}",
-                     f"{kres.depth_mean:.6g}", f"{kres.leaves_mean:.6g}"])
         print(f"{args.kfold}-fold test CWA = {te[0]:.4f} +- {te[1]:.4f}%")
 
     run.csv("metrics.csv", ("model", "location", "split", "cwa_mean", "cwa_std",
@@ -258,13 +265,12 @@ def cmd_eval(args, run: _Run) -> int:
     run.csv("breakdown.csv",
             ("threshold_bps", "n_high", "n_low", "loss_high_bps", "loss_low_bps"),
             [[f"{breakdown.threshold:g}", breakdown.n_high, breakdown.n_low,
-              f"{breakdown.loss_high:.17g}", f"{breakdown.loss_low:.17g}"]])
-    return 0
+              breakdown.loss_high, breakdown.loss_low]])
 
 
 # ---------- simulate ----------
 
-def cmd_simulate(args, run: _Run) -> int:
+def cmd_simulate(args, run: _Run) -> None:
     if args.traces:
         traces = dataset.load_traces(run.input(args.traces))
     else:
@@ -275,45 +281,32 @@ def cmd_simulate(args, run: _Run) -> int:
     run.output("trace.csv", lambda path: dataset.save_traces(traces, path))
     run.output("dataset.csv", lambda path: dataset.save_dataset(ds, path))
 
-    cdf_rows, replay_rows = [], []
     for result in results:
-        for pct, tp in result.cdf:
-            cdf_rows.append([result.selector, pct, f"{tp:.17g}"])
-        replay_rows.append([result.selector,
-                            f"{result.mean_throughput_bps:.17g}",
-                            f"{result.performance_ratio:.17g}",
-                            f"{result.oracle_gap_bps:.17g}",
-                            f"{result.gain_vs_best_single_pct:.17g}",
-                            f"{result.gain_vs_worst_single_pct:.17g}"])
         print(f"{result.selector}: mean {result.mean_throughput_bps:.1f} bps, "
               f"ratio {result.performance_ratio:.4f}")
-
-    run.csv("cdf.csv", ("selector", "percentile", "throughput_bps"), cdf_rows)
-    run.csv("replay.csv",
-            ("selector", "mean_throughput_bps", "performance_ratio",
-             "oracle_gap_bps", "gain_vs_best_single_pct", "gain_vs_worst_single_pct"),
-            replay_rows)
-    return 0
+    run.csv("cdf.csv", ("selector", "percentile", "throughput_bps"),
+            [[result.selector, pct, tp] for result in results for pct, tp in result.cdf])
+    header = ("selector", "mean_throughput_bps", "performance_ratio", "oracle_gap_bps",
+              "gain_vs_best_single_pct", "gain_vs_worst_single_pct")   # ReplayResult fields
+    run.csv("replay.csv", header, [[getattr(result, k) for k in header] for result in results])
 
 
 # ---------- sweep ----------
 
-def cmd_sweep(args, run: _Run) -> int:
+def cmd_sweep(args, run: _Run) -> None:
     cfg = _scenario(args, run)
     intervals = _parse_float_list(args.intervals, "--intervals")
-    rows = [[f"{row.interval_s:g}", row.selector, f"{row.performance_ratio:.17g}",
-             f"{row.mean_latency_ms:.17g}"]
+    rows = [[f"{row.interval_s:g}", row.selector, row.performance_ratio, row.mean_latency_ms]
             for row in simulator.interval_sweep(cfg, intervals, *_selectors(args, run),
                                                 seed=args.seed)]
     sweep_path = run.csv("sweep.csv", ("interval_s", "selector", "performance_ratio",
                                        "mean_latency_ms"), rows)
     print(f"sweep -> {sweep_path} ({len(rows)} rows)")
-    return 0
 
 
 # ---------- stability ----------
 
-def cmd_stability(args, run: _Run) -> int:
+def cmd_stability(args, run: _Run) -> None:
     ds = dataset.load_dataset(run.input(args.data))
     if not args.raw_features:
         ds = dataset.standardize(ds)
@@ -325,19 +318,14 @@ def cmd_stability(args, run: _Run) -> int:
                                   fractions=fractions, seed=args.seed)
 
     names = dataset.feature_names(ds.dim)
-    rows = []
-    for stage in rep.stages:
-        for nid in stage.tree.decision_ids():
-            node = stage.tree.nodes[nid]
-            rows.append([nid, f"{stage.fraction:g}"]
-                        + [f"{w:.17g}" for w in node.w] + [f"{node.w0:.17g}"])
+    planes = [(nid, stage.fraction, [*stage.tree.nodes[nid].w, stage.tree.nodes[nid].w0])
+              for stage in rep.stages for nid in stage.tree.decision_ids()]
     run.csv("stability.csv", ("node_id", "fraction") + tuple(f"w_{n}" for n in names)
-            + ("constant",), rows)
+            + ("constant",), [[nid, f"{fraction:g}", *plane] for nid, fraction, plane in planes])
 
     table = ["node  fraction  " + "  ".join(f"{n:>12}" for n in names) + "  constant"]
-    for row in sorted(rows, key=lambda r: (int(r[0]), float(r[1]))):
-        table.append(f"{row[0]:>4}  {row[1]:>8}  "
-                     + "  ".join(f"{float(v):>12.6f}" for v in row[2:]))
+    for nid, fraction, plane in sorted(planes, key=lambda p: p[:2]):
+        table.append(f"{nid:>4}  {fraction:>8g}  " + "  ".join(f"{v:>12.6f}" for v in plane))
     run.text("stability_table.txt", "\n".join(table) + "\n")
 
     for stage in rep.stages:
@@ -351,12 +339,11 @@ def cmd_stability(args, run: _Run) -> int:
         "test_error_pct": [s.test_error_pct for s in rep.stages],
         "all_signatures_equal": rep.all_signatures_equal,
     }
-    return 0
 
 
 # ---------- export ----------
 
-def cmd_export(args, run: _Run) -> int:
+def cmd_export(args, run: _Run) -> None:
     model = tree.prune(tree.load(run.input(args.model)))
     program = export.codegen(model)
 
@@ -371,16 +358,12 @@ def cmd_export(args, run: _Run) -> int:
         raise NumericError("emitted program disagrees with the model")
     program_path = run.text("program.txt", program.text)
 
-    rows = []
-    for row in export.report(model):
-        rows.append([row.node_id, row.depth]
-                    + [f"{w:.17g}" for w in row.weights]
-                    + [f"{row.bias:.17g}", row.l0, "|".join(row.dominant)])
     run.csv("report.csv", ("node_id", "depth") + tuple(f"w_{n}" for n in names)
-            + ("constant", "l0", "dominant"), rows)
+            + ("constant", "l0", "dominant"),
+            [[row.node_id, row.depth, *row.weights, row.bias, row.l0, "|".join(row.dominant)]
+             for row in export.report(model)])
     print(f"program -> {program_path} (model sha256 {program.model_hash[:12]}..., "
           f"verified on {len(X)} random inputs)")
-    return 0
 
 
 # ---------- parser ----------
@@ -471,10 +454,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         run = _Run(args)
-        code = args.func(args, run)
-        if code == 0:
-            run.close()
-        return code
+        args.func(args, run)
+        run.close()
+        return 0
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
@@ -484,9 +466,6 @@ def main(argv=None) -> int:
     except OSError as e:   # str(e) names the file
         print(f"file error: {e}", file=sys.stderr)
         return 3
-    except RadioselError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -94,6 +94,13 @@ class ScenarioConfig:
                      "lora_base_rate_bps", "rnp_cap"):   # the last three scale throughputs
             if not getattr(self, name) > 0:
                 raise DataError(f"{name} must be > 0")
+        # the packet times and the farthest node's hop count must be floats
+        if not math.isfinite(self.packet_interval_s * (self.n_packets - 1)):
+            raise DataError(f"packet_interval_s {self.packet_interval_s!r} times "
+                            f"{self.n_packets - 1} is past the float range")
+        if not math.isfinite(max(self.distances_m) / self.hop_range_m):
+            raise DataError(f"hop_range_m {self.hop_range_m!r} is too small: "
+                            f"{max(self.distances_m)!r} m over it is past the float range")
         for i, (_, rate) in enumerate(self.lora_rate_tiers):
             if not rate > 0:
                 raise DataError(f"lora_rate_tiers[{i}] rate must be > 0")
@@ -146,11 +153,14 @@ def hop_count(cfg: ScenarioConfig, distance_m: float) -> int:
     return max(1, math.ceil(distance_m / cfg.hop_range_m))
 
 
+@np.errstate(all="ignore")
 def generate(cfg: ScenarioConfig, seed: int) -> Trace:
     """Deterministic trace: per node, n_packets scheduled every interval.
 
     Nodes are named n00, n01, ... in the order of cfg.distances_m, and each
-    node's rows form one block, blocks in that order.
+    node's rows form one block, blocks in that order. Float arithmetic runs
+    under np.errstate(all="ignore"): an extreme scenario constant yields
+    inf, 0 or NaN in the columns, which replay and the writers reject.
     """
     rng = np.random.default_rng(seed)
     per_node = []   # one tuple of columns per node, in dataset.TRACE_COLUMNS order
@@ -250,30 +260,37 @@ class ReplayResult:
     cdf: list  # (percentile, throughput_bps)
 
 
+@np.errstate(all="ignore")
 def replay(traces: Trace, selector) -> ReplayResult:
     """Run one selector over a trace; throughputs are taken from the chosen
     radio's recorded value, the oracle takes the per-packet max. Each
-    radio's mean throughput must be > 0: the gains are relative to it."""
+    radio's mean throughput and the oracle's must be finite and > 0: the
+    ratio and the gains are relative to them."""
     if not len(traces):
         raise DataError("no trace records to replay")
     tpz, tpl = traces.tp_zigbee, traces.tp_lora
-    means = {"zigbee": float(np.mean(tpz)), "lora": float(np.mean(tpl))}
+    means = {"zigbee": float(np.mean(tpz)), "lora": float(np.mean(tpl)),
+             "oracle": float(np.mean(np.maximum(tpz, tpl)))}
     for radio, mean in means.items():
-        if not mean > 0:
+        if not 0 < mean < math.inf:
             raise DataError(f"mean {radio} throughput of the trace is {mean} bps: "
-                            f"replay gains need both radios' means > 0")
+                            f"replay needs each radio's and the oracle's mean finite and > 0")
     achieved = np.where(np.asarray(selector.choose(traces), dtype=int) == 0, tpz, tpl)
     mean_achieved = float(np.mean(achieved))
-    mean_oracle = float(np.mean(np.maximum(tpz, tpl)))
-    worst_single, best_single = sorted(means.values())
+    worst, best = sorted(("zigbee", "lora"), key=means.get)
+    worst_single, best_single = means[worst], means[best]
+    gain_worst = 100.0 * (mean_achieved - worst_single) / worst_single
+    if not math.isfinite(gain_worst):   # a mean near 0; the other gain is at most this
+        raise DataError(f"mean {worst} throughput of the trace is {worst_single} bps: "
+                        f"the replay gain over it is past the float range")
     percentiles = range(1, 101)
     return ReplayResult(
         selector=selector.name,
         mean_throughput_bps=mean_achieved,
-        performance_ratio=mean_achieved / mean_oracle,
-        oracle_gap_bps=mean_oracle - mean_achieved,
+        performance_ratio=mean_achieved / means["oracle"],
+        oracle_gap_bps=means["oracle"] - mean_achieved,
         gain_vs_best_single_pct=100.0 * (mean_achieved - best_single) / best_single,
-        gain_vs_worst_single_pct=100.0 * (mean_achieved - worst_single) / worst_single,
+        gain_vs_worst_single_pct=gain_worst,
         cdf=list(zip(percentiles, np.percentile(achieved, percentiles).tolist())),
     )
 
@@ -352,6 +369,9 @@ def interval_sweep(cfg: ScenarioConfig, intervals, *selectors, seed: int) -> lis
     for interval in map(float, intervals):
         traces = _stale_traces(base, cfg, interval, seed)
         latency_ms = 1000.0 * (cfg.service_time_s + mean_wait_s(cfg, interval))
+        if not math.isfinite(latency_ms):
+            raise DataError(f"service_time_s {cfg.service_time_s!r} gives a mean latency "
+                            f"past the float range at interval {interval:g} s")
         for rows, selector in zip(groups, selectors):
             rows.append(SweepRow(interval, selector.name,
                                  replay(traces, selector).performance_ratio, latency_ms))

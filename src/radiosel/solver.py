@@ -31,7 +31,8 @@ infinities and NaN exactly. ytil is +-1, so its sign flip is exact, and a
 signed zero in negm reaches the output only through max(+-0, 0) + log(2)
 and the test negm > 0, which lose its sign. The bytes follow numpy's
 float64 exp and log1p, picked by the CPU's SIMD level, and the BLAS
-kernels of the products with Z (the CLI manifests record both). _Stack
+kernels of the products with Z, picked by OpenBLAS when it loads (the CLI
+manifests record both, as numpy.simd_dispatch and numpy.blas.core). _Stack
 holds the one copy of the kernel (smooth_loss and smooth_gradient are its
 one-problem calls), run under np.errstate(all="ignore"): a candidate whose
 loss is not finite fails the line search, while a non-finite objective at

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+from radiosel.cli import blas_core
 from radiosel.dataset import Dataset
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, scores
 
@@ -17,8 +18,9 @@ SIMD_NOTE = f"pinned for SIMD class {SIMD_CLASS}; numpy enables {SIMD_TARGETS} h
 
 
 def pytest_report_header(config):
+    # tree digests also follow the BLAS kernel family picked at load time
     return f"numpy {np.__version__}, SIMD dispatch targets {SIMD_TARGETS}, " \
-           f"pinned-digest class {SIMD_CLASS}"
+           f"pinned-digest class {SIMD_CLASS}, BLAS core {blas_core()}"
 
 
 def assert_pinned(got, per_class):

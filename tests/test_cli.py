@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -15,8 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import SIMD_CLASS, assert_pinned
-from radiosel import dataset, metrics, simulator, tao, tree
-from radiosel.cli import _sha256, main
+from radiosel import dataset, export, metrics, simulator, tao, tree
+from radiosel.cli import _sha256, blas_core, main
 from radiosel.dataset import Scaler
 from radiosel.export import ProgramInterpreter
 from radiosel.tree import DecisionNode, LeafNode, ObliqueTree
@@ -495,6 +498,29 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
 
+    @pytest.mark.parametrize("value", [1e308, 5e-324, 0.0, -1.0])
+    @pytest.mark.parametrize("field", [name for name, default in
+                                       simulator.ScenarioConfig().__dict__.items()
+                                       if isinstance(default, float)])
+    def test_scenario_float_at_the_edges_exit_0_or_3_silently(self, tmp_path, capsys,
+                                                              field, value):
+        """One float field of a scenario at an edge of the float range, run
+        through simulate and sweep: each exits 0 or 3 with no warning and no
+        traceback, and a run that exits 0 writes only finite numbers."""
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({field: value}))
+        for command in ("simulate", "sweep"):
+            out = tmp_path / command
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main([command, "--scenario", str(scenario), "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert rc in (0, 3) and "Traceback" not in err, (command, rc, err)
+            assert [str(w.message) for w in caught] == [], command
+            cells = {cell for path in out.glob("*.csv")
+                     for row in csv.reader(path.read_text().splitlines()) for cell in row}
+            assert rc == 3 or not cells & {"nan", "inf", "-inf"}, command
+
     @pytest.mark.parametrize("n_packets", [-1, 0])
     def test_no_packets_exit_3(self, tmp_path, capsys, n_packets):
         bad = tmp_path / "bad.json"
@@ -775,13 +801,34 @@ def test_manifest_names_exactly_the_files_read_and_written(tmp_path, data_csv, m
 
 def test_manifest_stamps_the_blas_build(model_dir):
     """The solver's products run in numpy's BLAS, so manifests name its
-    build next to the SIMD dispatch targets."""
+    build, and the kernel family it picked when it loaded, next to the SIMD
+    dispatch targets."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = json.loads((model_dir / "manifest.json").read_text())
     assert set(doc["numpy"]) == {"version", "simd_dispatch", "blas"}
-    assert doc["numpy"]["blas"] == {k: blas.get(k)
-                                    for k in ("name", "version", "openblas configuration")}
+    assert doc["numpy"]["blas"] == {**{k: blas.get(k)
+                                       for k in ("name", "version", "openblas configuration")},
+                                    "core": blas_core()}
     assert doc["numpy"]["blas"]["name"]
+    if blas["name"] == "scipy-openblas":   # numpy's wheels: the core is queryable
+        assert doc["numpy"]["blas"]["core"]
+
+
+@pytest.mark.skipif(blas_core() is None or platform.machine() not in ("x86_64", "AMD64"),
+                    reason="needs numpy's bundled OpenBLAS on x86-64")
+def test_manifest_names_the_forced_blas_core(tmp_path, model_dir):
+    """OPENBLAS_CORETYPE makes OpenBLAS load another x86-64 kernel family,
+    which the manifest then names, while the build string stays the same."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(tree.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "radiosel.cli", "export", "--model",
+                           str(model_dir / "model.json"), "--out-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    forced = json.loads((tmp_path / "manifest.json").read_text())["numpy"]["blas"]
+    native = json.loads((model_dir / "manifest.json").read_text())["numpy"]["blas"]
+    assert forced == {**native, "core": "Haswell"}
 
 
 def test_console_entry_point(tmp_path):
@@ -902,3 +949,73 @@ class TestSeedOutcomes:
         assert metrics.cwa(result.tree, val) == pytest.approx(val_cwa, rel=1e-12)
         assert metrics.cwa(result.tree, test) == pytest.approx(test_cwa, rel=1e-12)
         assert result.solver_stats == stats
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the argv of each `radiosel` line of the README's "CLI walkthrough" block
+WALKTHROUGH = [line.split()[1:] for line in
+               README.read_text().split("## CLI walkthrough")[1].split("```")[1].splitlines()
+               if line.startswith("radiosel ")]
+
+
+def _walk(root):
+    """Run the walkthrough in process with root as the working directory.
+    Returns root, each step's stdout, and the bytes of every file written,
+    keyed by path relative to root."""
+    stdouts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for argv in WALKTHROUGH:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0, argv
+            stdouts.append(out.getvalue())
+    return root, stdouts, {str(p.relative_to(root)): p.read_bytes()
+                           for p in root.rglob("*") if p.is_file()}
+
+
+class TestWalkthrough:
+    """The README's seven steps, run twice in two new directories."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        return [_walk(tmp_path_factory.mktemp(name)) for name in ("a", "b")]
+
+    def test_reruns_byte_for_byte(self, runs):
+        """Every output and stdout is byte-identical, and the manifests are
+        equal apart from wall_time_s: the contract holds on any host and
+        BLAS core, with no pinned digest."""
+        (_, stdouts, files), (_, stdouts_again, files_again) = runs
+        assert len(WALKTHROUGH) == 7 and stdouts == stdouts_again
+        assert set(files) == set(files_again)
+        manifests = sorted(name for name in files if Path(name).name == "manifest.json")
+        assert len(manifests) == 7 and len(files) == 7 + 16
+        for name, data in files.items():
+            if name in manifests:
+                doc, doc_again = json.loads(data), json.loads(files_again[name])
+                assert doc.pop("wall_time_s") >= 0 and doc_again.pop("wall_time_s") >= 0
+                assert doc == doc_again, name
+            else:
+                assert data == files_again[name], name
+
+    def test_float_cells_read_back_exactly(self, runs):
+        """replay.csv, cdf.csv and report.csv hold every float to its last
+        bit: each cell parses back to the value the library computes."""
+        root = runs[0][0]
+        traces = dataset.load_traces(root / "sim" / "trace.csv")
+        model = tree.load(root / "fit" / "model.json")
+        results = [simulator.replay(traces, selector) for selector in (
+            simulator.AlwaysSelector(0), simulator.AlwaysSelector(1),
+            simulator.OracleSelector(), simulator.ThresholdSelector(3.0),
+            simulator.TreeSelector(model))]
+
+        def rows(path):
+            with open(root / path, newline="") as fh:
+                return list(csv.reader(fh))[1:]
+
+        assert [[row[0], *map(float, row[1:])] for row in rows("replay/replay.csv")] == \
+            [[r.selector, r.mean_throughput_bps, r.performance_ratio, r.oracle_gap_bps,
+              r.gain_vs_best_single_pct, r.gain_vs_worst_single_pct] for r in results]
+        assert [[s, int(p), float(tp)] for s, p, tp in rows("replay/cdf.csv")] == \
+            [[r.selector, p, tp] for r in results for p, tp in r.cdf]
+        assert [[float(v) for v in row[2:-2]] for row in rows("ex/report.csv")] == \
+            [[*r.weights, r.bias] for r in export.report(tree.prune(model))]

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestScenarioConfig:
     def test_throughput_scales_must_be_positive(self, field, value, message):
         """A scale <= 0 makes throughputs that the trace reader rejects,
         or a radio whose mean throughput is 0."""
+        with pytest.raises(DataError, match=re.escape(message)):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("hop_range_m", 5e-324, "hop_range_m 5e-324 is too small: 1600.0 m over it"),
+        ("packet_interval_s", 1e308, "packet_interval_s 1e+308 times 119 is past"),
+    ], ids=["hop_range_subnormal", "interval_huge"])
+    def test_hop_count_and_packet_times_must_be_floats(self, field, value, message):
+        """The farthest node's hop count and the last packet's time would
+        be inf: math.ceil(inf) raised OverflowError, and an inf t failed the
+        trace writer with a CSV row number."""
         with pytest.raises(DataError, match=re.escape(message)):
             ScenarioConfig(**{field: value})
 
@@ -177,6 +189,22 @@ class TestReplay:
         with pytest.raises(DataError, match=f"mean {radio} throughput of the trace is 0.0 bps"):
             replay(zero, OracleSelector())
 
+    @pytest.mark.parametrize("tp_zigbee, tp_lora, message", [
+        ([1e308, 1e308], [1.0, 1.0], "mean zigbee throughput of the trace is inf bps"),
+        ([1.5e308, 0.0], [0.0, 1.5e308], "mean oracle throughput of the trace is inf bps"),
+        ([5e-324, 5e-324], [1.0, 1.0], "mean zigbee throughput of the trace is 5e-324 bps: "
+                                       "the replay gain over it is past the float range"),
+    ], ids=["radio_inf", "oracle_inf", "gain_inf"])
+    def test_mean_past_the_float_range_is_data_error(self, tp_zigbee, tp_lora, message):
+        """A mean that overflows, or a gain over a subnormal mean, is a
+        data error raised without a RuntimeWarning."""
+        trace = dataset.Trace(("n0",), [0, 0], [0.0, 1.0], tp_zigbee, tp_lora,
+                              [1.0] * 2, [-95.0] * 2, [0.8] * 2, [1.4] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(message)):
+                replay(trace, OracleSelector())
+
     def test_gains_labeled_both_ways(self, traces):
         res = replay(traces, OracleSelector())
         assert res.gain_vs_best_single_pct >= 0.0
@@ -259,6 +287,12 @@ class TestIntervalSweep:
     def test_rejects_bad_interval(self, cfg):
         with pytest.raises(DataError):
             interval_sweep(cfg, [0.0], AlwaysSelector(0), seed=0)
+
+    def test_rejects_latency_past_the_float_range(self):
+        with pytest.raises(DataError, match=re.escape("service_time_s 1e+308 gives a mean "
+                                                      "latency past the float range")):
+            interval_sweep(ScenarioConfig(n_packets=5, service_time_s=1e308), [60.0],
+                           AlwaysSelector(0), seed=0)
 
 
 class PrrSelector:
