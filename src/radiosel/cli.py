@@ -248,17 +248,18 @@ def cmd_eval(args, run: _Run) -> None:
             return [res.tree for res in results]
 
         fold_ds = dataset.standardize(ds) if model.scaler is not None else ds
-        kres = metrics.kfold_cwa(fold_ds, trainer, k=args.kfold, seed=args.seed)
+        train_cwa, test_cwa = metrics.kfold_cwa(fold_ds, trainer, k=args.kfold, seed=args.seed)
         run.doc["kfold"] = [{**_stats(res), "n_passes": res.n_passes,
                              "stop_reason": res.stop_reason} for res in results]
-        rows += [[model_name, location, f"fold{i}-test", f"{kres.test_cwa[i]:.6f}", "0",
-                  kres.depths[i], kres.leaves[i]] for i in range(kres.k)]
-        sizes = [f"{kres.depth_mean:.6g}", f"{kres.leaves_mean:.6g}"]
-        for split, (mean, std) in (("train", kres.train_mean_std),
-                                   ("test", kres.test_mean_std)):
+        trees = [res.tree for res in results]
+        rows += [[model_name, location, f"fold{i}-test", f"{v:.6f}", "0", t.depth, t.n_leaves()]
+                 for i, (v, t) in enumerate(zip(test_cwa, trees))]
+        sizes = [f"{np.mean([t.depth for t in trees]):.6g}",
+                 f"{np.mean([t.n_leaves() for t in trees]):.6g}"]
+        for split, values in (("train", train_cwa), ("test", test_cwa)):
+            mean, std = np.mean(values), np.std(values, ddof=1)   # k >= 2: a sample std
             rows.append([model_name, location, split, f"{mean:.6f}", f"{std:.6f}", *sizes])
-        te = kres.test_mean_std
-        print(f"{args.kfold}-fold test CWA = {te[0]:.4f} +- {te[1]:.4f}%")
+        print(f"{args.kfold}-fold test CWA = {mean:.4f} +- {std:.4f}%")   # the loop's last split
 
     run.csv("metrics.csv", ("model", "location", "split", "cwa_mean", "cwa_std",
                             "depth_mean", "leaves_mean"), rows)

@@ -46,8 +46,6 @@ DATASET_HEADER = ("hn", "rssi", "prr", "rnp", "label", "cost")
 TRACE_HEADER = ("node_id", "t", "tp_zigbee", "tp_lora", "hn", "rssi", "prr", "rnp")
 TRACE_COLUMNS = TRACE_HEADER[1:]
 
-_LABEL_CODES = {"zigbee": 0, "lora": 1}
-_UNKNOWN_LABEL = "unknown radio label {!r} (expected 'zigbee' or 'lora')"
 # Records per block that the CSV readers parse and the writers format at a
 # time: memory is the loaded arrays plus one block of cell strings.
 CHUNK_ROWS = 2048
@@ -85,10 +83,19 @@ def typed_like(field: str, value, default, error=DataError):
 
 
 class RadioClass(enum.IntEnum):
-    """Binary radio label. Encoding fixed project-wide: Zigbee=0, Lora=1."""
+    """Binary radio label. Encoding fixed project-wide: Zigbee=0, Lora=1.
+    The member names are the label text: ZIGBEE and LORA in emitted
+    programs, lower case in dataset CSVs and selector names, and their
+    first letter in tree signatures."""
 
     ZIGBEE = 0
     LORA = 1
+
+
+# dataset CSV label word -> code, in code order: save_dataset indexes the words by code
+_LABEL_CODES = {radio.name.lower(): int(radio) for radio in RadioClass}
+_UNKNOWN_LABEL = ("unknown radio label {!r} (expected "
+                  + " or ".join(map(repr, _LABEL_CODES)) + ")")
 
 
 @dataclass(frozen=True)
@@ -144,8 +151,11 @@ class Dataset:
             raise DataError("empty dataset")
         if self.y.shape != (n,) or self.c.shape != (n,):
             raise DataError("X, y, c length mismatch")
-        if not np.all(np.isfinite(self.X)):
-            raise DataError("non-finite feature value")
+        finite = np.isfinite(self.X)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]   # the first bad row, then its first bad column
+            raise DataError(f"row {i}: non-finite feature value "
+                            f"{feature_names(self.dim)[j]}={float(self.X[i, j])}")
         if not np.all((self.y == 0) | (self.y == 1)):
             raise DataError("labels must be 0/1")
         if not np.all(np.isfinite(self.c) & (self.c > 0)):
@@ -427,7 +437,7 @@ def save_dataset(ds: Dataset, path) -> None:
     error = _first_error(_feature_rules(*ds.X.T))
     if error is not None:
         raise DataError(error[1])
-    labels = _text_words(["zigbee", "lora"])
+    labels = _text_words(list(_LABEL_CODES))
     features = len(FEATURE_NAMES) * _SLOT_WORDS
     with Path(path).open("wb") as fh:
         fh.write(",".join(DATASET_HEADER).encode() + b"\n")

@@ -16,15 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, feature_names
+from .dataset import FEATURE_NAMES, RadioClass, feature_names
 from .errors import DataError
 from .tree import LeafNode, ObliqueTree, to_json
 
 PROGRAM_VERSION = 2
 _INDENT = "    "
-
-_LABEL_TEXT = {0: "ZIGBEE", 1: "LORA"}
-_LABEL_CODE = {"ZIGBEE": 0, "LORA": 1}
 
 
 def feature_names_for(tree: ObliqueTree) -> tuple:
@@ -79,7 +76,7 @@ def codegen(tree: ObliqueTree) -> DecisionProgram:
         pad = _INDENT * depth
         node = tree.nodes[nid]
         if isinstance(node, LeafNode):
-            lines.append(f"{pad}return {_LABEL_TEXT[node.label]};")
+            lines.append(f"{pad}return {RadioClass(node.label).name};")
             return
         lines.append(f"{pad}if ({_condition_text(node.w, node.w0, names)}) {{")
         emit(node.left, depth + 1)
@@ -134,9 +131,9 @@ class _Parser:
         line = self.take()
         if line.startswith("return "):
             label = line[len("return "):].rstrip(";")
-            if label not in _LABEL_CODE:
+            if label not in RadioClass.__members__:
                 raise DataError(f"unknown return label {label!r}")
-            return ("leaf", _LABEL_CODE[label])
+            return ("leaf", int(RadioClass[label]))
         m = re.match(r"^if \((?P<expr>.+) < 0\) \{$", line)
         if not m:
             raise DataError(f"cannot parse program line: {line!r}")

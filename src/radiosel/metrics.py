@@ -61,61 +61,26 @@ def error_breakdown(tree: ObliqueTree, ds: Dataset,
     )
 
 
-@dataclass
-class KFoldResult:
-    train_cwa: np.ndarray
-    test_cwa: np.ndarray
-    depths: np.ndarray
-    leaves: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.test_cwa)
-
-    def _mean_std(self, arr):
-        std = float(np.std(arr, ddof=1)) if len(arr) > 1 else 0.0
-        return float(np.mean(arr)), std
-
-    @property
-    def train_mean_std(self):
-        return self._mean_std(self.train_cwa)
-
-    @property
-    def test_mean_std(self):
-        return self._mean_std(self.test_cwa)
-
-    @property
-    def depth_mean(self) -> float:
-        return float(np.mean(self.depths))
-
-    @property
-    def leaves_mean(self) -> float:
-        return float(np.mean(self.leaves))
-
-
-def kfold_cwa(ds: Dataset, trainer, k: int = 5, seed: int = 0) -> KFoldResult:
+def kfold_cwa(ds: Dataset, trainer, k: int = 5,
+              seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Stratified k-fold evaluation of a batch trainer: a callable that
     takes the k training splits in fold order, each the complement of its
     fold with rows in dataset order, and returns one tree per split. So a
     trainer can train all folds together, as eval --kfold does in one
     lockstep TAO run (see tao's module doc).
 
-    Reports per-fold train/test CWA plus tree size stats; mean and sample
-    (n-1) stddev are exposed on the result. The folds, and the checks on k,
-    are those of dataset.stratified_kfold_indices. Each fold's test split
-    is built only after training, so the k training splits are the only
-    copies of the data alive while the trainer runs.
+    Returns (train_cwa, test_cwa): two float arrays of k CWAs in percent,
+    in fold order, each fold's tree scored on its training split and on
+    the fold. The folds, and the checks on k, are those of
+    dataset.stratified_kfold_indices. Each fold's test split is built only
+    after training, so the k training splits are the only copies of the
+    data alive while the trainer runs.
     """
     folds = stratified_kfold_indices(ds, k, seed)
     train_sets = [ds.subset(np.delete(np.arange(ds.n), fold)) for fold in folds]
     models = list(trainer(train_sets))
     if len(models) != len(folds):
         raise DataError(f"trainer returned {len(models)} trees for {len(folds)} folds")
-    train_cwa, test_cwa, depths, leaves = [], [], [], []
-    for fold, train_ds, model in zip(folds, train_sets, models):
-        train_cwa.append(cwa(model, train_ds))
-        test_cwa.append(cwa(model, ds.subset(fold)))
-        depths.append(model.depth)
-        leaves.append(model.n_leaves())
-    return KFoldResult(np.array(train_cwa), np.array(test_cwa),
-                       np.array(depths), np.array(leaves))
+    train_cwa = np.array([cwa(model, part) for model, part in zip(models, train_sets)])
+    test_cwa = np.array([cwa(model, ds.subset(fold)) for model, fold in zip(models, folds)])
+    return train_cwa, test_cwa

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, Trace, typed_like
+from .dataset import FEATURE_NAMES, RadioClass, Trace, typed_like
 from .errors import DataError
 from .tree import ObliqueTree
 
@@ -90,10 +90,16 @@ class ScenarioConfig:
             raise DataError("a scenario needs at least one packet per node")
         if any(d <= 0 for d in self.distances_m):
             raise DataError("distances must be > 0")
-        for name in ("packet_interval_s", "hop_range_m", "zigbee_hop_capacity_bps",
-                     "lora_base_rate_bps", "rnp_cap"):   # the last three scale throughputs
+        for name in ("packet_interval_s", "hop_range_m", "service_time_s",
+                     "zigbee_hop_capacity_bps", "lora_base_rate_bps",
+                     "rnp_cap"):   # the last three scale throughputs
             if not getattr(self, name) > 0:
                 raise DataError(f"{name} must be > 0")
+        if not 0 < self.prr_ceil <= 1:
+            raise DataError(f"prr_ceil must be in (0, 1], got {self.prr_ceil!r}")
+        if not 0 <= self.prr_floor <= self.prr_ceil:
+            raise DataError(f"prr_floor must be in [0, prr_ceil], got {self.prr_floor!r} "
+                            f"with prr_ceil {self.prr_ceil!r}")
         # the packet times and the farthest node's hop count must be floats
         if not math.isfinite(self.packet_interval_s * (self.n_packets - 1)):
             raise DataError(f"packet_interval_s {self.packet_interval_s!r} times "
@@ -206,7 +212,7 @@ def generate(cfg: ScenarioConfig, seed: int) -> Trace:
 class AlwaysSelector:
     def __init__(self, radio: int):
         self.radio = int(radio)
-        self.name = "always_zigbee" if self.radio == 0 else "always_lora"
+        self.name = f"always_{RadioClass(self.radio).name.lower()}"
 
     def choose(self, traces: Trace) -> np.ndarray:
         return np.full(len(traces), self.radio, dtype=int)

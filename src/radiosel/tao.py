@@ -386,19 +386,16 @@ def train_grid(runs, val: Dataset | None = None, labels=None) -> list:
             raise DataError(f"{prefix}need at least 2 training samples")
         if len(np.unique(ds.y)) < 2:
             raise DataError(f"{prefix}single-class dataset: nothing to separate")
+    inits = [("random", "cart") if cfg.init_policy == "best_of_both" else (cfg.init_policy,)
+             for _, cfg in runs]
     jobs = [TaoJob(_initial_tree(ds, cfg, policy), ds, cfg, policy, label)
-            for (ds, cfg), label in zip(runs, labels)
-            for policy in (("random", "cart") if cfg.init_policy == "best_of_both"
-                           else (cfg.init_policy,))]
+            for (ds, cfg), label, policies in zip(runs, labels, inits) for policy in policies]
     results = iter(optimize_trees(jobs))
     chosen = []
-    for _, cfg in runs:
-        if cfg.init_policy != "best_of_both":
-            chosen.append(next(results))
-            continue
-        pair = (next(results), next(results))
-        stats = {k: sum(res.solver_stats[k] for res in pair) for k in STAT_KEYS}
-        best = min(pair, key=lambda res: (  # a tie prefers 'cart'
+    for policies in inits:
+        group = [next(results) for _ in policies]
+        stats = {k: sum(res.solver_stats[k] for res in group) for k in STAT_KEYS}
+        best = min(group, key=lambda res: (  # a tie prefers 'cart'
             -metrics.cwa(res.tree, val) if val is not None else res.history[-1], res.init_used))
         chosen.append(replace(best, solver_stats=stats))
     return chosen

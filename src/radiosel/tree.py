@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Scaler, typed_like
+from .dataset import RadioClass, Scaler, typed_like
 from .errors import DataError, ModelFormatError
 
 MODEL_FORMAT_VERSION = 1
@@ -232,7 +232,7 @@ class ObliqueTree:
     def _sig(self, nid: int) -> str:
         node = self.nodes[nid]
         if isinstance(node, LeafNode):
-            return "Z" if node.label == 0 else "L"
+            return RadioClass(node.label).name[0]
         return "(" + self._sig(node.left) + self._sig(node.right) + ")"
 
 

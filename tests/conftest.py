@@ -16,17 +16,43 @@ SIMD_TARGETS = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
 SIMD_CLASS = "X86_V4" if __cpu_features__.get("X86_V4") else "no_X86_V4"
 SIMD_NOTE = f"pinned for SIMD class {SIMD_CLASS}; numpy enables {SIMD_TARGETS} here"
 
+# A value that also follows the solver's products with Z (a tree digest) is
+# pinned per (SIMD class, BLAS kernel family): numpy's OpenBLAS picks its
+# kernels by the CPU when it loads, and each family orders its multiply-adds
+# its own way. The family of each core name blas_core() reads; forced with
+# OPENBLAS_CORETYPE on an AVX-512 Xeon, Cooperlake and SapphireRapids load
+# the SkylakeX kernels and Zen the Haswell ones.
+BLAS_FAMILIES = {"SkylakeX": "SkylakeX", "Cooperlake": "SkylakeX",
+                 "SapphireRapids": "SkylakeX", "Haswell": "Haswell", "Zen": "Haswell"}
+BLAS_CORE = blas_core()
+KERNELS = (SIMD_CLASS, BLAS_FAMILIES.get(BLAS_CORE))
+KERNELS_NOTE = f"pinned for {KERNELS}; numpy enables {SIMD_TARGETS}, BLAS core {BLAS_CORE}"
+
 
 def pytest_report_header(config):
-    # tree digests also follow the BLAS kernel family picked at load time
     return f"numpy {np.__version__}, SIMD dispatch targets {SIMD_TARGETS}, " \
-           f"pinned-digest class {SIMD_CLASS}, BLAS core {blas_core()}"
+           f"pinned-digest class {SIMD_CLASS}, BLAS core {BLAS_CORE} " \
+           f"(kernel family {KERNELS[1]})"
 
 
 def assert_pinned(got, per_class):
     """got equals the value pinned for this host's SIMD class. A host whose
     bytes match neither class fails with its dispatch targets named."""
     assert got == per_class[SIMD_CLASS], SIMD_NOTE
+
+
+def kernels_pin(per_kernels):
+    """The value pinned for this host's (SIMD class, BLAS kernel family).
+    A BLAS core of no known family fails, named."""
+    assert KERNELS[1] is not None, \
+        f"no pins for BLAS core {BLAS_CORE!r}: it is in no family of conftest.BLAS_FAMILIES"
+    return per_kernels[KERNELS]
+
+
+def assert_kernels_pinned(got, per_kernels):
+    """got equals the value pinned for this host's SIMD class and BLAS
+    kernel family (kernels_pin)."""
+    assert got == kernels_pin(per_kernels), KERNELS_NOTE
 
 
 def random_dataset(rng, n=60, dim=4, cost_scale=1000.0, separation=1.0):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SIMD_CLASS, assert_pinned
+from conftest import SIMD_CLASS, assert_kernels_pinned
 from radiosel import dataset, export, metrics, simulator, tao, tree
 from radiosel.cli import _sha256, blas_core, main
 from radiosel.dataset import Scaler
@@ -123,15 +123,23 @@ class TestTrain:
     # solver stats left out) from the README's `simulate --seed 1` and
     # `train --depth 4 --seed 1`, recorded when each training ran alone;
     # per lambda, (solves, iterations, cap hits) as counted then by wrapping
-    # the solver's calls. The digests are pinned per SIMD class (and follow
-    # the BLAS kernels of the solver's products); the counts are the same
-    # in both.
+    # the solver's calls. The digests are pinned per SIMD class and BLAS
+    # kernel family (the kernels of the solver's products); the counts are
+    # the same in all four.
     README_MODEL = {
-        "X86_V4": "951fe7125dda2af4062a3841258a5788319376b46c21617be59294c57b80e88d",
-        "no_X86_V4": "41e3a52f8a3c1c2cfb1e75d75d5ab16b0993468532ce6a47fa33809022524b04"}
+        ("X86_V4", "SkylakeX"): "951fe7125dda2af4062a3841258a5788319376b46c21617be59294c57b80e88d",
+        ("no_X86_V4", "SkylakeX"):
+            "41e3a52f8a3c1c2cfb1e75d75d5ab16b0993468532ce6a47fa33809022524b04",
+        ("X86_V4", "Haswell"): "7683bda4a0c9674a711fa3a8e17298e4d0d4c7af8fe168da2ca187f9008afb86",
+        ("no_X86_V4", "Haswell"):
+            "39a19b5e21ad9235a8f19496e9e7c8fb976a75848958ddad7263b8a1c9321920"}
     README_TRAINING = {
-        "X86_V4": "34f229d6a350d503eb7411993df22d399bde1b7a0be3e3bc011f61c2518d77be",
-        "no_X86_V4": "bf8ff82625a7df3358fb7ab3fe2585a0782f6670b92961d5356e8d7f62a583d0"}
+        ("X86_V4", "SkylakeX"): "34f229d6a350d503eb7411993df22d399bde1b7a0be3e3bc011f61c2518d77be",
+        ("no_X86_V4", "SkylakeX"):
+            "bf8ff82625a7df3358fb7ab3fe2585a0782f6670b92961d5356e8d7f62a583d0",
+        ("X86_V4", "Haswell"): "3ba3ef28cd80654154d00fa34f5164757b22b280680c5d650715a96c8a6124da",
+        ("no_X86_V4", "Haswell"):
+            "231e031b660365afe9b092e122123be3b76cceac6900213f48f2e77ace1b63d0"}
     README_SWEEP_STATS = [(51, 5853, 1), (55, 6274, 2), (57, 6438, 1), (69, 7752, 3),
                           (43, 4144, 0)]
     # the chosen model's training.pass_stats, loss evaluations included
@@ -144,11 +152,12 @@ class TestTrain:
 
     def test_readme_seed_1_train_pinned(self, readme_fit):
         out = readme_fit[1]
-        assert_pinned(_sha256(out / "model.json"), self.README_MODEL)
+        assert_kernels_pinned(_sha256(out / "model.json"), self.README_MODEL)
         doc = json.loads((out / "manifest.json").read_text())
         training = {k: v for k, v in doc["training"].items() if k != "pass_stats"}
-        assert_pinned(hashlib.sha256(json.dumps(training, sort_keys=True).encode()).hexdigest(),
-                      self.README_TRAINING)
+        assert_kernels_pinned(
+            hashlib.sha256(json.dumps(training, sort_keys=True).encode()).hexdigest(),
+            self.README_TRAINING)
         assert doc["training"]["pass_stats"] == self.README_PASS_STATS
         assert [(row["solves"], row["iters"], row["cap_hits"])
                 for row in doc["lambda_sweep"]] == self.README_SWEEP_STATS
@@ -336,6 +345,35 @@ class TestEval:
         assert len(lines) == 1 + 1 + 5 + 2
         assert sum("fold" in ln for ln in lines) == 5
 
+    def test_kfold_summary_rows_are_mean_and_sample_std(self, tmp_path, data_csv, model_dir,
+                                                         monkeypatch, capsys):
+        """metrics.csv's fold rows hold kfold_cwa's test CWAs, and its train
+        and test rows their mean and n-1 standard deviation, as stdout does."""
+        folds = []
+        real_kfold_cwa = metrics.kfold_cwa
+
+        def spy(*args, **kwargs):
+            folds.append(real_kfold_cwa(*args, **kwargs))
+            return folds[-1]
+
+        monkeypatch.setattr(metrics, "kfold_cwa", spy)
+        out = tmp_path / "evalk"
+        assert main(["eval", "--model", str(model_dir / "model.json"), "--data", str(data_csv),
+                     "--kfold", "4", "--seed", "3", "--out-dir", str(out)]) == 0
+        (train_cwa, test_cwa), = folds
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = {row["split"]: row for row in csv.DictReader(fh)}
+        assert [rows[f"fold{i}-test"]["cwa_mean"] for i in range(4)] \
+            == ["%.6f" % v for v in test_cwa]
+        for split, values in (("train", train_cwa), ("test", test_cwa)):
+            assert (rows[split]["cwa_mean"], rows[split]["cwa_std"]) \
+                == ("%.6f" % np.mean(values), "%.6f" % np.std(values, ddof=1))
+        assert "%.6f" % np.std(test_cwa, ddof=1) != "%.6f" % np.std(test_cwa)   # ddof shows
+        leaves = [int(rows[f"fold{i}-test"]["leaves_mean"]) for i in range(4)]
+        assert rows["test"]["leaves_mean"] == "%.6g" % np.mean(leaves)
+        assert (f"4-fold test CWA = {np.mean(test_cwa):.4f} +- "
+                f"{np.std(test_cwa, ddof=1):.4f}%") in capsys.readouterr().out
+
     def test_kfold_manifest_rows(self, tmp_path, data_csv, model_dir):
         out = tmp_path / "evalk"
         assert main(["eval", "--model", str(model_dir / "model.json"),
@@ -451,18 +489,41 @@ class TestSimulate:
         ('{"zigbee_hop_capacity_bps": -1.0}', "zigbee_hop_capacity_bps must be > 0"),
         ('{"lora_base_rate_bps": -1.0}', "lora_base_rate_bps must be > 0"),
         ('{"lora_rate_tiers": [[-85.0, -1.0]]}', "lora_rate_tiers[0] rate must be > 0"),
+        ('{"service_time_s": -1.0}', "service_time_s must be > 0"),
+        ('{"service_time_s": 0.0}', "service_time_s must be > 0"),
+        ('{"prr_floor": 0.9, "prr_ceil": 0.2}',
+         "prr_floor must be in [0, prr_ceil], got 0.9 with prr_ceil 0.2"),
+        ('{"prr_floor": -0.1}', "prr_floor must be in [0, prr_ceil], got -0.1"),
+        ('{"prr_ceil": 0}', "prr_ceil must be in (0, 1], got 0.0"),
+        ('{"prr_ceil": 1.5}', "prr_ceil must be in (0, 1], got 1.5"),
     ], ids=["unknown_field", "not_an_object", "int_float", "int_bool", "list_string",
             "pair_width", "real_string", "real_nan", "gray_region_width", "hop_range_zero",
             "hop_overhead_negative", "std_negative", "seed_negative", "payload_bytes",
             "n_nodes_derived", "zigbee_capacity_zero", "zigbee_capacity_negative",
-            "lora_base_negative", "lora_tier_negative"])
+            "lora_base_negative", "lora_tier_negative", "service_time_negative",
+            "service_time_zero", "prr_floor_above_ceil", "prr_floor_negative", "prr_ceil_zero",
+            "prr_ceil_above_one"])
     def test_bad_scenario_exit_3(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
-        rc = main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")])
-        assert rc == 3
-        assert message in capsys.readouterr().err
-        assert list((tmp_path / "o").iterdir()) == []
+        for command in ("simulate", "sweep"):
+            out = tmp_path / command
+            rc = main([command, "--scenario", str(bad), "--out-dir", str(out)])
+            assert rc == 3
+            assert message in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
+    def test_overflowing_feature_exit_3_names_the_column(self, tmp_path, capsys):
+        """A scenario whose rnp measurement noise overflows labels a
+        non-finite rnp: the error names the row and the column, and
+        nothing is written."""
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"rnp_meas_sigma": 1e308}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(out)]) == 3
+        assert re.search(r"data error: row \d+: non-finite feature value rnp=",
+                         capsys.readouterr().err)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_exit_3(self, tmp_path, capsys, value):

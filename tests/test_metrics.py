@@ -120,23 +120,27 @@ class TestKFold:
         y = np.array([0] * 50 + [1] * 10)
         c = rng.uniform(1, 10, n)
         ds = Dataset(X, y, c)
-        res = kfold_cwa(ds, ConstantTrainer(), k=5, seed=1)
+        train_cwa, test_cwa = kfold_cwa(ds, ConstantTrainer(), k=5, seed=1)
         folds = stratified_kfold_indices(ds, 5, seed=1)
         for i, fold in enumerate(folds):
             share = 100.0 * float(np.sum(c[fold][y[fold] == 0])) / float(np.sum(c[fold]))
-            assert res.test_cwa[i] == pytest.approx(share, rel=1e-12)
+            assert test_cwa[i] == pytest.approx(share, rel=1e-12)
+            rest = np.setdiff1d(np.arange(n), fold)
+            share = 100.0 * float(np.sum(c[rest][y[rest] == 0])) / float(np.sum(c[rest]))
+            assert train_cwa[i] == pytest.approx(share, rel=1e-12)
 
     def test_leave_one_out_boundary(self, rng):
         ds = random_dataset(rng, n=8)
-        res = kfold_cwa(ds, ConstantTrainer(), k=8, seed=0)
-        assert res.k == 8
+        train_cwa, test_cwa = kfold_cwa(ds, ConstantTrainer(), k=8, seed=0)
+        assert train_cwa.shape == test_cwa.shape == (8,)
+        assert train_cwa.dtype == test_cwa.dtype == np.float64
 
     def test_deterministic(self, rng):
         ds = random_dataset(rng, n=40)
         a = kfold_cwa(ds, ConstantTrainer(), k=4, seed=3)
         b = kfold_cwa(ds, ConstantTrainer(), k=4, seed=3)
-        assert np.array_equal(a.test_cwa, b.test_cwa)
-        assert np.array_equal(a.train_cwa, b.train_cwa)
+        assert len(a) == len(b) == 2
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_class_too_small_errors(self, rng):
         X = rng.normal(0, 1, (20, 4))
@@ -162,10 +166,3 @@ class TestKFold:
         ds = random_dataset(rng, n=40)
         with pytest.raises(DataError, match="trainer returned 4 trees for 5 folds"):
             kfold_cwa(ds, lambda train_sets: ConstantTrainer()(train_sets)[:4], k=5, seed=0)
-
-    def test_sample_stddev(self, rng):
-        ds = random_dataset(rng, n=50)
-        res = kfold_cwa(ds, ConstantTrainer(), k=5, seed=2)
-        mean, std = res.test_mean_std
-        assert mean == pytest.approx(float(np.mean(res.test_cwa)))
-        assert std == pytest.approx(float(np.std(res.test_cwa, ddof=1)))

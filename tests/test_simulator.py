@@ -69,13 +69,27 @@ class TestScenarioConfig:
         ("lora_base_rate_bps", -1.0, "lora_base_rate_bps must be > 0"),
         ("rnp_cap", 0.0, "rnp_cap must be > 0"),
         ("lora_rate_tiers", ((-85.0, 5470.0), (-90.3, -1.0)), "lora_rate_tiers[1] rate must be > 0"),
+        ("service_time_s", -1.0, "service_time_s must be > 0"),
+        ("service_time_s", 0.0, "service_time_s must be > 0"),
+        ("prr_ceil", 0.0, "prr_ceil must be in (0, 1], got 0.0"),
+        ("prr_ceil", 1.01, "prr_ceil must be in (0, 1], got 1.01"),
+        ("prr_ceil", 0.05, "prr_floor must be in [0, prr_ceil], got 0.1 with prr_ceil 0.05"),
+        ("prr_floor", -0.01, "prr_floor must be in [0, prr_ceil], got -0.01"),
     ], ids=["zigbee_zero", "zigbee_negative", "lora_base_negative", "rnp_cap_zero",
-            "lora_tier_negative"])
+            "lora_tier_negative", "service_negative", "service_zero", "prr_ceil_zero",
+            "prr_ceil_above_one", "prr_ceil_below_floor", "prr_floor_negative"])
     def test_throughput_scales_must_be_positive(self, field, value, message):
-        """A scale <= 0 makes throughputs that the trace reader rejects,
-        or a radio whose mean throughput is 0."""
+        """A throughput scale <= 0 makes throughputs that the trace reader
+        rejects, or a radio whose mean throughput is 0. A service time <= 0
+        gives negative sweep latencies. A PRR range outside [0, 1] gives
+        impossible reception ratios, and one whose floor is above its
+        ceiling clips every packet's PRR to prr_ceil."""
         with pytest.raises(DataError, match=re.escape(message)):
             ScenarioConfig(**{field: value})
+
+    def test_prr_bounds_are_inclusive(self):
+        ScenarioConfig(prr_floor=0.0, prr_ceil=1.0)
+        ScenarioConfig(prr_floor=0.5, prr_ceil=0.5)
 
     @pytest.mark.parametrize("field, value, message", [
         ("hop_range_m", 5e-324, "hop_range_m 5e-324 is too small: 1600.0 m over it"),

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SIMD_CLASS, SIMD_NOTE, boundary_adjacent_inputs, stump
+from conftest import KERNELS_NOTE, boundary_adjacent_inputs, kernels_pin, stump
 from radiosel import solver, tao
 from radiosel.errors import DataError, NumericError
 from radiosel.solver import (LinearModel, SolverConfig, WeightedBinaryProblem,
@@ -545,9 +545,11 @@ class TestSolveMany:
         """A batch whose problems stop for each of the five reasons."""
         pairs = []
         # drawn to stop on rounding and on tol; the first seed that stops on
-        # rounding follows the last bits of the SIMD class's exp and of the
-        # products with Z
-        for seed in ({"X86_V4": 18, "no_X86_V4": 39}[SIMD_CLASS], 0):
+        # rounding (and at patience 5 on patience) follows the last bits of
+        # the SIMD class's exp and of the BLAS kernel family's products with Z
+        rounding = kernels_pin({("X86_V4", "SkylakeX"): 18, ("no_X86_V4", "SkylakeX"): 39,
+                                ("X86_V4", "Haswell"): 55, ("no_X86_V4", "Haswell"): 47})
+        for seed in (rounding, 0):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 30))
             problem = WeightedBinaryProblem(rng.normal(0, 2, (n, 4)),
@@ -570,7 +572,7 @@ class TestSolveMany:
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # the kernel overflows silently
             solver.solve_many(problems, inits, cfg, stats)
-        assert [st.exit for st in stats] == ["rounding", "tol", "linesearch", "cap"], SIMD_NOTE
+        assert [st.exit for st in stats] == ["rounding", "tol", "linesearch", "cap"], KERNELS_NOTE
         self.assert_batch_matches(problems, inits, cfg)
         patience_cfg = SolverConfig(max_iter=300, tol=1e-300, patience=5)
         solver.solve_many(problems[:1], inits[:1], patience_cfg, stats)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_pinned, child, random_dataset, random_tree, stump
+from conftest import assert_kernels_pinned, child, random_dataset, random_tree, stump
 from radiosel import cart, metrics, solver, tao
 from radiosel.dataset import Dataset
 from radiosel.errors import DataError, NumericError
@@ -434,12 +434,26 @@ class TestSolveReuse:
     # sha256 of to_json(tree) for _train(lam) under TAO's proposal config,
     # recorded with solve reuse disabled: reuse must not change a byte of
     # the trained model. The solver's exp makes them differ per SIMD class,
-    # and they follow the BLAS kernels of its products with Z.
+    # and the BLAS kernels of its products with Z per kernel family.
     GOLDEN = {
-        0.0: {"X86_V4": "f4f595d370161bc15d6947c0f19ef27f1c979eb83f3b9055c84f4f0763042266",
-              "no_X86_V4": "f06f4aded4efbbb5304d2bfcb7fa219ed96fbde2a2bf093e8022d7d3ba0a11e0"},
-        0.01: {"X86_V4": "d8a8ad6c3f1a7789fee55b23aef0f8cf22a9b17634929917295be24e5142812d",
-               "no_X86_V4": "d8e55b512139cf90a668edf0d5bf9d6f55d2c91af654238076cdd6ac24f3c9fe"},
+        0.0: {
+            ("X86_V4", "SkylakeX"):
+                "f4f595d370161bc15d6947c0f19ef27f1c979eb83f3b9055c84f4f0763042266",
+            ("no_X86_V4", "SkylakeX"):
+                "f06f4aded4efbbb5304d2bfcb7fa219ed96fbde2a2bf093e8022d7d3ba0a11e0",
+            ("X86_V4", "Haswell"):
+                "48b3b164bd0e72f9c50062bb2708b694911cc29dd09eaf1a2399068bf64fea0a",
+            ("no_X86_V4", "Haswell"):
+                "434f8d689bee8825cae862b569a8db4398042ebee57e4dd326fcc021721ce9d5"},
+        0.01: {
+            ("X86_V4", "SkylakeX"):
+                "d8a8ad6c3f1a7789fee55b23aef0f8cf22a9b17634929917295be24e5142812d",
+            ("no_X86_V4", "SkylakeX"):
+                "d8e55b512139cf90a668edf0d5bf9d6f55d2c91af654238076cdd6ac24f3c9fe",
+            ("X86_V4", "Haswell"):
+                "aad27c9f3b4e20aab7553b87064cc24c1f9ab15e1221ae46adc291fd15e53790",
+            ("no_X86_V4", "Haswell"):
+                "6710e81ebd0716c2cdac584dd7c5d9297e3a7dbe67b95a93ce50b6e366a36af1"},
     }
 
     @staticmethod
@@ -450,7 +464,7 @@ class TestSolveReuse:
     @pytest.mark.parametrize("lam", [0.0, 0.01])
     def test_golden_digest(self, lam):
         digest = hashlib.sha256(to_json(self._train(lam).tree).encode()).hexdigest()
-        assert_pinned(digest, self.GOLDEN[lam])
+        assert_kernels_pinned(digest, self.GOLDEN[lam])
 
     @pytest.mark.parametrize("lam", [0.0, 0.01])
     def test_no_repeated_solve_within_optimize_tree(self, lam, monkeypatch):
