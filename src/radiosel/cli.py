@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="warm-start chain over data fractions")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--fractions", default="0.5,0.75,1.0")
+    p.add_argument("--fractions", default=",".join(str(v) for v in stability.DEFAULT_FRACTIONS))
     training(p, init="cart")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.set_defaults(func=cmd_stability)

@@ -691,43 +691,40 @@ def _stratified_counts(n: int, fractions) -> list[int]:
     return counts
 
 
-def class_permutations(y: np.ndarray, seed: int) -> tuple:
-    """The stratified draw: the row indices of class 0, then of class 1,
-    each permuted by one default_rng(seed) in that order."""
+def _class_permutations(y: np.ndarray, seed: int) -> tuple:
+    """The stratified draw that every partition below cuts: the row indices
+    of class 0, then of class 1, each permuted by one default_rng(seed) in
+    that order."""
     rng = np.random.default_rng(seed)
     return tuple(members[rng.permutation(members.size)]
                  for members in (np.flatnonzero(y == 0), np.flatnonzero(y == 1)))
 
 
 def split(ds: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> tuple:
-    """Deterministic stratified split into len(fractions) disjoint parts."""
+    """Deterministic stratified split into len(fractions) disjoint parts:
+    part p joins each class's p-th chunk of its permutation."""
     fractions = tuple(float(f) for f in fractions)
     if not all(math.isfinite(f) and f > 0 for f in fractions):
         raise DataError(f"fractions must be finite and positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError(f"fractions must sum to 1, got {sum(fractions)}")
-    part_idx: list[list[int]] = [[] for _ in fractions]
-    for cls, perm in enumerate(class_permutations(ds.y, seed)):
+    chunks = []
+    for cls, perm in enumerate(_class_permutations(ds.y, seed)):
         if perm.size == 0:
             continue
         counts = _stratified_counts(perm.size, fractions)
         if any(k == 0 for k in counts):
             raise DataError(f"class {cls} stratum empty in one split part "
                             f"(have {perm.size} samples for fractions {fractions})")
-        start = 0
-        for p, k in enumerate(counts):
-            part_idx[p].extend(perm[start:start + k].tolist())
-            start += k
-    parts = []
-    for idx in part_idx:
-        idx.sort()
-        parts.append(ds.subset(np.array(idx, dtype=int)))
-    return tuple(parts)
+        chunks.append(np.split(perm, np.cumsum(counts)[:-1]))
+    return tuple(ds.subset(np.sort(np.concatenate(part))) for part in zip(*chunks))
 
 
 def stratified_kfold_indices(ds: Dataset, k: int, seed: int = 0) -> list[np.ndarray]:
     """Index arrays of k disjoint stratified folds covering the dataset.
 
+    The folds deal the class permutations, concatenated, round robin, so
+    the classes' samples spread over the folds in turn.
     k == N (leave-one-out) is allowed as a boundary case; otherwise each
     class present needs >= k samples.
     """
@@ -736,15 +733,23 @@ def stratified_kfold_indices(ds: Dataset, k: int, seed: int = 0) -> list[np.ndar
     if k > ds.n:
         raise DataError(f"k={k} exceeds dataset size {ds.n}")
     if k != ds.n:
-        for cls in (0, 1):
-            count = int(np.sum(ds.y == cls))
+        for cls, count in enumerate(np.bincount(ds.y, minlength=2)):
             if 0 < count < k:
                 raise DataError(f"class {cls} has {count} samples, fewer than k={k}")
-    folds: list[list[int]] = [[] for _ in range(k)]
-    offset = 0
-    for perm in class_permutations(ds.y, seed):
-        # offset staggers classes so small-class samples spread over folds
-        for i, idx in enumerate(perm):
-            folds[(i + offset) % k].append(int(idx))
-        offset += perm.size
-    return [np.array(sorted(f), dtype=int) for f in folds]
+    order = np.concatenate(_class_permutations(ds.y, seed))
+    return [np.sort(order[i::k]) for i in range(k)]
+
+
+def nested_subsets(ds: Dataset, fractions, seed: int) -> list[np.ndarray]:
+    """Index arrays of growing stratified subsets, one per fraction: f takes
+    the first ceil(f * n_c) of each class's permutation, so each subset
+    holds the ones before it and keeps every class present."""
+    fractions = [float(f) for f in fractions]
+    if not (fractions and fractions[0] > 0 and abs(fractions[-1] - 1.0) <= 1e-12
+            and all(a < b for a, b in zip(fractions, fractions[1:]))):
+        # for f < 0, ceil(f * n) is a negative slice bound: it takes rows from the end
+        raise DataError(f"fractions must rise strictly from above 0 to 1.0, got {fractions}")
+    per_class = _class_permutations(ds.y, seed)
+    return [np.sort(np.concatenate([members[:math.ceil(f * members.size)]
+                                    for members in per_class]))
+            for f in fractions]

@@ -107,6 +107,12 @@ class ScenarioConfig:
         if not math.isfinite(max(self.distances_m) / self.hop_range_m):
             raise DataError(f"hop_range_m {self.hop_range_m!r} is too small: "
                             f"{max(self.distances_m)!r} m over it is past the float range")
+        # occupancy stays below 1, so a floor of 1 or more turns staleness off
+        if not 0 <= self.stale_occupancy_floor < 1:
+            raise DataError(f"stale_occupancy_floor must be in [0, 1), "
+                            f"got {self.stale_occupancy_floor!r}")
+        if not 0 <= self.stale_prob_max <= 1:
+            raise DataError(f"stale_prob_max must be in [0, 1], got {self.stale_prob_max!r}")
         for i, (_, rate) in enumerate(self.lora_rate_tiers):
             if not rate > 0:
                 raise DataError(f"lora_rate_tiers[{i}] rate must be > 0")

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, tao
-from .dataset import Dataset, class_permutations
+from .dataset import Dataset, nested_subsets
 from .errors import DataError
 from .tree import ObliqueTree
+
+DEFAULT_FRACTIONS = (0.5, 0.75, 1.0)
 
 
 @dataclass
@@ -32,24 +34,8 @@ class StabilityReport:
     test_error_monotone_nonincreasing: bool
 
 
-def _nested_subsets(ds: Dataset, fractions, seed: int) -> list[np.ndarray]:
-    """One stratified shuffle; fraction f takes the first ceil(f * n_c) of
-    each class, so smaller subsets are contained in larger ones."""
-    per_class = class_permutations(ds.y, seed)
-    subsets = []
-    for f in fractions:
-        take = []
-        for cls, members in enumerate(per_class):
-            k = int(np.ceil(f * members.size))
-            if members.size and k == 0:
-                raise DataError(f"fraction {f} leaves class {cls} empty")
-            take.extend(members[:k].tolist())
-        subsets.append(np.array(sorted(take), dtype=int))
-    return subsets
-
-
 def stability_run(train_ds: Dataset, test_ds: Dataset, cfg: tao.TaoConfig,
-                  fractions=(0.5, 0.75, 1.0), seed: int = 0) -> StabilityReport:
+                  fractions=DEFAULT_FRACTIONS, seed: int = 0) -> StabilityReport:
     """Chain of trainings on nested subsets, each warm-started from the
     previous converged tree; reports each stage's signature, test error and
     tree, and whether every stage kept the first stage's signature.
@@ -58,11 +44,7 @@ def stability_run(train_ds: Dataset, test_ds: Dataset, cfg: tao.TaoConfig,
     field data is reported, never asserted.
     """
     fractions = [float(f) for f in fractions]
-    if not (fractions and fractions[0] > 0 and abs(fractions[-1] - 1.0) <= 1e-12
-            and all(a < b for a, b in zip(fractions, fractions[1:]))):
-        # for f < 0, ceil(f * n) is a negative slice bound: it takes rows from the end
-        raise DataError(f"fractions must rise strictly from above 0 to 1.0, got {fractions}")
-    subsets = _nested_subsets(train_ds, fractions, seed)
+    subsets = nested_subsets(train_ds, fractions, seed)
 
     stages = []
     prev_tree = None

@@ -71,12 +71,11 @@ import numpy as np
 from . import cart, metrics, solver, tree as treemod
 from .dataset import Dataset
 from .errors import DataError, NumericError
-from .tree import DecisionNode, LeafNode, ObliqueTree
+from .tree import MAX_DEPTH, DecisionNode, LeafNode, ObliqueTree
 
 ACCEPT_MARGIN = 1e-9   # relative to a node's reaching cost; see the module doc
 SOLVER_CFG = solver.SolverConfig(max_iter=200, tol=1e-8, patience=100)
 INIT_POLICIES = ("random", "cart", "best_of_both")
-MAX_DEPTH = 12   # the random init is a complete tree of 2**depth - 1 decision nodes
 
 
 @dataclass

@@ -22,6 +22,9 @@ from .dataset import RadioClass, Scaler, typed_like
 from .errors import DataError, ModelFormatError
 
 MODEL_FORMAT_VERSION = 1
+# The random init is a complete tree of 2**depth - 1 decision nodes, and
+# codegen and prune recurse once per level
+MAX_DEPTH = 12
 
 
 @dataclass
@@ -327,9 +330,12 @@ def from_json(text: str) -> ObliqueTree:
         else:
             raise ModelFormatError(f"node {nid}: unknown kind {kind!r}")
     lam, scaler = doc.get("lambda"), doc.get("scaler")
-    return ObliqueTree(nodes, typed(doc, "root", 0),
+    tree = ObliqueTree(nodes, typed(doc, "root", 0),
                        lam=lam if lam is None else typed(doc, "lambda", 0.0),
                        scaler=scaler if scaler is None else Scaler.from_dict(scaler))
+    if (depth := tree.depth) > MAX_DEPTH:
+        raise ModelFormatError(f"model depth must be <= {MAX_DEPTH}, got {depth}")
+    return tree
 
 
 def load(path) -> ObliqueTree:

@@ -496,13 +496,19 @@ class TestSimulate:
         ('{"prr_floor": -0.1}', "prr_floor must be in [0, prr_ceil], got -0.1"),
         ('{"prr_ceil": 0}', "prr_ceil must be in (0, 1], got 0.0"),
         ('{"prr_ceil": 1.5}', "prr_ceil must be in (0, 1], got 1.5"),
+        ('{"stale_prob_max": 5.0}', "stale_prob_max must be in [0, 1], got 5.0"),
+        ('{"stale_prob_max": -1.0}', "stale_prob_max must be in [0, 1], got -1.0"),
+        ('{"stale_occupancy_floor": 2.0}', "stale_occupancy_floor must be in [0, 1), got 2.0"),
+        ('{"stale_occupancy_floor": -0.5}',
+         "stale_occupancy_floor must be in [0, 1), got -0.5"),
     ], ids=["unknown_field", "not_an_object", "int_float", "int_bool", "list_string",
             "pair_width", "real_string", "real_nan", "gray_region_width", "hop_range_zero",
             "hop_overhead_negative", "std_negative", "seed_negative", "payload_bytes",
             "n_nodes_derived", "zigbee_capacity_zero", "zigbee_capacity_negative",
             "lora_base_negative", "lora_tier_negative", "service_time_negative",
             "service_time_zero", "prr_floor_above_ceil", "prr_floor_negative", "prr_ceil_zero",
-            "prr_ceil_above_one"])
+            "prr_ceil_above_one", "stale_prob_above_one", "stale_prob_negative",
+            "stale_floor_above_one", "stale_floor_negative"])
     def test_bad_scenario_exit_3(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -790,6 +796,71 @@ class TestMalformedModel:
         assert err.count("input has 4 features, model scaler has 3") == 2
         # a constant program over the scaler's 3 features is well formed
         assert main(["export", "--model", str(path), "--out-dir", str(tmp_path / "ex")]) == 0
+
+
+def _chain_model(path, depth):
+    """A model file whose decision nodes form one left-going chain."""
+    nodes = {i: DecisionNode(np.array([1.0, 0.0, 0.0, 0.0]), 0.0,
+                             i + 1 if i + 1 < depth else 2 * depth, depth + i)
+             for i in range(depth)}
+    nodes.update({i: LeafNode(i % 2) for i in range(depth, 2 * depth + 1)})
+    tree.save(ObliqueTree(nodes, 0), path)
+    return str(path)
+
+
+def test_model_at_the_depth_bound_exports(tmp_path):
+    model = _chain_model(tmp_path / "deep.json", tree.MAX_DEPTH)
+    assert main(["export", "--model", model, "--out-dir", str(tmp_path / "ex")]) == 0
+
+
+@pytest.mark.parametrize("depth", [tree.MAX_DEPTH + 1, 1000])
+def test_model_past_the_depth_bound_exit_3(tmp_path, data_csv, capsys, depth):
+    """codegen, prune and the program parser recurse once per level: a
+    deep model file is refused as it loads, not by a RecursionError."""
+    model = _chain_model(tmp_path / "deep.json", depth)
+    for argv in (["export"], ["eval", "--data", str(data_csv)], ["simulate"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--model", model, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"model depth must be <= {tree.MAX_DEPTH}, got {depth}" in err
+        assert "Traceback" not in err
+
+
+_CYCLE_NODES = [{"id": 0, "kind": "decision", "w": [1.0, 0.0, 0.0, 0.0], "w0": 0.0,
+                 "left": 1, "right": 2},
+                {"id": 1, "kind": "decision", "w": [1.0, 0.0, 0.0, 0.0], "w0": 0.0,
+                 "left": 0, "right": 3},
+                {"id": 2, "kind": "leaf", "label": 0}, {"id": 3, "kind": "leaf", "label": 1}]
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"s.json": "{"}, ["simulate", "--scenario", "s.json"], "scenario file is not valid JSON"),
+    ({}, ["simulate", "--scenario", "none.json"], "no such scenario file: none.json"),
+    ({"s.json": '{"distances_m": [100.0, -5.0]}'}, ["sweep", "--scenario", "s.json"],
+     "distances must be > 0"),
+    ({}, ["sweep", "--intervals", "5,abc"],
+     "--intervals expects a comma-separated list of numbers, got '5,abc'"),
+    ({"d.csv": ""}, ["train", "--data", "d.csv"],
+     "d.csv: empty file, expected header hn,rssi,prr,rnp,label,cost"),
+    ({"d.csv": "rssi,hn,prr,rnp,label,cost\n"}, ["train", "--data", "d.csv"],
+     "d.csv: columns must be ordered hn,rssi,prr,rnp,label,cost"),
+    ({"m.json": "[1,2]"}, ["export", "--model", "m.json"], "model file must hold a JSON object"),
+    ({"m.json": json.dumps({"version": 1, "root": 0,
+                           "nodes": [{"id": 0, "kind": "leaf", "label": 0}] * 2})},
+     ["export", "--model", "m.json"], "duplicate node id 0"),
+    ({"m.json": json.dumps({"version": 1, "root": 0, "nodes": _CYCLE_NODES})},
+     ["export", "--model", "m.json"], "node 0 reached twice"),
+], ids=["scenario_not_json", "scenario_missing", "distance_negative", "intervals_not_numbers",
+        "dataset_empty", "dataset_header_order", "model_not_object", "model_duplicate_id",
+        "model_cycle_through_root"])
+def test_input_error_exit_3(tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    assert main([*argv, "--out-dir", "out"]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 class TestFileErrors:

@@ -75,15 +75,23 @@ class TestScenarioConfig:
         ("prr_ceil", 1.01, "prr_ceil must be in (0, 1], got 1.01"),
         ("prr_ceil", 0.05, "prr_floor must be in [0, prr_ceil], got 0.1 with prr_ceil 0.05"),
         ("prr_floor", -0.01, "prr_floor must be in [0, prr_ceil], got -0.01"),
+        ("stale_prob_max", 1.5, "stale_prob_max must be in [0, 1], got 1.5"),
+        ("stale_prob_max", -0.1, "stale_prob_max must be in [0, 1], got -0.1"),
+        ("stale_occupancy_floor", 1.0, "stale_occupancy_floor must be in [0, 1), got 1.0"),
+        ("stale_occupancy_floor", -0.5, "stale_occupancy_floor must be in [0, 1), got -0.5"),
     ], ids=["zigbee_zero", "zigbee_negative", "lora_base_negative", "rnp_cap_zero",
             "lora_tier_negative", "service_negative", "service_zero", "prr_ceil_zero",
-            "prr_ceil_above_one", "prr_ceil_below_floor", "prr_floor_negative"])
+            "prr_ceil_above_one", "prr_ceil_below_floor", "prr_floor_negative",
+            "stale_prob_above_one", "stale_prob_negative", "stale_floor_one",
+            "stale_floor_negative"])
     def test_throughput_scales_must_be_positive(self, field, value, message):
         """A throughput scale <= 0 makes throughputs that the trace reader
         rejects, or a radio whose mean throughput is 0. A service time <= 0
         gives negative sweep latencies. A PRR range outside [0, 1] gives
         impossible reception ratios, and one whose floor is above its
-        ceiling clips every packet's PRR to prr_ceil."""
+        ceiling clips every packet's PRR to prr_ceil. A staleness maximum
+        outside [0, 1] is no probability, and occupancy stays below 1, so
+        an occupancy floor of 1 or more turns staleness off."""
         with pytest.raises(DataError, match=re.escape(message)):
             ScenarioConfig(**{field: value})
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_dataset
 from radiosel import dataset, simulator, tao
 from radiosel.errors import DataError
-from radiosel.stability import _nested_subsets, stability_run
+from radiosel.stability import stability_run
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ class TestStabilityRun:
 
     def test_subsets_are_nested_and_sized(self, field_data):
         train_ds, _ = field_data
-        subsets = _nested_subsets(train_ds, (0.5, 0.75, 1.0), seed=0)
+        subsets = dataset.nested_subsets(train_ds, (0.5, 0.75, 1.0), seed=0)
         for small, large in zip(subsets, subsets[1:]):
             assert small.size < large.size and np.all(np.isin(small, large))
         assert np.array_equal(subsets[-1], np.arange(train_ds.n))
