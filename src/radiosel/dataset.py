@@ -82,6 +82,18 @@ def typed_like(field: str, value, default, error=DataError):
     raise error(f"{field} must be {kind}, got {value!r}")
 
 
+def read_text(path, kind: str, error=DataError) -> str:
+    """A scenario or model file's text; a missing file, or one that is not
+    UTF-8, raises error naming the path."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"no such {kind} file: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not a UTF-8 {kind} file: {e}") from e
+
+
 class RadioClass(enum.IntEnum):
     """Binary radio label. Encoding fixed project-wide: Zigbee=0, Lora=1.
     The member names are the label text: ZIGBEE and LORA in emitted

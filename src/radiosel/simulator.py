@@ -22,11 +22,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict, replace
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, RadioClass, Trace, typed_like
+from .dataset import FEATURE_NAMES, RadioClass, Trace, read_text, typed_like
 from .errors import DataError
 from .tree import ObliqueTree
 
@@ -131,7 +130,7 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:   # a JSONDecodeError is a ValueError
             raise DataError(f"scenario file is not valid JSON: {e}") from e
         if not isinstance(doc, dict):
             raise DataError("a scenario file holds one JSON object of fields")
@@ -143,10 +142,7 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"no such scenario file: {path}")
-        return cls.from_json(path.read_text(encoding="utf-8"))
+        return cls.from_json(read_text(path, "scenario"))
 
 
 def _lora_rate(cfg: ScenarioConfig, rssi: np.ndarray) -> np.ndarray:
@@ -376,6 +372,9 @@ def interval_sweep(cfg: ScenarioConfig, intervals, *selectors, seed: int) -> lis
     """
     if any(i <= 0 for i in intervals):
         raise DataError("intervals must be positive")
+    for interval in map(float, intervals):   # _stale_traces seeds with the interval in ms
+        if not math.isfinite(1000.0 * interval):
+            raise DataError(f"interval {interval!r} s is past the float range in ms")
     groups = [[] for _ in selectors]
     base = generate(cfg, seed)
     for interval in map(float, intervals):

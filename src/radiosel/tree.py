@@ -2,7 +2,10 @@
 
 Nodes live in an arena keyed by integer id; ids survive save/load so trees
 can be diffed across retrainings. Trees are immutable after training by
-convention: only the trainer mutates node parameters, single-writer.
+convention: only the trainer mutates node parameters, single-writer. A
+tree's shape is fixed once built (prune rewires a copy, then builds a new
+tree), so one structure walk, `validate`, checks it and records every
+node's depth, and node_depths and depth read that record.
 
 One kernel, `scores`, and one walk route every row: predict, predict_many,
 training (reach_sets, subtree_predict, predict_model) and the accept test
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import RadioClass, Scaler, typed_like
+from .dataset import RadioClass, Scaler, read_text, typed_like
 from .errors import DataError, ModelFormatError
 
 MODEL_FORMAT_VERSION = 1
@@ -82,19 +85,16 @@ class ObliqueTree:
     # ---------- structure ----------
 
     def validate(self) -> None:
-        """Proper binary tree: two children per decision node, unique parents,
-        acyclic, every arena node reachable. O(#nodes)."""
+        """Proper binary tree: two children per decision node, no cycle or
+        shared child, every arena node reachable. The tree's one structure
+        walk, O(#nodes): it records each node's depth as the node is pushed,
+        and that record, kept for node_depths and depth, is also the
+        seen-set and the reachability check."""
         if self.root not in self.nodes:
             raise ModelFormatError(f"root id {self.root} not in arena")
-        parents: dict[int, int] = {}
-        dim = None
-        stack = [self.root]
-        seen = set()
+        dim, depths, stack = None, {self.root: 0}, [self.root]
         while stack:
             nid = stack.pop()
-            if nid in seen:
-                raise ModelFormatError(f"node {nid} reached twice: cycle or shared child")
-            seen.add(nid)
             node = self.nodes.get(nid)
             if node is None:
                 raise ModelFormatError(f"dangling child id {nid}")
@@ -108,17 +108,17 @@ class ObliqueTree:
                 elif node.w.shape[0] != dim:
                     raise ModelFormatError(f"node {nid}: weight length {node.w.shape[0]} != {dim}")
                 for child in (node.left, node.right):
-                    if child in parents:
-                        raise ModelFormatError(f"node {child} has two parents")
-                    parents[child] = nid
+                    if child in depths:
+                        raise ModelFormatError(f"node {child} reached twice: "
+                                               "cycle or shared child")
+                    depths[child] = depths[nid] + 1
                     stack.append(child)
-        if seen != set(self.nodes):
-            unreachable = sorted(set(self.nodes) - seen)
+        if unreachable := sorted(self.nodes.keys() - depths.keys()):
             raise ModelFormatError(f"unreachable nodes in arena: {unreachable}")
         if self.scaler is not None and dim is not None and self.scaler.mean.shape[0] != dim:
             raise ModelFormatError(f"scaler has {self.scaler.mean.shape[0]} features, "
                                    f"hyperplanes have {dim}")
-        self._dim = dim
+        self._dim, self._depths = dim, depths
 
     @property
     def dim(self) -> int | None:
@@ -134,20 +134,12 @@ class ObliqueTree:
         return len(self.leaf_ids())
 
     def node_depths(self) -> dict[int, int]:
-        depths = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            node = self.nodes[nid]
-            if isinstance(node, DecisionNode):
-                for child in (node.left, node.right):
-                    depths[child] = depths[nid] + 1
-                    stack.append(child)
-        return depths
+        """Each node's depth, root 0, in the order validate reached them."""
+        return dict(self._depths)
 
     @property
     def depth(self) -> int:
-        return max(self.node_depths().values())
+        return max(self._depths.values())
 
     def copy(self) -> "ObliqueTree":
         nodes = {}
@@ -294,7 +286,7 @@ def from_json(text: str) -> ObliqueTree:
     """A model file's tree, its fields typed by dataset.typed_like."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # a JSONDecodeError is a ValueError
         raise ModelFormatError(f"model file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold a JSON object")
@@ -339,7 +331,4 @@ def from_json(text: str) -> ObliqueTree:
 
 
 def load(path) -> ObliqueTree:
-    path = Path(path)
-    if not path.exists():
-        raise ModelFormatError(f"no such model file: {path}")
-    return from_json(path.read_text(encoding="utf-8"))
+    return from_json(read_text(path, "model", ModelFormatError))

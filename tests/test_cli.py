@@ -826,11 +826,21 @@ def test_model_past_the_depth_bound_exit_3(tmp_path, data_csv, capsys, depth):
         assert "Traceback" not in err
 
 
-_CYCLE_NODES = [{"id": 0, "kind": "decision", "w": [1.0, 0.0, 0.0, 0.0], "w0": 0.0,
-                 "left": 1, "right": 2},
-                {"id": 1, "kind": "decision", "w": [1.0, 0.0, 0.0, 0.0], "w0": 0.0,
-                 "left": 0, "right": 3},
-                {"id": 2, "kind": "leaf", "label": 0}, {"id": 3, "kind": "leaf", "label": 1}]
+def _decision(nid, left, right):
+    return {"id": nid, "kind": "decision", "w": [1.0, 0.0, 0.0, 0.0], "w0": 0.0,
+            "left": left, "right": right}
+
+
+def _leaves(*ids):
+    return [{"id": i, "kind": "leaf", "label": i % 2} for i in ids]
+
+
+_CYCLE_NODES = [_decision(0, 1, 2), _decision(1, 0, 3), *_leaves(2, 3)]
+_SHARED_CHILD_NODES = [_decision(0, 1, 1), *_leaves(1)]
+# 0 -> 1 -> 3 -> 1: the cycle returns to node 1, not to the root
+_INNER_CYCLE_NODES = [_decision(0, 1, 2), _decision(1, 3, 4), _decision(3, 1, 5), *_leaves(2, 4, 5)]
+_DEEP_JSON = "[" * 200000
+_BIG_INT_JSON = '{"version": ' + "9" * 5000 + "}"
 
 
 @pytest.mark.parametrize("files, argv, message", [
@@ -849,14 +859,36 @@ _CYCLE_NODES = [{"id": 0, "kind": "decision", "w": [1.0, 0.0, 0.0, 0.0], "w0": 0
                            "nodes": [{"id": 0, "kind": "leaf", "label": 0}] * 2})},
      ["export", "--model", "m.json"], "duplicate node id 0"),
     ({"m.json": json.dumps({"version": 1, "root": 0, "nodes": _CYCLE_NODES})},
-     ["export", "--model", "m.json"], "node 0 reached twice"),
+     ["export", "--model", "m.json"], "node 0 reached twice: cycle or shared child"),
+    ({"m.json": json.dumps({"version": 1, "root": 0, "nodes": _SHARED_CHILD_NODES})},
+     ["export", "--model", "m.json"], "node 1 reached twice: cycle or shared child"),
+    ({"m.json": json.dumps({"version": 1, "root": 0, "nodes": _INNER_CYCLE_NODES})},
+     ["export", "--model", "m.json"], "node 1 reached twice: cycle or shared child"),
+    ({"m.json": b'{"version": 1\xff}'}, ["export", "--model", "m.json"],
+     "m.json: not a UTF-8 model file"),
+    ({"s.json": b'{"n_packets": 30\xff}'}, ["simulate", "--scenario", "s.json"],
+     "s.json: not a UTF-8 scenario file"),
+    ({"m.json": _DEEP_JSON}, ["export", "--model", "m.json"],
+     "model file is not valid JSON: maximum recursion depth exceeded"),
+    ({"s.json": _DEEP_JSON}, ["simulate", "--scenario", "s.json"],
+     "scenario file is not valid JSON: maximum recursion depth exceeded"),
+    ({"m.json": _BIG_INT_JSON}, ["export", "--model", "m.json"],
+     "model file is not valid JSON: Exceeds the limit (4300 digits)"),
+    ({"s.json": _BIG_INT_JSON}, ["simulate", "--scenario", "s.json"],
+     "scenario file is not valid JSON: Exceeds the limit (4300 digits)"),
+    ({"s.json": '{"stale_occupancy_floor": 0.0}'},
+     ["sweep", "--scenario", "s.json", "--intervals", "5,1e306"],
+     "interval 1e+306 s is past the float range in ms"),
 ], ids=["scenario_not_json", "scenario_missing", "distance_negative", "intervals_not_numbers",
         "dataset_empty", "dataset_header_order", "model_not_object", "model_duplicate_id",
-        "model_cycle_through_root"])
+        "model_cycle_through_root", "model_shared_child", "model_cycle_through_inner_node",
+        "model_not_utf8", "scenario_not_utf8", "model_nested_too_deep",
+        "scenario_nested_too_deep", "model_int_too_long", "scenario_int_too_long",
+        "sweep_interval_past_ms_range"])
 def test_input_error_exit_3(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
-    for name, text in files.items():
-        Path(name).write_text(text)
+    for name, content in files.items():   # bytes where a row tests a non-UTF-8 file
+        Path(name).write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main([*argv, "--out-dir", "out"]) == 3
     err = capsys.readouterr().err
     assert message in err

@@ -1,7 +1,9 @@
-"""Property-based tests of model files and of the emitted program.
+"""Property-based tests of model and scenario files and of the emitted program.
 
 A model file mutated from a valid one either loads, saves and predicts, or
-raises ModelFormatError (exit 3 in the CLI), never another error.
+raises ModelFormatError (exit 3 in the CLI), never another error. A model
+or scenario file of arbitrary bytes, or a saved one with one byte edited,
+loads or raises DataError.
 The emitted program run by the reference interpreter makes the model's
 choice on every point on a hyperplane, with or without a scaler.
 """
@@ -9,14 +11,16 @@ choice on every point on a hyperplane, with or without a scaler.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import boundary_adjacent_inputs, random_tree
 from radiosel.dataset import Scaler
-from radiosel.errors import ModelFormatError
+from radiosel.errors import DataError, ModelFormatError
 from radiosel.export import ProgramInterpreter, codegen
-from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, from_json, to_json
+from radiosel.simulator import ScenarioConfig
+from radiosel.tree import DecisionNode, LeafNode, ObliqueTree, from_json, load, to_json
 
 # Derandomized, so a failing example repeats on every run; shrinking is off,
 # as in test_csv_properties.py.
@@ -34,11 +38,15 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-def valid_doc(seed: int, depth: int, scaled: bool) -> dict:
+def valid_tree(seed: int, depth: int, scaled: bool) -> ObliqueTree:
     rng = np.random.default_rng(seed)
     t = random_tree(rng, depth=depth)
     scaler = Scaler(rng.normal(0, 1, 4), rng.uniform(0.5, 2.0, 4)) if scaled else None
-    return json.loads(to_json(ObliqueTree(t.nodes, t.root, scaler=scaler, lam=0.01)))
+    return ObliqueTree(t.nodes, t.root, scaler=scaler, lam=0.01)
+
+
+def valid_doc(seed: int, depth: int, scaled: bool) -> dict:
+    return json.loads(to_json(valid_tree(seed, depth, scaled)))
 
 
 def fields(value, out):
@@ -78,6 +86,36 @@ def test_mutated_model_loads_or_raises_format_error(text):
         X = np.random.default_rng(0).normal(0, 2, size=(20, width))
         assert t.predict_many(X).tolist() == [t.predict(x) for x in X]
     except ModelFormatError:
+        pass
+
+
+# The files that the one-edit mutations start from, and the readers of each
+SAVED = {"model": to_json(valid_tree(0, 2, True)).encode(),
+         "scenario": ScenarioConfig().to_json().encode()}
+READERS = {"model": load, "scenario": ScenarioConfig.load}
+# bytes that move a JSON text's syntax or numbers, and any byte at all
+EDIT_BYTES = st.sampled_from(list(b'0123456789-+.eE[]{}",: ')) | st.integers(0, 255)
+
+
+@st.composite
+def json_file_bytes(draw, saved: bytes):
+    """Arbitrary bytes, or saved with one byte deleted, inserted or replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    i, byte = draw(st.integers(0, len(saved) - 1)), bytes([draw(EDIT_BYTES)])
+    edit = draw(st.sampled_from([b"", byte + saved[i:i + 1], byte]))
+    return saved[:i] + edit + saved[i + 1:]
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(SETTINGS, max_examples=300)
+@given(data=st.data())
+def test_json_file_loads_or_raises_data_error(tmp_path_factory, kind, data):
+    path = tmp_path_factory.getbasetemp() / f"fuzzed.{kind}.json"
+    path.write_bytes(data.draw(json_file_bytes(SAVED[kind])))
+    try:
+        READERS[kind](path)
+    except DataError:
         pass
 
 

@@ -316,6 +316,26 @@ class TestIntervalSweep:
             interval_sweep(ScenarioConfig(n_packets=5, service_time_s=1e308), [60.0],
                            AlwaysSelector(0), seed=0)
 
+    def test_rejects_interval_past_the_float_range_in_ms(self, monkeypatch):
+        """The stale draws are seeded with the interval in ms: an interval
+        whose ms overflow is refused by name before any trace is made."""
+        cfg = ScenarioConfig(n_packets=5, stale_occupancy_floor=0.0)
+        monkeypatch.setattr(simulator, "generate", lambda *a: pytest.fail("generated"))
+        for bad in (1e306, float("inf")):
+            with pytest.raises(DataError, match=re.escape(
+                    f"interval {bad!r} s is past the float range in ms")):
+                interval_sweep(cfg, [60.0, bad], AlwaysSelector(0), seed=0)
+
+    def test_largest_intervals_keep_their_seed(self):
+        """An interval whose ms are finite is swept, stale draws seeded as before."""
+        cfg = ScenarioConfig(n_packets=5, stale_occupancy_floor=0.0)
+        interval = 1.7e305   # 1.7e308 ms
+        assert staleness_probability(cfg, interval) > 0.0
+        [row] = interval_sweep(cfg, [interval], AlwaysSelector(1), seed=3)
+        stale = _stale_traces(generate(cfg, 3), cfg, interval, 3)
+        assert stale == _stale_reference(generate(cfg, 3), cfg, interval, 3)
+        assert row.performance_ratio == replay(stale, AlwaysSelector(1)).performance_ratio
+
 
 class PrrSelector:
     """Reads the PRR feature, which staleness corrupts, so the staleness

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import boundary_adjacent_inputs, child, leaf_tree, random_tree, stump
+from conftest import (boundary_adjacent_inputs, child, leaf_tree, random_dataset,
+                      random_tree, stump)
+from radiosel import cart
 from radiosel.dataset import Scaler
 from radiosel.errors import DataError, ModelFormatError
 from radiosel.tree import (DecisionNode, LeafNode, ObliqueTree, from_json,
@@ -95,7 +97,7 @@ class TestValidate:
 
     def test_shared_child(self):
         nodes = {0: DecisionNode(np.ones(4), 0.0, 1, 1), 1: LeafNode(0)}
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="node 1 reached twice: cycle or shared child"):
             ObliqueTree(nodes, 0)
 
     def test_unreachable_node(self):
@@ -106,6 +108,55 @@ class TestValidate:
     def test_bad_root(self):
         with pytest.raises(ModelFormatError, match="root"):
             ObliqueTree({0: LeafNode(0)}, 3)
+
+
+def reference_depths(t) -> dict:
+    """Each node's depth, keyed in the order a right-first depth-first walk
+    records a node's two children as it visits the node."""
+    depths = {t.root: 0}
+
+    def visit(nid):
+        node = t.nodes[nid]
+        if isinstance(node, DecisionNode):
+            depths[node.left] = depths[nid] + 1
+            depths[node.right] = depths[nid] + 1
+            visit(node.right)
+            visit(node.left)
+
+    visit(t.root)
+    return depths
+
+
+class TestDepths:
+    """node_depths and depth read the record of validate's one walk."""
+
+    @staticmethod
+    def trees(rng):
+        for depth in (1, 2, 3, 4):
+            yield random_tree(rng, depth=depth)
+            yield cart.random_complete(4, depth, seed=depth)
+            yield cart.grow(random_dataset(rng, n=80), depth)
+            for _ in range(5):   # irregular shapes, ids not in level order
+                yield prune(random_tree(rng, depth=depth, zero_prob=0.4))
+        yield leaf_tree(1)
+
+    def test_match_the_recursive_reference_in_key_order(self, rng):
+        shapes = set()
+        for t in self.trees(rng):
+            for u in (t, from_json(to_json(t))):
+                expected = reference_depths(u)
+                assert list(u.node_depths().items()) == list(expected.items())
+                assert u.depth == max(expected.values())
+            shapes.add(t.structural_signature())
+        assert len(shapes) > 20
+
+    def test_returned_dict_is_a_copy(self, rng):
+        t = random_tree(rng, depth=3)
+        depths = t.node_depths()
+        depths[t.root] = 99
+        depths.pop(max(depths))
+        assert t.node_depths() == reference_depths(t)
+        assert t.depth == 3
 
 
 class TestPrune:
