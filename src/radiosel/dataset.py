@@ -7,12 +7,19 @@ are dropped at labeling time.
 
 The CSV readers read a file once and check each block of records, as it
 is parsed, against one ordered table of rules per record kind. A block
-comes as columns of cell strings. While every line of a block is a plain
-record (the header's number of commas, no quote, CR or NUL), the block is
-split on its commas; from the first block holding any other line (quoted
-cells, CRLF line ends, blank lines, a wrong width) to the end of the file,
-csv.reader reads the records. The writers' files are plain unless a node id
-needs quoting.
+comes as columns: a text column (node id, label) as its distinct cells and
+each row's index among them, a number column as the float() of each cell.
+While every line of a block is a plain record (the header's number of
+commas, no quote, CR or NUL), the block is parsed from its UTF-8 bytes:
+numpy finds the separators, and _number_cells converts every number cell
+of the block in one pass, exactly, in 8-byte words. It settles a cell
+-?digits[.digits] of at most 8 integer and 19 digits in all once it has
+proved the float, and leaves every other cell (exponents, nan, blanks, a
+'+', more digits) to float() itself, so values and messages are float()'s.
+From the first block holding any other line (quoted cells, CRLF line ends,
+blank lines, a wrong width) to the end of the file, csv.reader reads the
+records and float() parses their number cells. The writers' files are
+plain unless a node id needs quoting.
 
 The writers check their records against the readers' rules before they
 create the file, and write each number as the text of '%.17g' % x,
@@ -30,11 +37,13 @@ from __future__ import annotations
 import collections
 import csv
 import enum
+import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,9 +54,10 @@ FEATURE_NAMES = ("hn", "rssi", "prr", "rnp")
 DATASET_HEADER = ("hn", "rssi", "prr", "rnp", "label", "cost")
 TRACE_HEADER = ("node_id", "t", "tp_zigbee", "tp_lora", "hn", "rssi", "prr", "rnp")
 TRACE_COLUMNS = TRACE_HEADER[1:]
+_TEXT_COLUMNS = ("node_id", "label")   # the readers parse every other column as numbers
 
 # Records per block that the CSV readers parse and the writers format at a
-# time: memory is the loaded arrays plus one block of cell strings.
+# time: memory is the loaded arrays plus one block of cells.
 CHUNK_ROWS = 2048
 
 
@@ -307,33 +317,123 @@ def _header_error(path: Path, header, expected_header) -> DataError | None:
     return None
 
 
-def _plain_columns(lines, width: int) -> list | None:
-    """Columns of cell strings of lines that are all plain records, or None
-    if one is not. A plain record has width - 1 commas, holds no '"', '\\r'
-    or NUL (which csv.reader rejects before Python 3.11) and is no longer
-    than csv.field_size_limit(), so csv.reader would split it on its commas
-    into the same cells. Only the columns outlive the call."""
-    n = len(lines)
-    if (max(map(len, lines)) > csv.field_size_limit()
-            or list(map(str.count, lines, itertools.repeat(",", n))).count(width - 1) != n):
-        return None
+class _Numbers(NamedTuple):
+    """A block's number column: float() of each cell, NaN where float()
+    rejects the cell (bad), and cell(j), the text of cell j."""
+
+    name: str
+    values: np.ndarray
+    bad: np.ndarray
+    cell: Callable[[int], str]
+
+    def parse_rule(self) -> tuple:
+        """The rule of the cells float() rejects: their mask and message."""
+        return self.bad, lambda i, j: (f"row {i}: cannot parse {self.name}={self.cell(j)!r} "
+                                       f"as number")
+
+
+def _floats(texts) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each text, NaN where float() raises, and the mask of those."""
+    n = len(texts)
+    try:
+        return np.fromiter(map(float, texts), dtype=float, count=n), np.zeros(n, dtype=bool)
+    except ValueError:
+        values, bad = np.full(n, np.nan), np.zeros(n, dtype=bool)
+        for j, s in enumerate(texts):
+            try:
+                values[j] = float(s)
+            except ValueError:
+                bad[j] = True
+        return values, bad
+
+
+def _distinct(cells) -> tuple[list, np.ndarray]:
+    """The distinct cells in order of first appearance, and the index of
+    each cell among them."""
+    index = {s: k for k, s in enumerate(dict.fromkeys(cells))}
+    return list(index), np.fromiter(map(index.__getitem__, cells), dtype=np.intp,
+                                    count=len(cells))
+
+
+def _record_block(header, records) -> list:
+    """A block's columns from csv.reader records of the header's width: a
+    text column as _distinct's pair, a number column as _Numbers."""
+    return [_distinct(cells) if name in _TEXT_COLUMNS
+            else _Numbers(name, *_floats(cells), cells.__getitem__)
+            for name, cells in zip(header, zip(*records))]
+
+
+def _cell_text(b: np.ndarray, starts, ends, j: int) -> str:
+    """The text of cell j of the cells b[starts:ends]."""
+    return b[starts[j]:ends[j]].tobytes().decode()
+
+
+def _plain_lines(lines, width: int) -> tuple | None:
+    """The UTF-8 bytes b of lines that are all plain records and the
+    (len(lines), width) ends of their cells, the offsets of the separators
+    in b, or None if a line is not plain. A plain record has width - 1
+    commas, holds no '"', '\\r' or NUL (which csv.reader rejects before
+    Python 3.11) and no cell longer than csv.field_size_limit(), so
+    csv.reader would split it on its commas into the same cells. b ends in
+    40 zero bytes after the last line end, which it adds if the last line
+    lacks it, as the last line of a file may."""
     text = "".join(lines)
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    cells = text.replace("\n", ",").split(",")
-    return [cells[k:width * n:width] for k in range(width)]
+    raw = text.encode()
+    del text
+    size = len(raw) + (not raw.endswith(b"\n"))
+    b = np.zeros(size + 40, np.uint8)   # the zeros keep every word that is read inside b
+    b[:len(raw)] = np.frombuffer(raw, np.uint8)
+    del raw
+    b[size - 1] = ord("\n")
+    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    if (ends.size != len(lines) * width or not np.all(b[ends[width - 1::width]] == ord("\n"))
+            or np.max(np.diff(ends, prepend=-1)) > csv.field_size_limit() + 1):
+        return None
+    return b, ends.reshape(len(lines), width)
+
+
+def _plain_block(header, b: np.ndarray, ends: np.ndarray) -> list:
+    """The columns of _plain_lines' block, as _record_block gives them.
+    _number_cells parses every number cell of the block in one pass, and
+    float() the cells it leaves. A text column is decoded once per
+    distinct cell (_text_cells). Only the columns outlive the call; the
+    cell(j) of a number column slices b."""
+    n = len(ends)
+    starts = np.concatenate(([0], ends.ravel()[:-1] + 1)).reshape(ends.shape)
+    columns = {k: _text_cells(b, starts[:, k], ends[:, k])
+               for k, name in enumerate(header) if name in _TEXT_COLUMNS}
+    numbers = [k for k in range(len(header)) if k not in columns]
+    lo, hi = starts[:, numbers].T.ravel(), ends[:, numbers].T.ravel()   # column by column
+    del starts
+    values, slow = _number_cells(b, lo, hi)
+    bad = np.zeros(values.size, dtype=bool)
+    values[slow], bad[slow] = _floats([_cell_text(b, lo, hi, j) for j in slow.tolist()])
+    for i, k in enumerate(numbers):   # each column owns its arrays, not views of the block's
+        part = slice(i * n, (i + 1) * n)
+        columns[k] = _Numbers(header[k], values[part].copy(), bad[part].copy(),
+                              functools.partial(_cell_text, b, lo[part], hi[part]))
+    return [columns[k] for k in range(len(header))]
 
 
 def _read_blocks(path, expected_header):
     """Data records of a CSV whose header must be expected_header, yielded
-    as columns of cell strings, in blocks of at most CHUNK_ROWS records
-    read from the file.
+    in blocks of at most CHUNK_ROWS records read from the file. A block is
+    a function of no arguments that parses it into its columns: a text
+    column (_TEXT_COLUMNS) as its distinct cells and each row's index among
+    them, a number column as _Numbers, float() of its cells. A caller that
+    has found an error parses no more blocks.
 
     The header is read by csv.reader. Then each block of CHUNK_ROWS lines
-    is split on its commas while every line in it is a plain record (see
-    _plain_columns). From the first block that holds another line (quoted
-    cells, CRLF line ends, blank lines, a wrong width, a very long line) to
-    the end of the file, records come from csv.reader, blank ones skipped.
+    is parsed from its bytes while every line in it is a plain record (see
+    _plain_lines): _number_cells converts each number cell -?digits[.digits]
+    of at most 8 integer and 19 digits in all whose float it can prove,
+    and float() parses every other cell (exponents, nan, blanks, a '+',
+    more digits). From the first block that holds another line (quoted
+    cells, CRLF line ends, blank lines, a wrong width, a very long cell) to
+    the end of the file, records come from csv.reader, blank ones skipped,
+    and float() parses every number cell.
 
     Errors are raised only once the whole file is read, in the order a
     whole-file reader reports them: a decode or CSV syntax error anywhere,
@@ -352,14 +452,15 @@ def _read_blocks(path, expected_header):
             start = 0
             if error is None:
                 while lines := list(itertools.islice(fh, CHUNK_ROWS)):
-                    columns = _plain_columns(lines, width)
-                    if columns is None:
+                    plain = _plain_lines(lines, width)
+                    if plain is None:
                         before = reader.line_num + start   # one line per plain record
                         reader = csv.reader(itertools.chain(lines, fh))
                         break
                     start += len(lines)
                     del lines
-                    yield columns
+                    yield functools.partial(_plain_block, expected_header, *plain)
+                    del plain   # before the next block is read
             while error is None and (records := list(itertools.islice(reader, CHUNK_ROWS))):
                 kept = []
                 for i, raw in enumerate(records, start):
@@ -370,7 +471,7 @@ def _read_blocks(path, expected_header):
                                           f"got {len(raw)}")
                         break
                 if kept and error is None:
-                    yield list(zip(*kept))
+                    yield functools.partial(_record_block, expected_header, kept)
                 start += len(records)
             collections.deque(reader, maxlen=0)  # a later decode or syntax error comes first
         except UnicodeDecodeError as e:
@@ -382,28 +483,6 @@ def _read_blocks(path, expected_header):
         raise error
 
 
-def _parse_columns(names, cells_by_column) -> tuple[list[np.ndarray], list]:
-    """float() of every cell of each named column, cells that float()
-    rejects reading as NaN, and the parse rule of each column that holds
-    such a cell: the mask of those rows and the message naming the cell."""
-    n = len(cells_by_column[0])
-    columns, rules = [], []
-    for name, cells in zip(names, cells_by_column):
-        try:
-            columns.append(np.fromiter(map(float, cells), dtype=float, count=n))
-        except ValueError:
-            values, bad = np.full(n, np.nan), np.zeros(n, dtype=bool)
-            for j, s in enumerate(cells):
-                try:
-                    values[j] = float(s)
-                except ValueError:
-                    bad[j] = True
-            columns.append(values)
-            rules.append((bad, lambda i, j, name=name, cells=cells:
-                          f"row {i}: cannot parse {name}={cells[j]!r} as number"))
-    return columns, rules
-
-
 def load_dataset(path) -> Dataset:
     """Read a `hn,rssi,prr,rnp,label,cost` CSV into a Dataset.
 
@@ -413,21 +492,21 @@ def load_dataset(path) -> Dataset:
     names the first failing row and its first failed check.
     """
     blocks, error, start = [], None, 0
-    for *feature_cells, labels, cost_cells in _read_blocks(path, DATASET_HEADER):
+    for block in _read_blocks(path, DATASET_HEADER):
         if error is not None:
             continue   # _read_blocks still reads on: its errors come first
-        features, parse_features = _parse_columns(FEATURE_NAMES, feature_cells)
-        (c,), parse_cost = _parse_columns(("cost",), (cost_cells,))
-        codes = {s: _LABEL_CODES.get(s.strip().lower(), -1) for s in set(labels)}
-        y = np.fromiter(map(codes.__getitem__, labels), dtype=int, count=len(labels))
+        *features, (words, labels), cost = block()
+        x, c = [column.values for column in features], cost.values
+        y = np.array([_LABEL_CODES.get(s.strip().lower(), -1) for s in words], dtype=int)[labels]
         error = _first_error([
-            *parse_features, *_feature_rules(*features), *parse_cost,
+            *(column.parse_rule() for column in features), *_feature_rules(*x),
+            cost.parse_rule(),
             (~np.isfinite(c) | (c <= 0),
-             lambda i, j: f"row {i}: cost must be finite and > 0, got {cost_cells[j]}"),
-            (y < 0, lambda i, j: _UNKNOWN_LABEL.format(labels[j]))], start)
-        blocks.append((*features, c, y))
-        start += len(labels)
-        del feature_cells, labels, cost_cells   # before the next block is read
+             lambda i, j: f"row {i}: cost must be finite and > 0, got {cost.cell(j)}"),
+            (y < 0, lambda i, j: _UNKNOWN_LABEL.format(words[labels[j]]))], start)
+        blocks.append((*x, c, y))
+        start += y.size
+        del block, features, words, labels, cost   # before the next block is read
     if not blocks:
         raise DataError(f"{path}: empty dataset")
     if error is not None:
@@ -472,21 +551,20 @@ def load_traces(path) -> Trace:
     """
     names: dict[str, int] = {}
     blocks, error, start = [], None, 0
-    for node_cells, *cells in _read_blocks(path, TRACE_HEADER):
+    for block in _read_blocks(path, TRACE_HEADER):
         if error is not None:
             continue
-        codes = dict.fromkeys(node_cells)
-        for s in codes:
-            codes[s] = names.setdefault(s.strip(), len(names))
-        node = np.fromiter(map(codes.__getitem__, node_cells), dtype=np.intp,
-                           count=len(node_cells))
-        (t, tpz, tpl), parse_times = _parse_columns(TRACE_COLUMNS[:3], cells[:3])
-        features, parse_features = _parse_columns(FEATURE_NAMES, cells[3:])
-        error = _first_error(_trace_rules(t, tpz, tpl, features, parse_times, parse_features),
+        (words, codes), *numbers = block()
+        node = np.array([names.setdefault(s.strip(), len(names)) for s in words],
+                        dtype=np.intp)[codes]
+        t, tpz, tpl, *features = (column.values for column in numbers)
+        error = _first_error(_trace_rules(t, tpz, tpl, features,
+                                          [column.parse_rule() for column in numbers[:3]],
+                                          [column.parse_rule() for column in numbers[3:]]),
                              start)
         blocks.append((node, t, tpz, tpl, *features))
-        start += len(node_cells)
-        del node_cells, cells   # before the next block is read
+        start += node.size
+        del block, words, codes, numbers   # before the next block is read
     if not blocks:
         raise DataError(f"{path}: empty trace file")
     blocks = [list(parts) for parts in zip(*blocks)]   # by column, each dropped once joined
@@ -594,6 +672,116 @@ def _significand(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     rem += (n + (rem >> r)) & 1     # round half to even: a tie of an odd floor goes up
     n += (rem + (1 << (r - 1)) - 1) >> r
     return n
+
+
+def _word_at_every_byte(b: np.ndarray) -> np.ndarray:
+    """The unaligned uint64 view of b whose item i is bytes i to i + 7."""
+    return np.ndarray((b.size - 7,), _WORD, b, 0, (1,))
+
+
+def _leading_digits(w: np.ndarray) -> np.ndarray:
+    """The number of ASCII digits each word starts with, 0 to 8 (uint8).
+
+    A byte x is a digit if the high nibbles of x and x + 6 are both 3: its
+    flag byte, x's high nibble over x + 6's, is then 0x33. No byte of UTF-8
+    text (nor the padding 0) is 0xFA or more, so x + 6 never carries."""
+    flags = (w & 0xF0F0F0F0F0F0F0F0) | ((w + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4
+    flags ^= 0x3333333333333333
+    return np.bitwise_count((flags & -flags) - 1) >> 3   # the zero bits below the first flag
+
+
+def _spelled(w: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The number that the first count (up to 8) bytes of each word spell,
+    if they are digits, in w's place: the bytes past count shift out, the
+    others go to the top, and three multiply-shifts add up their digits in
+    pairs, fours and eights ("SWAR"; the first digit is the low byte)."""
+    w <<= 64 - 8 * count.astype(np.uint64)
+    for mask, scale, shift in ((0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),
+                               (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
+                               (0x0000FFFF0000FFFF, 10_000 << 32 | 1, 32)):
+        w &= mask
+        w *= scale
+        w >>= shift
+    return w
+
+
+def _number_cells(b: np.ndarray, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Of the cells b[starts:ends]: float() of each one it settles, and the
+    indices of the others, whose values are left for float().
+
+    It settles a cell -?I[.F] of ASCII digits, I 1 to 8 of them and I and F
+    at most 19 together, once it has proved the float. N = I * 10**f + F,
+    f = len(F), is exact in uint64, a word per 8 digits. If N <= 2**53,
+    N / 10**f of two exact floats rounds once, correctly (Clinger). For a
+    larger N, x = float(N) / 10**f is within about an ulp of N / 10**f.
+    With x = m * 2**(e - 53), D = (N / 10**f - x) * 10**f * 2**a and half an
+    ulp, h = 5**f * 2**c, are exact in wrapping uint64 for t = f + e - 53,
+    a = max(1 - t, 0) and c = max(t - 1, 0): D = N * 2**a - 2m * 5**f * 2**c,
+    as in _significand. So |D| < h keeps x, h < |D| < 3h moves it an ulp
+    toward the value, and any other D, or an x that is a power of two
+    (m = 2**52), gives the cell up. |D| = h, a tie, cannot occur: below
+    10**8 < 2**27, a midpoint between floats has 27 fraction digits."""
+    words = _word_at_every_byte(b)
+    neg = b[starts] == ord("-")
+    at = starts + neg   # then the point, then each word of F
+    w = words[at]
+    lead = _leading_digits(w)
+    n = _spelled(w, lead)
+    at += lead
+    frac = ends - at - 1
+    frac = np.clip(frac, 0, 20, out=frac).astype(np.uint8)   # digits after the point
+    ok = (lead > 0) & (lead + frac <= 19) & ((at == ends) | (b[at] == ord(".")))
+    del w, lead
+    at += 1
+    for k in (0, 8, 16):
+        count = np.minimum(frac, k + 8) - np.minimum(frac, k)
+        w = words[at]
+        ok &= _leading_digits(w) >= count
+        n *= _POW5.take(count) << count
+        n += _spelled(w, count)
+        at += 8
+    del at, w, count
+    x = n.astype(float)
+    x /= _POW10.take(frac)
+    m, e = np.frexp(x)
+    m *= 2.0 ** 53
+    m = m.astype(np.uint64)
+    t = frac + e - 53
+    del e
+    a, c = (np.maximum(v, 0).astype(np.uint8) for v in (1 - t, t - 1))
+    del t
+    big = n > 2 ** 53
+    ok &= ~big | (m != 2 ** 52)
+    half = _POW5.take(frac)
+    m *= half
+    m <<= c + 1
+    n <<= a   # D, wrapping
+    n -= m
+    del m, a
+    half <<= c
+    d, half = n.view(np.int64), half.view(np.int64)
+    dist = np.abs(d)
+    np.add(x.view(np.int64), np.sign(d) * (dist > half), out=x.view(np.int64), where=big)
+    ok &= ~big | (dist < 3 * half)
+    np.negative(x, out=x, where=neg)
+    return x, np.flatnonzero(~ok)
+
+
+def _text_cells(b: np.ndarray, starts, ends) -> tuple[list, np.ndarray]:
+    """_distinct of the cells b[starts:ends], each decoded once. Cells of at
+    most 8 bytes, which hold no NUL, are told apart by the word that starts
+    them, the bytes past the cell shifted out; longer ones by their bytes."""
+    sizes = ends - starts
+    if sizes.max() > 8:
+        data = b.tobytes()
+        cells, codes = _distinct([data[i:j] for i, j in zip(starts.tolist(), ends.tolist())])
+        return [s.decode() for s in cells], codes
+    keys = _word_at_every_byte(b)[starts] << (64 - 8 * sizes).astype(np.uint64)
+    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return [_cell_text(b, starts, ends, j) for j in first[order]], rank[codes]
 
 
 def _format_numbers(x: np.ndarray, out: np.ndarray) -> None:

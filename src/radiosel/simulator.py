@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -100,6 +101,8 @@ class ScenarioConfig:
             raise DataError(f"prr_floor must be in [0, prr_ceil], got {self.prr_floor!r} "
                             f"with prr_ceil {self.prr_ceil!r}")
         # the packet times and the farthest node's hop count must be floats
+        if self.n_packets - 1 > sys.float_info.max:   # a float times it raises OverflowError
+            raise DataError(f"n_packets {self.n_packets} is past the float range")
         if not math.isfinite(self.packet_interval_s * (self.n_packets - 1)):
             raise DataError(f"packet_interval_s {self.packet_interval_s!r} times "
                             f"{self.n_packets - 1} is past the float range")

@@ -879,12 +879,14 @@ _BIG_INT_JSON = '{"version": ' + "9" * 5000 + "}"
     ({"s.json": '{"stale_occupancy_floor": 0.0}'},
      ["sweep", "--scenario", "s.json", "--intervals", "5,1e306"],
      "interval 1e+306 s is past the float range in ms"),
+    ({"s.json": '{"n_packets": 1' + "0" * 400 + "}"}, ["simulate", "--scenario", "s.json"],
+     "n_packets 1" + "0" * 400 + " is past the float range"),
 ], ids=["scenario_not_json", "scenario_missing", "distance_negative", "intervals_not_numbers",
         "dataset_empty", "dataset_header_order", "model_not_object", "model_duplicate_id",
         "model_cycle_through_root", "model_shared_child", "model_cycle_through_inner_node",
         "model_not_utf8", "scenario_not_utf8", "model_nested_too_deep",
         "scenario_nested_too_deep", "model_int_too_long", "scenario_int_too_long",
-        "sweep_interval_past_ms_range"])
+        "sweep_interval_past_ms_range", "n_packets_past_float_range"])
 def test_input_error_exit_3(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():   # bytes where a row tests a non-UTF-8 file

@@ -5,7 +5,9 @@ loads or raises DataError with exactly the outcome of a row-by-row
 reference reader that tokenizes the whole file with csv.reader and checks
 each record in turn. The writers' bytes are those of a reference writer
 that formats each number cell with '%.17g', and so is the text of every
-float the number kernel draws.
+float the number kernel draws. The readers read each number cell as
+float() reads it, bit for bit, whether their number kernel or float()
+parses it.
 """
 
 import csv
@@ -18,7 +20,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from radiosel import simulator
+from radiosel import dataset, simulator
+from radiosel.cli import main
 from radiosel.dataset import (DATASET_HEADER, FEATURE_NAMES, TRACE_COLUMNS,
                               TRACE_HEADER, Dataset, Trace, _format_numbers, load_dataset,
                               load_traces, save_dataset, save_traces)
@@ -374,3 +377,108 @@ class TestNumberText:
                 got, expected = kernel_text(chunk), percent_g(chunk.tolist())
                 assert got == expected, (name, next((v, g, e) for v, g, e in
                                                     zip(chunk, got, expected) if g != e))
+
+
+def reader_floats(texts):
+    """Each text as a number cell of one plain block, as the readers parse
+    it: the values, NaN where float() raises, and the mask of those."""
+    column, = dataset._plain_block(("x",), *dataset._plain_lines([s + "\n" for s in texts], 1))
+    return column.values, column.bad
+
+
+def float_bits(texts):
+    """float() of each text, as (value, raised), value NaN where it raises."""
+    def parse(s):
+        try:
+            return float(s), False
+        except ValueError:
+            return math.nan, True
+    values, raised = zip(*map(parse, texts))
+    return np.array(values), np.array(raised)
+
+
+def assert_reads_as_float(texts):
+    """The reader's value of each cell has float()'s bits (-0 reads -0.0),
+    and the reader rejects exactly the cells float() rejects."""
+    got, bad = reader_floats(texts)
+    expected, raised = float_bits(texts)
+    assert np.array_equal(bad, raised)
+    wrong = np.flatnonzero((got.view(np.uint64) != expected.view(np.uint64)) & ~raised)
+    assert not wrong.size, [(texts[j], got[j], expected[j]) for j in wrong[:5]]
+
+
+# Cells a line can hold: no separator, quote, CR or NUL
+CELL_TEXT = st.text(st.characters(blacklist_characters=',\n"\r\0',
+                                  blacklist_categories=("Cs",)), max_size=22)
+
+
+@st.composite
+def decimals(draw):
+    """-?I[.F] with up to 10 integer and 21 fraction digits, around the
+    kernel's limits of 8 and 19 in all."""
+    sign = draw(st.sampled_from(["", "-"]))
+    whole = draw(st.text("0123456789", min_size=1, max_size=10))
+    fraction = draw(st.one_of(st.none(), st.text("0123456789", max_size=21)))
+    return sign + whole + ("" if fraction is None else "." + fraction)
+
+
+# 2**53 - 1 to 2**53 + 1 and exact ties between floats at the 17th digit
+# (…993, …48.25, …48.75), which go to even, the writer's tie text, 19 and
+# 20 digits, leading zeros, a 9-digit integer part, and cells that only
+# float() reads (a no-break space, Arabic-Indic digits) or that it rejects
+READER_EDGES = ["9007199254740991", "9007199254740992", "9007199254740993",
+                "2251799813685248.25", "2251799813685248.75", "123456789012345.625",
+                "0.30000000000000004", "12345678.901234567", "99999999.999999999",
+                "1.234567890123456789", "1.2345678901234567891", "12345678.12345678901",
+                "99999999.999999999999",
+                "0000000000000000001", "00000000000000000001", "007.50", "123456789",
+                "123456789.5", "-0", "-0.0", "0", "+1", "1.", "-1.", ".5", "-.5", "1e5",
+                "1E-5", " 1", "1 ", "1_0", "١", "nan", "-nan", "inf", "-inf", "Infinity",
+                "", "-", ".", "1..2", "--1", "1-", "1.2.3", "0x10", "١٢.٥", "1\u00a0"]
+
+
+class TestNumberCells:
+    """The readers' numbers are float()'s: the number kernel settles the
+    cells it can prove and leaves every other cell to float()."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(texts=st.lists(st.one_of(st.floats().map(lambda v: "%.17g" % v), decimals(),
+                                    CELL_TEXT), min_size=1, max_size=40))
+    @example(texts=READER_EDGES)
+    def test_cells_read_as_float(self, texts):
+        assert_reads_as_float(texts)
+
+    def test_bulk_writer_cells_read_as_float(self):
+        """Seeded '%.17g' cells over the kernel's range and past it, their
+        ulp neighbours, and every cell of the 180k-record benchmark trace."""
+        rng = np.random.default_rng(30)
+        trace = simulator.generate(replace(simulator.ScenarioConfig(), n_packets=12_000), seed=2)
+        draws = {
+            "log-uniform": 10.0 ** rng.uniform(-4, 9, 200_000) * rng.choice([-1, 1], 200_000),
+            "bit patterns": rng.integers(0, 2 ** 64, 50_000, dtype=np.uint64).view(np.float64),
+            "neighbours": ulp_neighbours(rng.integers(1, 10 ** 8, 50_000)
+                                         / 10.0 ** rng.integers(0, 12, 50_000)),
+            "trace cells": np.concatenate([getattr(trace, c) for c in TRACE_COLUMNS]),
+        }
+        assert sum(v.size for v in draws.values()) >= 1_000_000
+        for values in draws.values():
+            for lo in range(0, values.size, 1 << 16):
+                assert_reads_as_float([s.decode() for s in kernel_text(values[lo:lo + (1 << 16)])])
+
+    def test_written_files_take_the_kernel(self, tmp_path, monkeypatch):
+        """The README trace and dataset (simulate --seed 1) read all but at
+        most 0.1% of their number cells through the kernel, not float()."""
+        assert main(["simulate", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+        number_cells = dataset._number_cells
+        for load, name in ((load_traces, "trace.csv"), (load_dataset, "dataset.csv")):
+            cells = left = 0
+
+            def counted(b, starts, ends):
+                nonlocal cells, left
+                values, slow = number_cells(b, starts, ends)
+                cells, left = cells + values.size, left + slow.size
+                return values, slow
+
+            monkeypatch.setattr(dataset, "_number_cells", counted)
+            load(tmp_path / name)
+            assert cells > 0 and left <= 0.001 * cells, (name, left, cells)

@@ -671,6 +671,32 @@ class TestPlainAndCsvLines:
         assert same_outcome(self.load(monkeypatch, loader, p, rows),
                             properties.outcome(self.REFERENCE[loader], p))
 
+    LAST_RECORDS = {  # long number cells, the last one right at the end of the file
+        load_traces: "n1,9999,9295.0466232339331,5739.6295624372788,1,-74.35269253864891,"
+                     "0.89677325708244193,1.0688591957172766",
+        load_dataset: "1,-74.35269253864891,0.89677325708244193,1.0688591957172766,zigbee,"
+                      "3555.4170607966544"}
+
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_last_record_without_its_line_end(self, tmp_path, monkeypatch, rows, loader,
+                                              header, lines):
+        """A file whose last record lacks its '\\n' loads as its twin with
+        it, and that last block is plain: its bytes are parsed."""
+        body = lines(self.N) + [self.LAST_RECORDS[loader]]
+        with_end = write(tmp_path / "a.csv", header + "\n".join(body) + "\n")
+        without = write(tmp_path / "b.csv", header + "\n".join(body))
+        expected = properties.outcome(loader, with_end)
+        assert expected[0] == "ok"
+        plain_lines, blocks = dataset._plain_lines, []
+
+        def recorded(lines, width):
+            blocks.append(plain_lines(lines, width))
+            return blocks[-1]
+
+        monkeypatch.setattr(dataset, "_plain_lines", recorded)
+        assert same_outcome(self.load(monkeypatch, loader, without, rows), expected)
+        assert blocks[-1] is not None
+
 
 def test_load_memory_is_arrays_plus_a_block(tmp_path, monkeypatch, rng):
     """Peak traced memory of a ~20k-row load stays within 4x the arrays
