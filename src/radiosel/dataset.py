@@ -9,17 +9,20 @@ The CSV readers read a file once and check each block of records, as it
 is parsed, against one ordered table of rules per record kind. A block
 comes as columns: a text column (node id, label) as its distinct cells and
 each row's index among them, a number column as the float() of each cell.
-While every line of a block is a plain record (the header's number of
-commas, no quote, CR or NUL), the block is parsed from its UTF-8 bytes:
-numpy finds the separators, and _number_cells converts every number cell
-of the block in one pass, exactly, in 8-byte words. It settles a cell
+A reader reads the file in binary, into one reused window. While every
+line of a block is a plain record (the header's number of commas, no
+quote, CR or NUL), the block is parsed from the file's bytes: numpy finds
+the separators, and _number_cells converts every number cell of the
+block in one pass, exactly, in 8-byte words. It settles a cell
 -?digits[.digits] of at most 8 integer and 19 digits in all once it has
 proved the float, and leaves every other cell (exponents, nan, blanks, a
 '+', more digits) to float() itself, so values and messages are float()'s.
 From the first block holding any other line (quoted cells, CRLF line ends,
-blank lines, a wrong width) to the end of the file, csv.reader reads the
-records and float() parses their number cells. The writers' files are
-plain unless a node id needs quoting.
+blank lines, a wrong width) to the end of the file, the file is read in
+text mode: csv.reader reads the records and float() parses their number
+cells. A decode or CSV syntax error is the one that a whole-file text read
+from the start reports. The writers' files are plain unless a node id
+needs quoting.
 
 The writers check their records against the readers' rules before they
 create the file, and write each number as the text of '%.17g' % x,
@@ -34,10 +37,12 @@ bytes.translate that deletes it joins the block into its lines.
 
 from __future__ import annotations
 
+import codecs
 import collections
 import csv
 import enum
 import functools
+import io
 import itertools
 import math
 import sys
@@ -368,30 +373,39 @@ def _cell_text(b: np.ndarray, starts, ends, j: int) -> str:
     return b[starts[j]:ends[j]].tobytes().decode()
 
 
+_NOT_PLAIN = (b'"', b"\r", b"\0")   # a plain line holds no quote, CR or NUL (see _plain_lines)
+
+
 def _plain_lines(lines, width: int) -> tuple | None:
-    """The UTF-8 bytes b of lines that are all plain records and the
-    (len(lines), width) ends of their cells, the offsets of the separators
-    in b, or None if a line is not plain. A plain record has width - 1
-    commas, holds no '"', '\\r' or NUL (which csv.reader rejects before
-    Python 3.11) and no cell longer than csv.field_size_limit(), so
-    csv.reader would split it on its commas into the same cells. b ends in
-    40 zero bytes after the last line end, which it adds if the last line
-    lacks it, as the last line of a file may."""
-    text = "".join(lines)
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    raw = text.encode()
-    del text
-    size = len(raw) + (not raw.endswith(b"\n"))
-    b = np.zeros(size + 40, np.uint8)   # the zeros keep every word that is read inside b
-    b[:len(raw)] = np.frombuffer(raw, np.uint8)
-    del raw
+    """The block of lines as _plain_block takes it, if every line is a
+    plain record: b, a copy of their UTF-8 bytes with 40 zero bytes after
+    the last line end (added if the last line lacks it, as the last line
+    of a file may), and the (rows, width) ends of their cells, the offsets
+    of the separators in b; else None. lines is a uint8 array of whole
+    lines (the readers' block), or a list of str lines. A plain record has
+    width - 1 commas, holds no '"', '\\r' or NUL (which csv.reader rejects
+    before Python 3.11) and no cell longer than csv.field_size_limit(), so
+    csv.reader would split it on its commas into the same cells. A plain
+    block that is not UTF-8 raises UnicodeDecodeError."""
+    if isinstance(lines, list):
+        lines = np.frombuffer("".join(lines).encode(), np.uint8)
+    size = lines.size + (lines[-1] != ord("\n"))
+    data = bytearray(size + 40)   # the zeros keep every word that is read inside b
+    b = np.frombuffer(data, np.uint8)
+    b[:lines.size] = lines
     b[size - 1] = ord("\n")
+    if any(data.find(c, 0, size) >= 0 for c in _NOT_PLAIN):
+        return None
     ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-    if (ends.size != len(lines) * width or not np.all(b[ends[width - 1::width]] == ord("\n"))
+    line_ends = b[ends] == ord("\n")
+    rows = ends.size // width
+    if (ends.size % width or np.count_nonzero(line_ends) != rows
+            or not line_ends[width - 1::width].all()
             or np.max(np.diff(ends, prepend=-1)) > csv.field_size_limit() + 1):
         return None
-    return b, ends.reshape(len(lines), width)
+    if b.max() >= 0x80:
+        data[:size].decode()   # strict: a byte that is not UTF-8 raises
+    return b, ends.reshape(rows, width)
 
 
 def _plain_block(header, b: np.ndarray, ends: np.ndarray) -> list:
@@ -417,6 +431,50 @@ def _plain_block(header, b: np.ndarray, ends: np.ndarray) -> list:
     return [columns[k] for k in range(len(header))]
 
 
+def _line_blocks(fh):
+    """(offset, lines) of each block of CHUNK_ROWS lines that the binary
+    file fh holds from its position on: lines is a uint8 view, valid until
+    the next block, of one reused window that readinto fills, and offset
+    is the file position of its first byte. The last block holds the lines
+    left, the last one perhaps without its '\\n'. The window grows only
+    when one block's lines do not fit in it. Each byte is read and scanned
+    for '\\n' once, and moved at most once: the part of a block that the
+    window held when it was short of a block."""
+    window, at, start, size = np.empty(io.DEFAULT_BUFFER_SIZE, np.uint8), fh.tell(), 0, 0
+    line_ends = np.empty(0, np.intp)   # the '\n's of window[start:size]
+    while True:   # window[start:size] holds the file's bytes from position at on
+        if line_ends.size < CHUNK_ROWS:   # short of a block: read on
+            window[:size - start] = window[start:size]
+            line_ends, size, start = line_ends - start, size - start, 0
+            if size == window.size:
+                window = np.concatenate((window, np.empty_like(window)))
+            read = fh.readinto(window[size:])
+            new_ends = size + np.flatnonzero(window[size:size + read] == ord("\n"))
+            line_ends, size = np.concatenate((line_ends, new_ends)), size + read
+            if read:
+                continue
+        end = int(line_ends[CHUNK_ROWS - 1]) + 1 if line_ends.size >= CHUNK_ROWS else size
+        if end == start:
+            return
+        yield at, window[start:end]
+        line_ends, at, start = line_ends[CHUNK_ROWS:], at + end - start, end
+
+
+def _text_read_error(path: Path) -> DataError | None:
+    """The decode or CSV syntax error of a whole-file csv.reader read in
+    text mode, the first in the file, decode position or line number
+    included, or None if the file reads cleanly."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            collections.deque(reader, maxlen=0)
+        except UnicodeDecodeError as e:
+            return DataError(f"{path}: not a UTF-8 CSV file: {e}")
+        except csv.Error as e:
+            return DataError(f"{path}: malformed CSV at line {reader.line_num}: {e}")
+    return None
+
+
 def _read_blocks(path, expected_header):
     """Data records of a CSV whose header must be expected_header, yielded
     in blocks of at most CHUNK_ROWS records read from the file. A block is
@@ -425,60 +483,71 @@ def _read_blocks(path, expected_header):
     them, a number column as _Numbers, float() of its cells. A caller that
     has found an error parses no more blocks.
 
-    The header is read by csv.reader. Then each block of CHUNK_ROWS lines
-    is parsed from its bytes while every line in it is a plain record (see
-    _plain_lines): _number_cells converts each number cell -?digits[.digits]
-    of at most 8 integer and 19 digits in all whose float it can prove,
-    and float() parses every other cell (exponents, nan, blanks, a '+',
-    more digits). From the first block that holds another line (quoted
-    cells, CRLF line ends, blank lines, a wrong width, a very long cell) to
-    the end of the file, records come from csv.reader, blank ones skipped,
-    and float() parses every number cell.
+    The file is read in binary, its leading UTF-8 byte order mark skipped.
+    A header line that is plain (no '"', '\\r' or NUL) is read by
+    csv.reader from its text; any other sends the whole file to the text
+    path below. Then each block of CHUNK_ROWS lines comes from the file's
+    bytes while every line in it is a plain record (see _plain_lines):
+    _number_cells converts each number cell -?digits[.digits] of at most 8
+    integer and 19 digits in all whose float it can prove, and float()
+    parses every other cell (exponents, nan, blanks, a '+', more digits).
+    From the first block that holds another line (quoted cells, CRLF line
+    ends, blank lines, a wrong width, a very long cell) to the end of the
+    file, the file is read in text mode: records come from csv.reader,
+    blank ones skipped, and float() parses every number cell.
 
     Errors are raised only once the whole file is read, in the order a
     whole-file reader reports them: a decode or CSV syntax error anywhere,
     then an empty file or a bad header, then the first record of the wrong
     width, indexed among all records after the header, blank lines
-    included. Nothing is yielded after a header or width error, so a
-    caller sees no block of a file that will fail."""
+    included. A decode or syntax error is the one a whole-file text read
+    (_text_read_error) finds, read again from the start. Nothing is
+    yielded after a header or width error, so a caller sees no block of a
+    file that will fail."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     width = len(expected_header)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader, before = csv.reader(fh), 0   # before: lines read ahead of the reader's first
-        try:
-            error = _header_error(path, next(reader, None), expected_header)
-            start = 0
-            if error is None:
-                while lines := list(itertools.islice(fh, CHUNK_ROWS)):
-                    plain = _plain_lines(lines, width)
-                    if plain is None:
-                        before = reader.line_num + start   # one line per plain record
-                        reader = csv.reader(itertools.chain(lines, fh))
-                        break
-                    start += len(lines)
-                    del lines
-                    yield functools.partial(_plain_block, expected_header, *plain)
-                    del plain   # before the next block is read
-            while error is None and (records := list(itertools.islice(reader, CHUNK_ROWS))):
-                kept = []
-                for i, raw in enumerate(records, start):
-                    if len(raw) == width:
-                        kept.append(raw)
-                    elif raw and (len(raw) > 1 or raw[0].strip()):  # not a blank line
-                        error = DataError(f"{path}: row {i}: expected {width} fields, "
-                                          f"got {len(raw)}")
-                        break
-                if kept and error is None:
-                    yield functools.partial(_record_block, expected_header, kept)
-                start += len(records)
-            collections.deque(reader, maxlen=0)  # a later decode or syntax error comes first
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not a UTF-8 CSV file: {e}") from e
-        except csv.Error as e:
-            raise DataError(f"{path}: malformed CSV at line {before + reader.line_num}: "
-                            f"{e}") from e
+    try:
+        with path.open("rb") as fh:
+            line = fh.readline()
+            at = len(codecs.BOM_UTF8) if line.startswith(codecs.BOM_UTF8) else 0
+            line, error, start = line[at:], None, 0   # at: where the text path starts
+            text_header = any(c in line for c in _NOT_PLAIN)
+            if not text_header:
+                error = _header_error(path, next(csv.reader([line.decode()])) if line else None,
+                                      expected_header)
+                at += len(line)
+                if error is None:
+                    for at, lines in _line_blocks(fh):
+                        plain = _plain_lines(lines, width)
+                        if plain is None:
+                            break
+                        start += len(plain[1])
+                        yield functools.partial(_plain_block, expected_header, *plain)
+                        del plain   # before the next block is read
+                    else:
+                        return
+            fh.seek(at)
+            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                reader = csv.reader(text)
+                if text_header:
+                    error = _header_error(path, next(reader, None), expected_header)
+                while error is None and (records := list(itertools.islice(reader, CHUNK_ROWS))):
+                    kept = []
+                    for i, raw in enumerate(records, start):
+                        if len(raw) == width:
+                            kept.append(raw)
+                        elif raw and (len(raw) > 1 or raw[0].strip()):  # not a blank line
+                            error = DataError(f"{path}: row {i}: expected {width} fields, "
+                                              f"got {len(raw)}")
+                            break
+                    if kept and error is None:
+                        yield functools.partial(_record_block, expected_header, kept)
+                    start += len(records)
+                collections.deque(reader, maxlen=0)  # a later decode or syntax error comes first
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise _text_read_error(path) or DataError(f"{path}: changed while read: {e}") from e
     if error is not None:
         raise error
 

@@ -276,7 +276,11 @@ def replay(traces: Trace, selector) -> ReplayResult:
     """Run one selector over a trace; throughputs are taken from the chosen
     radio's recorded value, the oracle takes the per-packet max. Each
     radio's mean throughput and the oracle's must be finite and > 0: the
-    ratio and the gains are relative to them."""
+    ratio and the gains are relative to them. The CDF is np.percentile of
+    the achieved throughputs, read from one sorted copy once their mean is
+    summed in row order. A column with a sign bit set (a -0.0 or a
+    negative value) stays unsorted: 0.0 and -0.0 tie, and np.percentile
+    returns whichever its partition leaves in place."""
     if not len(traces):
         raise DataError("no trace records to replay")
     tpz, tpl = traces.tp_zigbee, traces.tp_lora
@@ -287,7 +291,9 @@ def replay(traces: Trace, selector) -> ReplayResult:
             raise DataError(f"mean {radio} throughput of the trace is {mean} bps: "
                             f"replay needs each radio's and the oracle's mean finite and > 0")
     achieved = np.where(np.asarray(selector.choose(traces), dtype=int) == 0, tpz, tpl)
-    mean_achieved = float(np.mean(achieved))
+    mean_achieved = float(np.mean(achieved))   # before the sort: the pairwise sum is by order
+    if not np.signbit(achieved).any():   # a -0.0 would tie with 0.0 (see above)
+        achieved.sort()   # the linear percentiles read order statistics only: the same floats
     worst, best = sorted(("zigbee", "lora"), key=means.get)
     worst_single, best_single = means[worst], means[best]
     gain_worst = 100.0 * (mean_achieved - worst_single) / worst_single

@@ -905,3 +905,187 @@ def test_save_traces_rejects_what_load_traces_rejects(tmp_path, column, value, m
                    for i in range(3))
     with pytest.raises(DataError, match=re.escape(message)):
         load_traces(write(path, TRACE_HEADER_LINE + rows))
+
+
+class TestBinaryReader:
+    """Plain blocks come from the file's bytes, the rest of a file from a
+    text read, and errors from a whole-file text read: every outcome is
+    the reference reader's, error messages with their decode positions
+    and line numbers included."""
+
+    N = 5000
+    LOADERS, IDS = TestPlainAndCsvLines.LOADERS, TestPlainAndCsvLines.IDS
+    REFERENCE = TestPlainAndCsvLines.REFERENCE
+
+    @staticmethod
+    def paths(monkeypatch):
+        """Counts of the blocks each path reads: the plain blocks' bytes
+        and the csv.reader records' blocks."""
+        counts = {"plain": 0, "text": 0}
+        plain_lines, record_block = dataset._plain_lines, dataset._record_block
+
+        def plain(lines, width):
+            block = plain_lines(lines, width)
+            counts["plain"] += block is not None
+            return block
+
+        def records(header, rows):
+            counts["text"] += 1
+            return record_block(header, rows)
+
+        monkeypatch.setattr(dataset, "_plain_lines", plain)
+        monkeypatch.setattr(dataset, "_record_block", records)
+        return counts
+
+    def check(self, loader, path):
+        """The loader's outcome, which must be the reference reader's."""
+        got = properties.outcome(loader, path)
+        assert same_outcome(got, properties.outcome(self.REFERENCE[loader], path))
+        return got
+
+    @pytest.mark.parametrize("rows", [3, None])
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_bom_file_takes_the_plain_path(self, tmp_path, monkeypatch, rows, loader, header,
+                                           lines):
+        if rows is not None:
+            monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        p = tmp_path / "f.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + (header + "\n".join(lines(self.N)) + "\n").encode())
+        counts = self.paths(monkeypatch)
+        assert self.check(loader, p)[0] == "ok"
+        assert counts["plain"] > 0 and counts["text"] == 0
+
+    @pytest.mark.parametrize("rows", [3, None])
+    def test_non_ascii_ids_take_the_plain_path(self, tmp_path, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        names = ("nœud-é", "узел", "节点-1", "n0")
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n".join(
+            trace_lines(self.N, node=lambda i: names[i % 4])) + "\n")
+        counts = self.paths(monkeypatch)
+        kind, got = self.check(load_traces, p)
+        assert kind == "ok" and got.names == names
+        assert counts["plain"] > 0 and counts["text"] == 0
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("where", ["first_block", "middle_block", "last_window",
+                                       "after_a_text_block"])
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_bad_byte_message_is_the_whole_file_reads(self, tmp_path, monkeypatch, rows,
+                                                      where, loader, header, lines):
+        """A byte that is not UTF-8 in a plain line, read from bytes or after
+        csv.reader has taken over, gives the whole-file decode message."""
+        if rows is not None:
+            monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        body = [line.encode() for line in lines(self.N)]
+        at = {"first_block": 1, "middle_block": 2500, "last_window": self.N - 1,
+              "after_a_text_block": 4500}[where]
+        body[at] = b"\xff" + body[at][1:] if loader is load_traces else body[at] + b"\xc3"
+        if where == "after_a_text_block":
+            body[3000] = body[3000].replace(b",", b',"', 1) + b'"'
+        p = tmp_path / "f.csv"
+        p.write_bytes(header.encode() + b"\n".join(body) + b"\n")
+        kind, message = self.check(loader, p)
+        assert kind == "error" and message.startswith(f"{p}: not a UTF-8 CSV file: 'utf-8' "
+                                                      f"codec can't decode byte")
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_line_longer_than_the_first_window(self, tmp_path, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        long = "x" * (3 * io.DEFAULT_BUFFER_SIZE)
+        body = trace_lines(20, node=lambda i: long if i in (0, 7, 8) else f"n{i % 3}")
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n".join(body) + "\n")
+        counts = self.paths(monkeypatch)
+        kind, got = self.check(load_traces, p)
+        assert kind == "ok" and got.names == (long, "n1", "n2", "n0")
+        assert counts["plain"] > 0 and counts["text"] == 0
+
+    @pytest.mark.parametrize("rows", [1, 3, 2048])
+    def test_blocks_after_a_long_line(self, tmp_path, monkeypatch, rows):
+        """One line of 1 MB grows the window; the short lines after it are
+        still cut into blocks of CHUNK_ROWS lines at their file offsets, and
+        the file loads as the reference reads it."""
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        body = trace_lines(self.N)
+        body[0] = "x" * 131_072 + "".join(
+            "," + (c if "." in c else c + ".").ljust(131_072, "0") for c in body[0].split(",")[1:])
+        data = (TRACE_HEADER_LINE + "\n".join(body)).encode()
+        lines = data.splitlines(keepends=True)[1:]
+        offsets = np.cumsum([len(TRACE_HEADER_LINE)] + [len(x) for x in lines])
+        with io.BytesIO(data) as fh:
+            fh.seek(len(TRACE_HEADER_LINE))
+            got = [(at, bytes(block)) for at, block in dataset._line_blocks(fh)]
+        assert got == [(offsets[i], b"".join(lines[i:i + rows]))
+                       for i in range(0, len(lines), rows)]
+        p = tmp_path / "t.csv"
+        p.write_bytes(data)
+        counts = self.paths(monkeypatch)
+        assert self.check(load_traces, p)[0] == "ok"
+        assert counts["plain"] > 0 and counts["text"] == 0
+
+    @pytest.mark.parametrize("loader,header,lines", LOADERS, ids=IDS)
+    def test_quoted_header_sends_the_file_to_the_text_path(self, tmp_path, monkeypatch,
+                                                           loader, header, lines):
+        quoted = ",".join(f'"{c}"' if i < 2 else c for i, c in enumerate(header.split(",")))
+        p = write(tmp_path / "f.csv", quoted + "\n".join(lines(self.N)) + "\n")
+        counts = self.paths(monkeypatch)
+        assert self.check(loader, p)[0] == "ok"
+        assert counts == {"plain": 0, "text": -(-self.N // dataset.CHUNK_ROWS)}
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_syntax_error_after_the_text_path_starts(self, tmp_path, monkeypatch, rows):
+        """With field_size_limit lowered, a cell past it after csv.reader
+        has taken over mid-file is named at the whole-file line number."""
+        if rows is not None:
+            monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+        body = trace_lines(self.N)
+        body[3000] = '"a\n\nb",3000,5000,3000,2,-95,0.8,1.4'
+        body[4000] = "n1,1" + "0" * 60 + ",5000,3000,2,-95,0.8,1.4"
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n".join(body) + "\n")
+        limit = csv.field_size_limit(40)
+        try:
+            got = self.check(load_traces, p)
+        finally:
+            csv.field_size_limit(limit)
+        assert got == ("error", f"{p}: malformed CSV at line {4000 + 2 + 2}: "
+                                f"field larger than field limit (40)")
+
+    def test_file_that_reads_cleanly_the_second_time(self, tmp_path, monkeypatch):
+        """A decode error that the whole-file read does not find again (the
+        file changed in between) is still a data error."""
+        p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n".join(trace_lines(9)) + "\n")
+
+        def undecodable(lines, width):
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        monkeypatch.setattr(dataset, "_plain_lines", undecodable)
+        with pytest.raises(DataError, match=re.escape(f"{p}: changed while read: 'utf-8'")):
+            load_traces(p)
+
+
+# Node ids past 8 bytes by their UTF-8 length: one word keys no such id
+LONG_IDS = {"11": ("sensor-0001", "sensor-0002", "sensor-001", "sensor-00011"),
+            "16": ("field-sensor-001", "field-sensor-002", "field-sensor-0010", "x"),
+            "24": ("building-a-sensor-000001", "building-a-sensor-000002",
+                   "building-a-sensor-00000", "building-a-sensor-000000"),
+            "25": ("building-a-sensor-0000001", "building-a-sensor-0000002",
+                   "building-a-sensor-000001", "n0"),
+            "utf8": ("é" * 4 + "a", "aé" * 3, "é" * 8, "é" * 12, "éa" * 6 + "!", "节点节点节点节点")}
+
+
+@pytest.mark.parametrize("rows", [3, None])
+@pytest.mark.parametrize("ids", LONG_IDS)
+def test_long_node_ids_load_as_the_reference(tmp_path, monkeypatch, rows, ids):
+    """Ids past 8 bytes, of mixed lengths and with shared prefixes, code in
+    order of first appearance in every block."""
+    if rows is not None:
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", rows)
+    names = LONG_IDS[ids]
+    order = [0, 0, 1, 2, 1, 3, 0, 3, 2] + [int(k) for k in np.random.default_rng(4).integers(
+        0, len(names), 3000)]
+    body = trace_lines(len(order), node=lambda i: names[order[i]])
+    p = write(tmp_path / "t.csv", TRACE_HEADER_LINE + "\n".join(body) + "\n")
+    kind, got = properties.outcome(load_traces, p)
+    assert same_outcome((kind, got), properties.outcome(properties.reference_load_traces, p))
+    assert kind == "ok" and set(got.names) == set(names)

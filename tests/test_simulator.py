@@ -201,6 +201,35 @@ class TestReplay:
         values = [v for _, v in res.cdf]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("case", ["1_row", "2_rows", "3_rows", "ties", "signed_zeros",
+                                      "bench_trace"])
+    def test_cdf_and_mean_are_those_of_the_unsorted_column(self, case):
+        """replay reads its percentiles from a sorted copy; they are bit for
+        bit np.percentile's of the column in row order, and the mean is
+        np.mean's of that column."""
+        rng = np.random.default_rng(8)
+        if case == "bench_trace":
+            trace = generate(replace(ScenarioConfig(), n_packets=12_000), seed=1)
+        else:
+            n = {"1_row": 1, "2_rows": 2, "3_rows": 3}.get(case, 5000)
+            tpz, tpl = rng.uniform(1.0, 9000.0, (2, n))
+            if case == "ties":
+                tpz, tpl = rng.choice([0.0, 250.0, 1000.5, 5000.0], (2, n))
+            elif case == "signed_zeros":
+                tpz, tpl = rng.choice([-0.0, 0.0, 0.0, 3.0], (2, n))
+            trace = dataset.Trace(("n0",), np.zeros(n, int), np.arange(n, dtype=float), tpz,
+                                  tpl, np.ones(n), np.full(n, -95.0), np.full(n, 0.8),
+                                  np.ones(n))
+        for sel in (AlwaysSelector(0), AlwaysSelector(1), ThresholdSelector(2),
+                    OracleSelector()):
+            achieved = np.where(np.asarray(sel.choose(trace)) == 0, trace.tp_zigbee,
+                                trace.tp_lora)
+            res = replay(trace, sel)
+            cdf = np.array([v for _, v in res.cdf])
+            expected = np.percentile(achieved, range(1, 101))
+            assert np.array_equal(cdf.view(np.uint64), expected.view(np.uint64)), sel.name
+            assert res.mean_throughput_bps == float(np.mean(achieved))
+
     @pytest.mark.parametrize("zeroed, radio", [(("tp_zigbee",), "zigbee"),
                                                (("tp_lora",), "lora"),
                                                (("tp_zigbee", "tp_lora"), "zigbee")],
